@@ -1,22 +1,19 @@
-//! Scheduler contention: work-stealing deques vs the shared-queue baseline.
+//! Executor overhead on a many-small-points workload, at several worker
+//! counts.
 //!
 //! The paper's figure 2/3 sweeps are a many-small-points workload: hundreds
 //! of work items whose per-item cost collapses to a memo-cache hit once the
-//! distinct instances are solved. That is exactly where a single shared
-//! queue serialises the pool — every pop takes the one lock — and where
-//! per-worker deques pay off: workers drain their own shard lock-free of
-//! each other and only touch a victim's deque when they run dry.
+//! distinct instances are solved. That is where per-item scheduling cost
+//! shows: every item is one claim off the engine's shared atomic cursor
+//! plus one slot write.
 //!
 //! The synthetic suite below has 500 single-point scenarios over one tiny
 //! workload (one distinct cache key), so a run is one real solve plus 499
-//! memo hits: per-item work is a few microseconds and the measured spread
-//! between `shared_queue` and `work_stealing` is scheduler overhead, not
-//! solver time. A cold-cache group with distinct keys per scenario batch is
-//! included so the stealing pool is also exercised under real solve load.
+//! memo hits: per-item work is a few microseconds and the measured time is
+//! scheduling overhead, not solver time. A cold-cache group with distinct
+//! keys per scenario batch exercises the pool under real solve load.
 
-use bbs_engine::{
-    run_suite, Engine, RunSettings, Scenario, SolveCache, Suite, SweepSpec, WorkloadSpec,
-};
+use bbs_engine::{Engine, RunSettings, Scenario, SolveCache, Suite, SweepSpec, WorkloadSpec};
 use bbs_taskgraph::presets::PresetSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -38,7 +35,7 @@ fn contention_suite(points: usize) -> Suite {
 }
 
 /// A smaller suite whose scenarios sweep distinct caps, so every item is a
-/// real solve: the stealing pool under actual load imbalance.
+/// real solve: the pool under actual load imbalance.
 fn solve_suite(scenarios: usize) -> Suite {
     let scenarios = (0..scenarios)
         .map(|i| {
@@ -52,37 +49,21 @@ fn solve_suite(scenarios: usize) -> Suite {
     Suite::new("solves", scenarios)
 }
 
-fn settings(jobs: usize, steal: bool) -> RunSettings {
-    RunSettings {
-        jobs,
-        steal,
-        ..RunSettings::default()
-    }
-}
-
 fn bench_memo_hit_storm(c: &mut Criterion) {
     let suite = contention_suite(500);
     let mut group = c.benchmark_group("executor_contention_500pt");
     group.sample_size(20);
     for jobs in [1usize, 4, 8] {
-        group.bench_function(format!("shared_queue_j{jobs}"), |b| {
-            b.iter(|| run_suite(black_box(&suite), &settings(jobs, false)).unwrap());
-        });
-        group.bench_function(format!("work_stealing_j{jobs}"), |b| {
-            b.iter(|| run_suite(black_box(&suite), &settings(jobs, true)).unwrap());
-        });
-        // The reusable pool: same scheduler as `work_stealing`, but the
-        // worker threads are spawned once and parked between runs — the
-        // delta against `work_stealing_jN` is pure thread spawn/teardown.
+        // Workers are spawned once and parked between runs; a fresh cache
+        // per run keeps the workload at 1 solve + 499 memo hits.
         let engine = Engine::new(jobs);
+        let settings = RunSettings::with_jobs(jobs);
         group.bench_function(format!("pooled_j{jobs}"), |b| {
             b.iter(|| {
-                // A fresh cache per run, like `run_suite`, so the workload
-                // (1 solve + 499 memo hits) is identical.
                 engine
                     .run_suite_with_cache(
                         black_box(&suite),
-                        &settings(jobs, true),
+                        &settings,
                         &Arc::new(SolveCache::new()),
                     )
                     .unwrap()
@@ -94,13 +75,12 @@ fn bench_memo_hit_storm(c: &mut Criterion) {
 
 fn bench_real_solves(c: &mut Criterion) {
     let suite = solve_suite(4);
+    let engine = Engine::new(8);
+    let settings = RunSettings::with_jobs(8);
     let mut group = c.benchmark_group("executor_real_solves_24pt");
     group.sample_size(10);
-    group.bench_function("shared_queue_j8", |b| {
-        b.iter(|| run_suite(black_box(&suite), &settings(8, false)).unwrap());
-    });
-    group.bench_function("work_stealing_j8", |b| {
-        b.iter(|| run_suite(black_box(&suite), &settings(8, true)).unwrap());
+    group.bench_function("pooled_j8", |b| {
+        b.iter(|| engine.run_suite(black_box(&suite), &settings).unwrap());
     });
     group.finish();
 }

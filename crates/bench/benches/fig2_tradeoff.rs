@@ -12,10 +12,11 @@
 
 use bbs_bench::{fig2_configuration, paper_options};
 use bbs_engine::suites::fig2a_scenario;
-use bbs_engine::{run_suite_with_cache, RunSettings, SolveCache, SolveStore, Suite};
+use bbs_engine::{Engine, RunSettings, SolveCache, SolveStore, Suite};
 use budget_buffer::{compute_mapping, with_capacity_cap};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_single_solves(c: &mut Criterion) {
     let configuration = fig2_configuration();
@@ -37,13 +38,18 @@ fn bench_single_solves(c: &mut Criterion) {
 fn bench_full_sweep(c: &mut Criterion) {
     let suite = Suite::new("bench", vec![fig2a_scenario()]);
     let settings = RunSettings::default();
+    let engine = Engine::new(1);
     let mut group = c.benchmark_group("fig2a_full_sweep_1_to_10");
     group.bench_function("engine_cold_cache", |b| {
-        b.iter(|| run_suite_with_cache(black_box(&suite), &settings, &SolveCache::new()).unwrap());
+        b.iter(|| engine.run_suite(black_box(&suite), &settings).unwrap());
     });
     group.bench_function("engine_warm_cache", |b| {
-        let cache = SolveCache::new();
-        b.iter(|| run_suite_with_cache(black_box(&suite), &settings, &cache).unwrap());
+        let cache = Arc::new(SolveCache::new());
+        b.iter(|| {
+            engine
+                .run_suite_with_cache(black_box(&suite), &settings, &cache)
+                .unwrap()
+        });
     });
     group.bench_function("engine_warm_disk_store", |b| {
         let directory =
@@ -51,11 +57,19 @@ fn bench_full_sweep(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&directory);
         // Populate once; every iteration then simulates a fresh process
         // (empty in-memory tier) answering the sweep from disk.
-        let warm = SolveCache::with_store(SolveStore::open(&directory).unwrap());
-        run_suite_with_cache(&suite, &settings, &warm).unwrap();
+        let warm = Arc::new(SolveCache::with_store(
+            SolveStore::open(&directory).unwrap(),
+        ));
+        engine
+            .run_suite_with_cache(&suite, &settings, &warm)
+            .unwrap();
         b.iter(|| {
-            let cache = SolveCache::with_store(SolveStore::open(&directory).unwrap());
-            run_suite_with_cache(black_box(&suite), &settings, &cache).unwrap()
+            let cache = Arc::new(SolveCache::with_store(
+                SolveStore::open(&directory).unwrap(),
+            ));
+            engine
+                .run_suite_with_cache(black_box(&suite), &settings, &cache)
+                .unwrap()
         });
         let _ = std::fs::remove_dir_all(&directory);
     });

@@ -8,7 +8,7 @@
 
 use bbs_bench::{fig3_configuration, paper_options};
 use bbs_engine::suites::fig3_scenario;
-use bbs_engine::{run_suite_with_cache, RunSettings, SolveCache, Suite};
+use bbs_engine::{Engine, RunSettings, Suite};
 use budget_buffer::{compute_mapping, with_capacity_cap};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,8 +33,9 @@ fn bench_chain_solves(c: &mut Criterion) {
 fn bench_chain_sweep(c: &mut Criterion) {
     let suite = Suite::new("bench", vec![fig3_scenario()]);
     let settings = RunSettings::default();
+    let engine = Engine::new(1);
     c.bench_function("fig3_full_sweep_1_to_10", |b| {
-        b.iter(|| run_suite_with_cache(black_box(&suite), &settings, &SolveCache::new()).unwrap());
+        b.iter(|| engine.run_suite(black_box(&suite), &settings).unwrap());
     });
 }
 

@@ -6,23 +6,25 @@
 //! mints a `ConfigView` per point — two `Arc` bumps plus a `Copy` cap — and
 //! streams the key straight off the view, so per-point expansion is
 //! allocation-free and the whole stage parallelises over the engine's
-//! worker pool in deterministic 512-point chunks.
+//! worker pool as one cursor job, one point per claim.
 //!
 //! Three measurements over the 10 000-point `sweep-10k` suite:
 //!
 //! * `clone_per_point` — the pre-refactor baseline, reconstructed from the
 //!   public API: `with_capacity_cap` (a full deep clone of the
 //!   configuration) plus `ScenarioKeySeed::key_for` on the clone, per point.
-//! * `view_serial` — `expand_suite` at `--jobs 1`: the same keys, derived by
-//!   streaming each view against the shared base, one reserved vector total.
-//! * `view_pooled_j8` — `Engine::expand_suite`: the chunked expansion drained
-//!   by eight pooled workers with slot-ordered reassembly. The speedup over
-//!   `view_serial` scales with physical cores; on a single-core runner the
-//!   chunk hand-off overhead makes it a wash, which is itself worth
-//!   tracking — the pooled path must never be much *worse* than serial.
+//! * `view_serial` — `Engine::expand_suite` at `--jobs 1`: the same keys,
+//!   derived by streaming each view against the shared base, drained on the
+//!   calling thread into one reserved vector.
+//! * `view_pooled_j8` — `Engine::expand_suite` at `--jobs 8`: the same
+//!   cursor job drained by eight pooled workers into index-addressed slots.
+//!   The speedup over `view_serial` scales with physical cores; on a
+//!   single-core runner the hand-off overhead makes it a wash, which is
+//!   itself worth tracking — the pooled path must never be much *worse*
+//!   than serial.
 
 use bbs_engine::suites::sweep_10k_suite;
-use bbs_engine::{expand_suite, Engine, RunSettings, ScenarioKeySeed};
+use bbs_engine::{Engine, RunSettings, ScenarioKeySeed};
 use budget_buffer::with_capacity_cap;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -57,11 +59,15 @@ fn bench_suite_expansion(c: &mut Criterion) {
         });
     });
 
+    let engine = Engine::new(8);
     group.bench_function("view_serial", |b| {
-        b.iter(|| expand_suite(black_box(&suite), &settings(1)).unwrap());
+        b.iter(|| {
+            engine
+                .expand_suite(black_box(&suite), &settings(1))
+                .unwrap()
+        });
     });
 
-    let engine = Engine::new(8);
     group.bench_function("view_pooled_j8", |b| {
         b.iter(|| {
             engine

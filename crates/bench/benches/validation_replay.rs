@@ -1,17 +1,17 @@
 //! Validation replay throughput: the post-solve stage in isolation.
 //!
 //! The validation stage replays every solved mapping on the discrete-event
-//! scheduler simulator — after the solves, over an atomic task cursor, on
-//! scoped threads or the parked engine workers. These measurements separate
-//! that replay cost from the solve cost it rides behind:
+//! scheduler simulator — after the solves, as one cursor job on the engine's
+//! workers. These measurements separate that replay cost from the solve
+//! cost it rides behind:
 //!
 //! * `single_mapping` — one `validate_mapping` call on the solved
 //!   producer/consumer mapping at the engine's default 256 iterations: the
 //!   unit cost of one replay task.
 //! * `paper_stage_serial` / `paper_stage_j4` — the whole stage
-//!   (`validate_outcome` with `validate_all`) over the pre-solved 47-point
-//!   `paper` outcome, at one and at four workers: stage overhead plus the
-//!   cursor's scaling.
+//!   (`validate_outcome` with `validate_all`, which builds a temporary
+//!   engine) over the pre-solved 47-point `paper` outcome, at one and at
+//!   four workers: stage overhead plus the cursor's scaling.
 //! * `pooled_gen_smoke_warm` — a full pooled `run_suite` of the generated
 //!   `gen-smoke` suite on a warm shared cache: with every solve a memo hit,
 //!   the run is dominated by exactly the replay work `bbs validate` adds.
@@ -71,7 +71,7 @@ fn bench_validation_replay(c: &mut Criterion) {
     });
 
     // Warm cache: every solve is a memo hit, so the pooled run's cost is
-    // almost entirely the Validate assignments and their replays.
+    // almost entirely the validation phase and its replays.
     let engine = Engine::new(4);
     let cache = Arc::new(SolveCache::new());
     let suite = gen_smoke_suite();

@@ -1,14 +1,13 @@
 //! `bbs` — run budget/buffer scenario suites from the command line.
 //!
 //! ```text
-//! bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache] [--no-steal]
-//!         [--fresh-executor] [--cache-dir DIR] [--cache-max-entries N]
+//! bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache]
+//!         [--cache-dir DIR] [--cache-max-entries N]
 //!         [--cache-max-bytes N] [--remote-store HOST:PORT]
 //!         [--json PATH] [--csv PATH] [--markdown PATH] [--quiet]
-//! bbs validate [--suite NAME | --file PATH] [--jobs N] [--fresh-executor]
-//!         [--no-steal] [--json PATH] [--quiet]
+//! bbs validate [--suite NAME | --file PATH] [--jobs N] [--json PATH] [--quiet]
 //! bbs gen [--seed N] [--points M] [--out PATH]
-//! bbs expand [--suite NAME | --file PATH] [--jobs N] [--fresh-executor]
+//! bbs expand [--suite NAME | --file PATH] [--jobs N]
 //! bbs list
 //! bbs check [REPORT.json | SUITE.json | -]
 //! bbs cache (stats [--json] | clear
@@ -25,9 +24,8 @@
 //! `run` executes a built-in suite (default: `paper`) or a suite file,
 //! prints the result tables plus a timing summary, and optionally writes the
 //! machine-readable report as JSON/CSV/markdown (`-` writes to stdout).
-//! Suites run on the reusable [`Engine`] worker pool by default;
-//! `--fresh-executor` uses the per-run scoped executor instead (reports are
-//! byte-identical either way — CI compares them).
+//! Suites run on an [`Engine`] worker pool of `--jobs` threads; reports are
+//! byte-identical for every `--jobs` count (CI compares them).
 //! With `--cache-dir` (or the `BBS_CACHE_DIR` environment variable) solves
 //! are also persisted to a content-addressed on-disk store, so later
 //! invocations skip them entirely; `--cache-max-entries` (or
@@ -46,7 +44,7 @@
 //! `validate` solves a suite with post-solve replay validation forced on
 //! every scenario and prints the deterministic validation summary (replayed
 //! points, violations) on stdout — timings go to stderr, so the summary is
-//! byte-identical across `--jobs` counts, schedulers and executors, and a
+//! byte-identical across `--jobs` counts, and a
 //! nonzero exit means a measured violation. `gen` emits a schema-valid
 //! random suite from a seed (`bbs gen --seed 7 | bbs check` round-trips),
 //! for fuzz-scale validation campaigns.
@@ -71,9 +69,9 @@ use bbs_engine::report::render_timing_summary;
 use bbs_engine::serve::{read_reply, send_request, FaultPlan, Reply, Request, StoreReport};
 use bbs_engine::suites::{builtin_suite, builtin_suite_names};
 use bbs_engine::{
-    expand_suite, generate_suite, run_suite_with_cache, Engine, GcPolicy, GenParams,
-    PanicInjection, RemoteBackend, RunSettings, ServeConfig, Server, SolveCache, SolveStore,
-    StatsSnapshot, Suite, SuiteReport, ValidationReport,
+    generate_suite, Engine, GcPolicy, GenParams, PanicInjection, RemoteBackend, RunSettings,
+    ServeConfig, Server, SolveCache, SolveStore, StatsSnapshot, Suite, SuiteOutcome, SuiteReport,
+    ValidationReport,
 };
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -84,14 +82,13 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage:
-  bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache] [--no-steal]
-          [--fresh-executor] [--cache-dir DIR] [--cache-max-entries N]
+  bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache]
+          [--cache-dir DIR] [--cache-max-entries N]
           [--cache-max-bytes N] [--remote-store HOST:PORT]
           [--json PATH] [--csv PATH] [--markdown PATH] [--quiet]
-  bbs validate [--suite NAME | --file PATH] [--jobs N] [--fresh-executor]
-          [--no-steal] [--json PATH] [--quiet]
+  bbs validate [--suite NAME | --file PATH] [--jobs N] [--json PATH] [--quiet]
   bbs gen [--seed N] [--points M] [--out PATH]
-  bbs expand [--suite NAME | --file PATH] [--jobs N] [--fresh-executor]
+  bbs expand [--suite NAME | --file PATH] [--jobs N]
   bbs list
   bbs check [REPORT.json | SUITE.json | -]
   bbs cache (stats [--json] | clear
@@ -117,9 +114,6 @@ BBS_REMOTE_STORE) layers a peer `bbs serve` daemon's store under the local
 directory: misses are fetched from the peer, fresh solves offered back.
 `cache gc --recompress` migrates v1 (plain JSON) entries to the compressed
 v2 container in place.
-`--no-steal` schedules work over the single shared queue instead of the
-work-stealing per-worker deques; `--fresh-executor` spawns per-run worker
-threads instead of the reusable pool (reports are identical either way).
 `serve` hosts the engine for many concurrent clients; `client run` fetches
 a report byte-identical to a local `bbs run` of the same suite, retrying
 up to `--retries` times (default 3) after structured rejections and
@@ -128,7 +122,7 @@ optionally carrying a server-enforced `--deadline-ms`. `serve
 requests.
 `validate` replays every solved mapping on the scheduler simulator and
 exits nonzero on measured throughput or capacity violations; its stdout
-summary is byte-identical across --jobs counts and executors. `gen` emits
+summary is byte-identical across --jobs counts. `gen` emits
 a seed-deterministic random suite (`-` or --out for the destination);
 `check` accepts suite files and validation reports too, and `-` reads
 stdin, so `bbs gen --seed 7 | bbs check` verifies a generated suite.";
@@ -166,8 +160,6 @@ struct RunArgs {
     file: Option<String>,
     jobs: usize,
     use_cache: bool,
-    steal: bool,
-    pooled: bool,
     cache_dir: Option<String>,
     cache_max_entries: Option<u64>,
     cache_max_bytes: Option<u64>,
@@ -184,8 +176,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         file: None,
         jobs: 1,
         use_cache: true,
-        steal: true,
-        pooled: true,
         cache_dir: None,
         cache_max_entries: None,
         cache_max_bytes: None,
@@ -214,8 +204,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                     .ok_or_else(|| format!("--jobs must be 1..=64, got `{raw}`"))?;
             }
             "--no-cache" => parsed.use_cache = false,
-            "--no-steal" => parsed.steal = false,
-            "--fresh-executor" => parsed.pooled = false,
             "--cache-dir" => parsed.cache_dir = Some(non_empty_dir(value("--cache-dir")?)?),
             "--cache-max-entries" => {
                 let raw = value("--cache-max-entries")?;
@@ -417,33 +405,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let settings = RunSettings {
         jobs: args.jobs,
         use_cache: args.use_cache,
-        steal: args.steal,
         inject_panic: injected_panic_from_env()?,
         ..RunSettings::default()
     };
-    // `--no-cache` bypasses both tiers: without the in-memory tier there is
-    // no deterministic once-per-key funnel to hang the disk tier off.
-    let cache = match effective_cache_dir(args.cache_dir.as_deref()) {
-        Some(dir) if args.use_cache => SolveCache::with_store(configured_store(&dir, &args)?),
-        _ if effective_remote_store(args.remote_store.as_deref()).is_some() => {
-            return Err(
-                "--remote-store needs a local cache directory (--cache-dir) and caching enabled"
-                    .to_string(),
-            );
-        }
-        _ => SolveCache::new(),
-    };
-    // Default: the reusable worker pool (one suite here, but identical to
-    // what long-running callers use — CI compares it against
-    // `--fresh-executor` to hold the byte-identity invariant).
-    let outcome = if args.pooled {
-        let cache = Arc::new(cache);
-        Engine::new(settings.jobs)
-            .run_suite_with_cache(&suite, &settings, &cache)
-            .map_err(|e| e.to_string())?
-    } else {
-        run_suite_with_cache(&suite, &settings, &cache).map_err(|e| e.to_string())?
-    };
+    let outcome = solve_suite(&args, &suite, &settings)?;
     let report = SuiteReport::from_outcome(&outcome);
     report.validate().map_err(|e| e.to_string())?;
 
@@ -460,41 +425,20 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{}", report.to_tables());
         print!("{}", render_timing_summary(&outcome));
     }
-
-    let failures = outcome.unexpected_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        // Not just infeasibility: solver breakdowns and model errors land
-        // here too (see SuiteOutcome::unexpected_failures).
-        let mut message = String::from("unexpected failures:");
-        for (scenario, cap, error) in failures {
-            let cap = cap.map(|c| format!(" cap {c}")).unwrap_or_default();
-            message.push_str(&format!("\n  {scenario}{cap}: {error}"));
-        }
-        Err(message)
-    }
+    check_failures(&outcome)
 }
 
-/// `bbs validate`: solve a suite with replay validation forced on every
-/// scenario and print the deterministic summary. Replays run on the same
-/// pooled (or `--fresh-executor` scoped) workers as the solves; the stdout
-/// summary carries no wall-clock data, so CI can `cmp` it across `--jobs`
-/// counts, schedulers and executors. Exit is nonzero on any measured
-/// violation or unexpected solve failure.
-fn validate(args: &[String]) -> Result<(), String> {
-    let args = parse_run_args(args)?;
-    let suite = load_suite(&args)?;
-    let settings = RunSettings {
-        jobs: args.jobs,
-        use_cache: args.use_cache,
-        steal: args.steal,
-        validate_all: true,
-        inject_panic: injected_panic_from_env()?,
-        ..RunSettings::default()
-    };
+/// Solves `suite` for `run` and `validate` on an engine of `--jobs`
+/// workers, against the cache tiers the flags and environment configure.
+fn solve_suite(
+    args: &RunArgs,
+    suite: &Suite,
+    settings: &RunSettings,
+) -> Result<SuiteOutcome, String> {
+    // `--no-cache` bypasses both tiers: without the in-memory tier there is
+    // no deterministic once-per-key funnel to hang the disk tier off.
     let cache = match effective_cache_dir(args.cache_dir.as_deref()) {
-        Some(dir) if args.use_cache => SolveCache::with_store(configured_store(&dir, &args)?),
+        Some(dir) if args.use_cache => SolveCache::with_store(configured_store(&dir, args)?),
         _ if effective_remote_store(args.remote_store.as_deref()).is_some() => {
             return Err(
                 "--remote-store needs a local cache directory (--cache-dir) and caching enabled"
@@ -503,14 +447,43 @@ fn validate(args: &[String]) -> Result<(), String> {
         }
         _ => SolveCache::new(),
     };
-    let outcome = if args.pooled {
-        let cache = Arc::new(cache);
-        Engine::new(settings.jobs)
-            .run_suite_with_cache(&suite, &settings, &cache)
-            .map_err(|e| e.to_string())?
-    } else {
-        run_suite_with_cache(&suite, &settings, &cache).map_err(|e| e.to_string())?
+    Engine::new(settings.jobs)
+        .run_suite_with_cache(suite, settings, &Arc::new(cache))
+        .map_err(|e| e.to_string())
+}
+
+/// Fails with the outcome's unexpected failures — not just infeasibility:
+/// solver breakdowns and model errors land here too (see
+/// `SuiteOutcome::unexpected_failures`).
+fn check_failures(outcome: &SuiteOutcome) -> Result<(), String> {
+    let failures = outcome.unexpected_failures();
+    if failures.is_empty() {
+        return Ok(());
+    }
+    let mut message = String::from("unexpected failures:");
+    for (scenario, cap, error) in failures {
+        let cap = cap.map(|c| format!(" cap {c}")).unwrap_or_default();
+        message.push_str(&format!("\n  {scenario}{cap}: {error}"));
+    }
+    Err(message)
+}
+
+/// `bbs validate`: solve a suite with replay validation forced on every
+/// scenario and print the deterministic summary. Replays run on the same
+/// pooled workers as the solves; the stdout summary carries no wall-clock
+/// data, so CI can `cmp` it across `--jobs` counts. Exit is nonzero on any
+/// measured violation or unexpected solve failure.
+fn validate(args: &[String]) -> Result<(), String> {
+    let args = parse_run_args(args)?;
+    let suite = load_suite(&args)?;
+    let settings = RunSettings {
+        jobs: args.jobs,
+        use_cache: args.use_cache,
+        validate_all: true,
+        inject_panic: injected_panic_from_env()?,
+        ..RunSettings::default()
     };
+    let outcome = solve_suite(&args, &suite, &settings)?;
     let report = ValidationReport::from_outcome(&outcome);
     if let Some(path) = &args.json {
         write_output(path, &report.to_json(), "JSON validation report")?;
@@ -521,15 +494,7 @@ fn validate(args: &[String]) -> Result<(), String> {
     if !args.quiet {
         eprint!("{}", render_timing_summary(&outcome));
     }
-    let failures = outcome.unexpected_failures();
-    if !failures.is_empty() {
-        let mut message = String::from("unexpected failures:");
-        for (scenario, cap, error) in failures {
-            let cap = cap.map(|c| format!(" cap {c}")).unwrap_or_default();
-            message.push_str(&format!("\n  {scenario}{cap}: {error}"));
-        }
-        return Err(message);
-    }
+    check_failures(&outcome)?;
     match report.violations() {
         0 => Ok(()),
         n => Err(format!("{n} validation violation(s)")),
@@ -576,9 +541,9 @@ fn gen(args: &[String]) -> Result<(), String> {
 }
 
 /// `bbs expand`: run only the resolve-and-expand pipeline stage — on the
-/// pooled workers by default, exactly as `run` would — and report the
-/// counts without solving anything. A dry run for suite files and a smoke
-/// test for the parallel expansion path.
+/// pooled workers, exactly as `run` would — and report the counts without
+/// solving anything. A dry run for suite files and a smoke test for the
+/// parallel expansion path.
 fn expand(args: &[String]) -> Result<(), String> {
     let args = parse_run_args(args)?;
     let suite = load_suite(&args)?;
@@ -586,24 +551,15 @@ fn expand(args: &[String]) -> Result<(), String> {
         jobs: args.jobs,
         ..RunSettings::default()
     };
-    let summary = if args.pooled {
-        Engine::new(settings.jobs)
-            .expand_suite(&suite, &settings)
-            .map_err(|e| e.to_string())?
-    } else {
-        expand_suite(&suite, &settings).map_err(|e| e.to_string())?
-    };
+    let summary = Engine::new(settings.jobs)
+        .expand_suite(&suite, &settings)
+        .map_err(|e| e.to_string())?;
     println!(
-        "suite `{}`: expanded {} work items across {} scenarios ({} jobs, {})",
+        "suite `{}`: expanded {} work items across {} scenarios ({} jobs)",
         suite.name,
         summary.points,
         summary.scenarios,
         settings.jobs.max(1),
-        if args.pooled {
-            "pooled"
-        } else {
-            "fresh executor"
-        }
     );
     Ok(())
 }
@@ -1425,24 +1381,27 @@ mod tests {
 
     #[test]
     fn run_args_parse_the_scheduler_flag() {
-        let parsed = parse_run_args(&strings(&["--jobs", "8", "--no-steal"])).unwrap();
-        assert_eq!(parsed.jobs, 8);
-        assert!(!parsed.steal);
-        assert!(parse_run_args(&strings(&["--jobs", "8"])).unwrap().steal);
+        // One scheduler is left, so the old switch is an unknown flag.
+        assert_eq!(parse_run_args(&strings(&["--jobs", "8"])).unwrap().jobs, 8);
+        let error = parse_run_args(&strings(&["--jobs", "8", "--no-steal"]))
+            .err()
+            .unwrap();
+        assert!(error.starts_with("unknown flag `--no-steal`"), "{error}");
     }
 
     #[test]
     fn run_args_parse_the_executor_and_cap_flags() {
-        let parsed = parse_run_args(&strings(&[
-            "--fresh-executor",
-            "--cache-max-entries",
-            "128",
-        ]))
-        .unwrap();
-        assert!(!parsed.pooled);
+        // One executor is left, so the old switch is an unknown flag.
+        let error = parse_run_args(&strings(&["--fresh-executor"]))
+            .err()
+            .unwrap();
+        assert!(
+            error.starts_with("unknown flag `--fresh-executor`"),
+            "{error}"
+        );
+        let parsed = parse_run_args(&strings(&["--cache-max-entries", "128"])).unwrap();
         assert_eq!(parsed.cache_max_entries, Some(128));
         let default = parse_run_args(&[]).unwrap();
-        assert!(default.pooled);
         assert_eq!(default.cache_max_entries, None);
         assert!(parse_run_args(&strings(&["--cache-max-entries", "lots"])).is_err());
         // The flag wins over the environment; parsing of the flag itself

@@ -61,27 +61,29 @@ use bbs_conic::ConicError;
 use bbs_taskgraph::{fnv1a, CanonicalDigest, CanonicalHasher, ConfigView, Configuration};
 use budget_buffer::{Mapping, MappingError, SolveOptions};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Counts [`SolveOptions`] serialisations performed for key derivation —
-/// test instrumentation guarding the "options are serialised at most once
-/// per scenario, not once per sweep point" hoist against regressions.
-static OPTIONS_SERIALISATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide number of [`SolveOptions`] serialisations performed for key
-/// derivation so far (see [`ScenarioKeySeed::options_json`]). Exposed for
-/// regression tests; compare deltas, not absolute values.
-pub fn options_serialisation_count() -> u64 {
-    OPTIONS_SERIALISATIONS.load(Ordering::Relaxed)
+thread_local! {
+    /// Counts [`SolveOptions`] serialisations performed for key derivation —
+    /// test instrumentation guarding the "options are serialised at most
+    /// once per scenario, not once per sweep point" hoist against
+    /// regressions. Per thread, so that tests running concurrently in one
+    /// process cannot bump each other's counts.
+    static OPTIONS_SERIALISATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Serialises tests that assert on [`options_serialisation_count`] deltas
-/// (the counter is process-global).
-#[cfg(test)]
-pub(crate) static COUNTER_TEST_LOCK: Mutex<()> = Mutex::new(());
+/// Number of [`SolveOptions`] serialisations the calling thread has
+/// performed for key derivation so far (see
+/// [`ScenarioKeySeed::options_json`]). Exposed for regression tests;
+/// compare deltas, not absolute values, and measure runs at `jobs = 1`,
+/// which solve on the calling thread.
+pub fn options_serialisation_count() -> u64 {
+    OPTIONS_SERIALISATIONS.with(Cell::get)
+}
 
 /// The hot-path identity of one solve: a 128-bit streaming digest of
 /// `options ‖ flow ‖ configuration` canonical JSON.
@@ -178,7 +180,7 @@ impl ScenarioKeySeed {
     /// options at most once, and runs without a disk tier never do.
     pub fn options_json(&self) -> Arc<str> {
         Arc::clone(self.options_json.get_or_init(|| {
-            OPTIONS_SERIALISATIONS.fetch_add(1, Ordering::Relaxed);
+            OPTIONS_SERIALISATIONS.with(|count| count.set(count.get() + 1));
             serde_json::to_string(&self.options)
                 .expect("options serialise to JSON")
                 .into()
@@ -608,7 +610,6 @@ mod tests {
 
     #[test]
     fn options_are_serialised_at_most_once_per_seed_never_per_key() {
-        let _guard = COUNTER_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let base = producer_consumer(PaperParameters::default(), None);
         let options = paper_options();
         let before = options_serialisation_count();

@@ -1,34 +1,24 @@
-//! The parallel batch executor: a panic-safe work-stealing worker pool.
+//! The batch executor: what a suite run computes, phase by phase.
 //!
 //! A suite expands into a flat list of *work items* — one per (scenario,
-//! sweep point) pair. Expansion itself is two-staged: a serial *plan* pass
-//! resolves each scenario's workload, flow, options and hoisted
-//! [`ScenarioKeySeed`] exactly once, and a (parallel, chunked) *expand*
-//! pass turns every sweep point into a work item holding a copy-on-write
-//! [`ConfigView`] — an `Arc` of the scenario's base configuration plus the
-//! point's capacity cap — instead of an owned clone. Chunks are assembled
-//! in index order, so the item list is the suite order no matter how many
-//! threads expanded it (the same slot discipline the result side uses).
+//! sweep point) pair, in suite order. Expansion is two-staged: a serial
+//! *plan* pass resolves each scenario's workload, flow, options and hoisted
+//! [`ScenarioKeySeed`] exactly once, and the *expand* phase turns every
+//! sweep point into a work item holding a copy-on-write [`ConfigView`] — an
+//! `Arc` of the scenario's base configuration plus the point's capacity cap
+//! — instead of an owned clone.
 //!
-//! The items are then seeded round-robin across per-worker
-//! deques; each worker drains its own deque LIFO and, when it runs dry,
-//! steals FIFO from the other workers' deques (the opposite end, so owner
-//! and thief never contend for the same item). A legacy single shared-queue
-//! scheduler is kept behind [`RunSettings::steal`]` = false` as the
-//! contention baseline for benchmarks.
+//! Expand, solve and validate each run as one cursor job on the pooled
+//! [`Engine`]: threads claim item indices off one atomic cursor and every
+//! result lands in the slot addressed by its index, so outcomes come back
+//! in suite order no matter which worker ran what.
+//! Combined with the cache's deterministic hit/miss accounting this makes
+//! the run's report independent of the worker count.
 //!
-//! Every item executes inside a `catch_unwind` boundary: a panicking solve
+//! Every solve executes inside a `catch_unwind` boundary: a panicking solve
 //! becomes an error outcome *on that point* — using the same error the
 //! [`SolveCache`] poison-fills its slot with, so waiters on the panicking
-//! key report identically — and the rest of the suite keeps running. No
-//! queue lock is ever held across a solve, so a panic cannot poison the
-//! scheduler.
-//!
-//! Results are collected into slots pre-addressed by (scenario index, point
-//! index), so the outcome order is the suite order no matter where an item
-//! ran or who stole it; combined with the cache's deterministic hit/miss
-//! accounting this makes the run's report independent of the worker count
-//! and of the steal schedule.
+//! key report identically — and the rest of the suite keeps running.
 
 use crate::cache::{
     cancelled_solve_error, panicked_solve_error, CacheKey, CacheStats, CanonicalKey,
@@ -36,19 +26,18 @@ use crate::cache::{
 };
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
+use crate::pool::Engine;
 use crate::scenario::{Flow, Scenario, Suite};
 use crate::store::StoreStats;
-use crate::validate::{validate_outcome, PointValidation};
+use crate::validate::PointValidation;
 use bbs_taskgraph::{ConfigView, Configuration};
 use budget_buffer::{
     compute_mapping_two_phase, compute_mapping_view, BudgetPolicy, Mapping, MappingError,
     SolveOptions,
 };
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a suite is executed.
@@ -64,12 +53,6 @@ pub struct RunSettings {
     /// whether or not the scenario requests it (`bbs validate`); `false`
     /// (the default) validates only scenarios flagged `validate: "sim"`.
     pub validate_all: bool,
-    /// Schedule work over sharded per-worker deques with work stealing
-    /// (the default). `false` falls back to the single shared-queue
-    /// scheduler — kept as the contention baseline for benchmarks and for
-    /// strictly FIFO execution order. Both schedulers produce byte-identical
-    /// reports.
-    pub steal: bool,
     /// Fault injection for tests and CI chaos checks: the addressed point
     /// panics while executing (before its cache lookup, so the fault fires
     /// deterministically regardless of slot-claim races). An injection that
@@ -119,7 +102,6 @@ impl Default for RunSettings {
             use_cache: true,
             simulation_iterations: 256,
             validate_all: false,
-            steal: true,
             inject_panic: None,
             inject_stall: None,
         }
@@ -183,22 +165,17 @@ impl ScenarioOutcome {
     }
 }
 
-/// Scheduler counters of one run: how work items moved between workers,
-/// not what they computed. Steal counts depend on thread timing, so these
-/// are printed with the timing summary and deliberately kept out of the
+/// Pool counters of one run: how it was executed, not what it computed.
+/// Printed with the timing summary and deliberately kept out of the
 /// deterministic [`SuiteReport`](crate::SuiteReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Worker threads the pool actually spawned (after clamping `jobs` to
-    /// the number of work items).
+    /// Threads that drained the solve phase: `jobs` clamped to the pool
+    /// size and to the number of work items.
     pub workers: u64,
-    /// Whether the work-stealing scheduler was used (`false`: the shared
-    /// queue).
-    pub stealing: bool,
-    /// Items a worker popped from its own deque (shared-queue mode counts
-    /// every pop here).
-    pub local_pops: u64,
-    /// Items taken from another worker's deque.
+    /// Always 0: every thread claims items off one shared cursor, so no
+    /// item is ever stolen. Kept only for its one reader, the benchmark's
+    /// `engine.steals` metric (`perfbench/traced`).
     pub steals: u64,
     /// Panicking items converted to per-point error outcomes.
     pub caught_panics: u64,
@@ -267,19 +244,16 @@ fn is_infeasibility(error: &MappingError) -> bool {
 }
 
 /// One solve to perform: a copy-on-write [`ConfigView`] of the scenario's
-/// shared base configuration (plus the point's capacity cap) and everything
-/// needed to route the result back to its slot. The cache key is
-/// pre-derived (from the scenario's hoisted [`ScenarioKeySeed`], streaming
-/// straight from the view) so workers never serialise anything on the hot
-/// path; the shared seed rides along for the lazy [`CanonicalKey`]
+/// shared base configuration (plus the point's capacity cap). The cache key
+/// is pre-derived (from the scenario's hoisted [`ScenarioKeySeed`],
+/// streaming straight from the view) so workers never serialise anything on
+/// the hot path; the shared seed rides along for the lazy [`CanonicalKey`]
 /// materialisation of points that reach the disk tier (its options JSON is
 /// built at most once per scenario, and not at all without a store).
 /// Building an item allocates nothing: the view is two `Arc` bumps and a
 /// `Copy` cap, and the capped configuration only materialises at the solver
 /// boundary, for points that actually solve.
 pub(crate) struct WorkItem {
-    scenario_index: usize,
-    point_index: usize,
     capacity_cap: Option<u64>,
     view: ConfigView,
     options: SolveOptions,
@@ -290,131 +264,86 @@ pub(crate) struct WorkItem {
 
 impl WorkItem {
     /// The pre-derived cache key of this solve — what
-    /// [`Engine::submit`](crate::Engine::submit) counts distinct keys over
-    /// for its submission-local hit/miss accounting.
+    /// [`Engine::submit`] counts distinct keys over for its
+    /// submission-local hit/miss accounting.
     pub(crate) fn key(&self) -> CacheKey {
         self.key
     }
 }
 
-/// Live counters shared by all workers of one pool.
-#[derive(Default)]
-pub(crate) struct PoolCounters {
-    local_pops: AtomicU64,
-    steals: AtomicU64,
-    caught_panics: AtomicU64,
+/// The solve phase of one run: item `i` of its cursor job solves
+/// `items[i]`.
+pub(crate) struct SolveJob {
+    pub(crate) items: Vec<WorkItem>,
+    pub(crate) cache: Arc<SolveCache>,
+    pub(crate) settings: RunSettings,
+    /// Flat index of the point [`RunSettings::inject_panic`] addresses.
+    pub(crate) injection_target: Option<usize>,
+    /// Flat index of the point [`RunSettings::inject_stall`] addresses.
+    pub(crate) stall_target: Option<usize>,
+    pub(crate) cancel: CancelToken,
+    pub(crate) caught_panics: Arc<AtomicU64>,
 }
 
-/// Locks a deque, recovering from poisoning: the panic boundary sits around
-/// [`execute_item`], so no lock is ever held across code that can panic —
-/// but if one ever *were* poisoned, the deque data is still consistent
-/// (every operation is a single pop or push) and abandoning the whole run
-/// over it would be strictly worse.
-fn lock_deque(deque: &Mutex<VecDeque<WorkItem>>) -> MutexGuard<'_, VecDeque<WorkItem>> {
-    deque.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Executes `item` behind the panic boundary: a panicking solve (or
-/// simulation) becomes an error outcome on this point, with the same error
-/// the cache poison-fills its slot with (see
-/// [`panicked_solve_error`](crate::cache)), so the claimer and every waiter
-/// of a panicking key report identically regardless of which of them this
-/// item happened to be.
-fn execute_guarded(
-    item: &WorkItem,
-    cache: &SolveCache,
-    settings: &RunSettings,
-    counters: &PoolCounters,
-    inject: bool,
-    stall_ms: Option<u64>,
-) -> PointOutcome {
-    match catch_unwind(AssertUnwindSafe(|| {
-        execute_item(item, cache, settings, inject, stall_ms)
-    })) {
-        Ok(outcome) => outcome,
-        Err(_) => {
-            counters.caught_panics.fetch_add(1, Ordering::Relaxed);
-            PointOutcome {
-                capacity_cap: item.capacity_cap,
-                result: Err(panicked_solve_error()),
-                solve_time: Duration::ZERO,
-                source: SolveSource::Fresh,
-                validation: None,
-            }
+impl SolveJob {
+    /// Solves item `index` behind the panic boundary: a panicking solve
+    /// becomes an error outcome on this point, with the same error the
+    /// cache poison-fills its slot with (see
+    /// [`panicked_solve_error`](crate::cache)), so the claimer and every
+    /// waiter of a panicking key report identically regardless of which of
+    /// them this item happened to be.
+    ///
+    /// The run's [`CancelToken`] is checked first: an item claimed after it
+    /// fired is retired *unsolved* — its slot still reports exactly once,
+    /// assembly completes normally, and only the items already executing
+    /// run to completion.
+    pub(crate) fn run(&self, index: usize) -> PointOutcome {
+        let item = &self.items[index];
+        if self.cancel.is_cancelled() {
+            // The placeholder outcome is never reported: a cancelled run
+            // yields `EngineError::Cancelled`, not an outcome.
+            return unsolved(item, cancelled_solve_error());
         }
+        let inject = self.injection_target == Some(index);
+        let stall_ms = self
+            .stall_target
+            .filter(|&target| target == index)
+            .and_then(|_| {
+                self.settings
+                    .inject_stall
+                    .as_ref()
+                    .map(|stall| stall.millis)
+            });
+        let execute = || execute_item(index, item, &self.cache, &self.settings, inject, stall_ms);
+        catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|_| {
+            self.caught_panics.fetch_add(1, Ordering::Relaxed);
+            unsolved(item, panicked_solve_error())
+        })
     }
 }
 
-/// Runs a whole suite with a fresh solve cache.
+/// The outcome of an item that never produced a mapping of its own.
+fn unsolved(item: &WorkItem, error: MappingError) -> PointOutcome {
+    PointOutcome {
+        capacity_cap: item.capacity_cap,
+        result: Err(error),
+        solve_time: Duration::ZERO,
+        source: SolveSource::Fresh,
+        validation: None,
+    }
+}
+
+/// Runs a whole suite with a fresh solve cache on a temporary
+/// [`Engine`] of `settings.jobs` workers. Callers that run suites
+/// repeatedly should hold an `Engine` instead: its workers park between
+/// runs.
 ///
 /// # Errors
 ///
 /// Returns an [`EngineError`] when the suite fails validation; solver-level
 /// failures are *data* (recorded per point), not errors.
 pub fn run_suite(suite: &Suite, settings: &RunSettings) -> Result<SuiteOutcome, EngineError> {
-    run_suite_with_cache(suite, settings, &SolveCache::new())
-}
-
-/// Runs a whole suite against a caller-owned [`SolveCache`], so repeated
-/// runs (and overlapping suites) skip redundant solves. The outcome's
-/// counters are the cache's cumulative totals.
-///
-/// Worker threads are spawned per call and joined before returning; callers
-/// that run suites repeatedly should hold an [`Engine`](crate::Engine),
-/// whose pool parks its workers between runs instead. Both executors
-/// produce byte-identical reports.
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_suite_with_cache(
-    suite: &Suite,
-    settings: &RunSettings,
-    cache: &SolveCache,
-) -> Result<SuiteOutcome, EngineError> {
-    let start = Instant::now();
-    let prepared = prepare(suite, settings)?;
-    let jobs = settings.jobs.max(1).min(prepared.items.len().max(1));
-    let shards = shard_items(prepared.items, jobs, settings.steal);
-    let counters = PoolCounters::default();
-    let (sender, receiver) = mpsc::channel::<(usize, usize, PointOutcome)>();
-
-    // The scoped executor has no caller-supplied cancellation: runs always
-    // drain to completion under a token that never fires.
-    let cancel = CancelToken::new();
-    let mut outcome = std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let context = DrainContext {
-                shards: &shards,
-                settings,
-                injection_target: prepared.injection_target,
-                stall_target: prepared.stall_target,
-                cache,
-                counters: &counters,
-                cancel: &cancel,
-            };
-            let sender = sender.clone();
-            scope.spawn(move || {
-                drain_worker(worker, &context, &sender);
-            });
-        }
-        drop(sender);
-        assemble_outcome(
-            suite,
-            prepared.resolved,
-            receiver,
-            settings,
-            cache,
-            &counters,
-            jobs,
-            start,
-        )
-    });
-    // The validation stage replays solved mappings after assembly, on its
-    // own scoped threads; the wall clock covers it, the report never does.
-    validate_outcome(&mut outcome, settings);
-    outcome.wall_time = start.elapsed();
-    Ok(outcome)
+    Engine::new(settings.jobs).run_suite(suite, settings)
 }
 
 /// The per-scenario resolution of one suite: the built workload (shared
@@ -428,18 +357,9 @@ pub(crate) struct ResolvedScenario {
     pub(crate) points: usize,
 }
 
-/// A suite resolved and expanded into work items, ready to shard.
-pub(crate) struct Prepared {
-    pub(crate) resolved: Vec<ResolvedScenario>,
-    pub(crate) items: Vec<WorkItem>,
-    pub(crate) injection_target: Option<(usize, usize)>,
-    pub(crate) stall_target: Option<(usize, usize)>,
-}
-
 /// One scenario resolved but not yet expanded: everything
 /// [`ScenarioPlan::item`] needs to mint any of the scenario's work items.
 pub(crate) struct ScenarioPlan {
-    scenario_index: usize,
     configuration: Arc<Configuration>,
     options: SolveOptions,
     seed: Arc<ScenarioKeySeed>,
@@ -459,8 +379,6 @@ impl ScenarioPlan {
         };
         let key = self.seed.key_for(&view);
         WorkItem {
-            scenario_index: self.scenario_index,
-            point_index,
             capacity_cap: cap,
             view,
             options: self.options.clone(),
@@ -471,120 +389,56 @@ impl ScenarioPlan {
     }
 }
 
-/// Sweep points per expansion chunk: small enough that a 10k-point sweep
-/// spreads across every worker, large enough that chunk bookkeeping is
-/// noise. Fixed (never derived from the worker count) so the chunk
-/// decomposition — and therefore the assembled item order — is a function
-/// of the suite alone.
-const EXPANSION_CHUNK: usize = 512;
-
-/// The parallel half of preparation: the scenario plans plus their
-/// decomposition into fixed-size chunks of sweep points. Workers claim
-/// chunks off the atomic cursor ([`ExpansionJob::drain`]) and the submitter
-/// reassembles them in chunk order ([`ExpansionJob::collect`]) — exactly
-/// the slot discipline result draining uses, so the expanded item list is
-/// byte-for-byte the suite order regardless of who expanded what.
-pub(crate) struct ExpansionJob {
+/// The expand phase of one run: item `i` of its cursor job mints the work
+/// item of flat (suite-order) index `i`.
+pub(crate) struct Expansion {
     plans: Vec<ScenarioPlan>,
-    /// `(plan index, first point, points)` per chunk; chunks never span
-    /// scenarios.
-    chunks: Vec<(usize, usize, usize)>,
-    cursor: AtomicUsize,
+    /// The flat index of each plan's first point.
+    starts: Vec<usize>,
     points: usize,
 }
 
-impl ExpansionJob {
+impl Expansion {
     fn new(plans: Vec<ScenarioPlan>) -> Self {
-        let points = plans.iter().map(|plan| plan.caps.len()).sum();
-        let total_chunks = plans
-            .iter()
-            .map(|plan| plan.caps.len().div_ceil(EXPANSION_CHUNK))
-            .sum();
-        let mut chunks = Vec::with_capacity(total_chunks);
-        for (plan_index, plan) in plans.iter().enumerate() {
-            let mut start = 0;
-            while start < plan.caps.len() {
-                let len = EXPANSION_CHUNK.min(plan.caps.len() - start);
-                chunks.push((plan_index, start, len));
-                start += len;
-            }
+        let mut starts = Vec::with_capacity(plans.len());
+        let mut points = 0;
+        for plan in &plans {
+            starts.push(points);
+            points += plan.caps.len();
         }
         Self {
             plans,
-            chunks,
-            cursor: AtomicUsize::new(0),
+            starts,
             points,
         }
     }
 
-    /// Number of chunks — the useful parallelism of this expansion.
-    pub(crate) fn chunk_count(&self) -> usize {
-        self.chunks.len()
+    /// Number of work items the suite expands to.
+    pub(crate) fn points(&self) -> usize {
+        self.points
     }
 
-    /// One worker's expansion loop: claim the next chunk off the cursor,
-    /// mint its items, send them home labelled with the chunk index.
-    pub(crate) fn drain(&self, sender: &mpsc::Sender<(usize, Vec<WorkItem>)>) {
-        loop {
-            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(plan_index, start, len)) = self.chunks.get(index) else {
-                break;
-            };
-            let plan = &self.plans[plan_index];
-            let mut items = Vec::with_capacity(len);
-            for point_index in start..start + len {
-                items.push(plan.item(point_index));
-            }
-            // The receiver lives until collection is done; a send failure
-            // means the submitting thread panicked already.
-            let _ = sender.send((index, items));
-        }
-    }
-
-    /// Reassembles drained chunks into the suite-order item list.
-    pub(crate) fn collect(
-        &self,
-        receiver: mpsc::Receiver<(usize, Vec<WorkItem>)>,
-    ) -> Vec<WorkItem> {
-        let mut slots: Vec<Option<Vec<WorkItem>>> = (0..self.chunks.len()).map(|_| None).collect();
-        for (index, items) in receiver {
-            slots[index] = Some(items);
-        }
-        let mut items = Vec::with_capacity(self.points);
-        for slot in slots {
-            items.extend(slot.expect("every chunk is expanded exactly once"));
-        }
-        items
-    }
-
-    /// Single-threaded expansion: one reserved allocation for the whole
-    /// item list, zero allocations per point (regression-guarded by the
-    /// `expansion_alloc` integration test).
-    pub(crate) fn expand_serial(&self) -> Vec<WorkItem> {
-        let mut items = Vec::with_capacity(self.points);
-        for plan in &self.plans {
-            for point_index in 0..plan.caps.len() {
-                items.push(plan.item(point_index));
-            }
-        }
-        items
+    /// Mints the work item at flat index `index`; allocation-free.
+    pub(crate) fn item(&self, index: usize) -> WorkItem {
+        // The last plan starting at or before `index` owns it.
+        let plan = self.starts.partition_point(|&start| start <= index) - 1;
+        self.plans[plan].item(index - self.starts[plan])
     }
 }
 
 /// A suite resolved into per-scenario plans, not yet expanded into items.
 pub(crate) struct Planned {
     pub(crate) resolved: Vec<ResolvedScenario>,
-    pub(crate) expansion: ExpansionJob,
-    pub(crate) injection_target: Option<(usize, usize)>,
-    pub(crate) stall_target: Option<(usize, usize)>,
+    pub(crate) expansion: Expansion,
+    pub(crate) injection_target: Option<usize>,
+    pub(crate) stall_target: Option<usize>,
 }
 
 /// The serial half of preparation: resolves every scenario exactly once
 /// (full `Suite::validate` would build each workload a second time just to
 /// discard it), hoists the per-scenario [`ScenarioKeySeed`], expands the
-/// sweep specs to cap lists, and resolves the panic injection to slot
-/// coordinates. No per-point work happens here — that is the (parallel)
-/// [`ExpansionJob`].
+/// sweep specs to cap lists, and resolves the injected faults to flat item
+/// indices. No per-point work happens here — that is the expand phase.
 pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, EngineError> {
     suite.validate_structure()?;
     let in_scenario = |name: &str, e: EngineError| {
@@ -597,11 +451,12 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
     // reused across scenarios too: one options fold for a hundred
     // same-options scenarios instead of one each.
     let mut last_seed: Option<(SolveOptions, Flow, Arc<ScenarioKeySeed>)> = None;
-    // The injected faults resolved to slot coordinates, so workers compare
-    // two indices instead of a per-item scenario-name clone.
-    let mut injection_target: Option<(usize, usize)> = None;
-    let mut stall_target: Option<(usize, usize)> = None;
-    for (scenario_index, scenario) in suite.scenarios.iter().enumerate() {
+    // The injected faults resolved to flat item indices, so workers compare
+    // one index instead of a per-item scenario-name clone.
+    let mut injection_target: Option<usize> = None;
+    let mut stall_target: Option<usize> = None;
+    let mut first_point = 0;
+    for scenario in &suite.scenarios {
         let configuration = Arc::new(
             scenario
                 .workload
@@ -642,24 +497,17 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
                 .collect(),
             None => vec![None],
         };
-        if let Some(injection) = settings
-            .inject_panic
-            .as_ref()
-            .filter(|injection| injection.scenario == scenario.name)
-        {
-            if let Some(point_index) = caps.iter().position(|cap| *cap == injection.capacity_cap) {
-                injection_target = Some((scenario_index, point_index));
-            }
+        let target = |name: &str, cap: Option<u64>| {
+            let point = (name == scenario.name).then(|| caps.iter().position(|c| *c == cap));
+            point.flatten().map(|p| first_point + p)
+        };
+        if let Some(fault) = &settings.inject_panic {
+            injection_target = target(&fault.scenario, fault.capacity_cap).or(injection_target);
         }
-        if let Some(stall) = settings
-            .inject_stall
-            .as_ref()
-            .filter(|stall| stall.scenario == scenario.name)
-        {
-            if let Some(point_index) = caps.iter().position(|cap| *cap == stall.capacity_cap) {
-                stall_target = Some((scenario_index, point_index));
-            }
+        if let Some(fault) = &settings.inject_stall {
+            stall_target = target(&fault.scenario, fault.capacity_cap).or(stall_target);
         }
+        first_point += caps.len();
         resolved.push(ResolvedScenario {
             configuration: Arc::clone(&configuration),
             flow,
@@ -667,7 +515,6 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
             points: caps.len(),
         });
         plans.push(ScenarioPlan {
-            scenario_index,
             configuration,
             options,
             seed,
@@ -693,43 +540,9 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
     // addressed suite should slow down (see `RunSettings::inject_stall`).
     Ok(Planned {
         resolved,
-        expansion: ExpansionJob::new(plans),
+        expansion: Expansion::new(plans),
         injection_target,
         stall_target,
-    })
-}
-
-/// Expands the planned chunks into the suite-order item list, on up to
-/// `jobs` scoped threads (serially below two useful threads). The pooled
-/// [`Engine`](crate::Engine) runs the same [`ExpansionJob`] on its parked
-/// workers instead.
-pub(crate) fn expand(job: ExpansionJob, jobs: usize) -> Vec<WorkItem> {
-    let jobs = jobs.min(job.chunk_count());
-    if jobs <= 1 {
-        return job.expand_serial();
-    }
-    let (sender, receiver) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let sender = sender.clone();
-            let job = &job;
-            scope.spawn(move || job.drain(&sender));
-        }
-        drop(sender);
-        job.collect(receiver)
-    })
-}
-
-/// Resolves and expands a whole suite: [`plan`] then [`expand`] with the
-/// settings' worker count.
-pub(crate) fn prepare(suite: &Suite, settings: &RunSettings) -> Result<Prepared, EngineError> {
-    let planned = plan(suite, settings)?;
-    let items = expand(planned.expansion, settings.jobs.max(1));
-    Ok(Prepared {
-        resolved: planned.resolved,
-        items,
-        injection_target: planned.injection_target,
-        stall_target: planned.stall_target,
     })
 }
 
@@ -744,188 +557,33 @@ pub struct ExpansionSummary {
     pub points: usize,
 }
 
-/// Resolves `suite` and expands its sweeps into work items — the exact
-/// pipeline stage a run performs before solving — then reports the counts
-/// without solving anything. `settings.jobs` > 1 expands in parallel on
-/// scoped threads; [`Engine::expand_suite`](crate::Engine::expand_suite)
-/// is the pooled equivalent.
-///
-/// # Errors
-///
-/// Returns an [`EngineError`] when the suite fails validation, exactly as
-/// [`run_suite`] would.
-pub fn expand_suite(
-    suite: &Suite,
-    settings: &RunSettings,
-) -> Result<ExpansionSummary, EngineError> {
-    let prepared = prepare(suite, settings)?;
-    Ok(ExpansionSummary {
-        scenarios: prepared.resolved.len(),
-        points: prepared.items.len(),
-    })
-}
-
-/// Shards the items across per-worker deques, round-robin in suite order.
-/// Each shard is seeded *in reverse*, so the owner's LIFO `pop_back` walks
-/// its share in suite order (with `--jobs 1` the whole suite runs front to
-/// back, exactly like the shared queue), while thieves steal with
-/// `pop_front` — the opposite end, which holds the items the owner would
-/// reach last. With stealing disabled everything lands in one shared FIFO
-/// deque instead.
-pub(crate) fn shard_items(
-    items: Vec<WorkItem>,
-    jobs: usize,
-    steal: bool,
-) -> Vec<Mutex<VecDeque<WorkItem>>> {
-    if steal {
-        let mut deques: Vec<VecDeque<WorkItem>> = (0..jobs).map(|_| VecDeque::new()).collect();
-        for (index, item) in items.into_iter().enumerate().rev() {
-            deques[index % jobs].push_back(item);
-        }
-        deques.into_iter().map(Mutex::new).collect()
-    } else {
-        vec![Mutex::new(items.into_iter().collect())]
-    }
-}
-
-/// The shared, read-only state of one run's drain phase: everything a
-/// worker needs besides its own index and result sender. Bundled so the
-/// scoped executor and the parked [`Engine`](crate::Engine) pool hand the
-/// same context to the same drain loop.
-pub(crate) struct DrainContext<'a> {
-    pub(crate) shards: &'a [Mutex<VecDeque<WorkItem>>],
-    pub(crate) settings: &'a RunSettings,
-    pub(crate) injection_target: Option<(usize, usize)>,
-    pub(crate) stall_target: Option<(usize, usize)>,
-    pub(crate) cache: &'a SolveCache,
-    pub(crate) counters: &'a PoolCounters,
-    pub(crate) cancel: &'a CancelToken,
-}
-
-/// One worker's drain loop, shared by the scoped per-run executor and the
-/// reusable [`Engine`](crate::Engine) pool: pop locally (LIFO in stealing
-/// mode, FIFO on the shared queue), steal FIFO in ring order when dry,
-/// retire when every deque is empty.
-///
-/// The run's [`CancelToken`] is checked once per popped item: after it
-/// fires, the remaining items are retired as *unsolved* error outcomes —
-/// the slot discipline ("every work item reports exactly once") survives
-/// cancellation, assembly completes normally, and only the item each
-/// worker was already executing runs to completion.
-pub(crate) fn drain_worker(
-    worker: usize,
-    context: &DrainContext<'_>,
-    sender: &mpsc::Sender<(usize, usize, PointOutcome)>,
-) {
-    let DrainContext {
-        shards,
-        settings,
-        injection_target,
-        stall_target,
-        cache,
-        counters,
-        cancel,
-    } = *context;
-    let home = worker.min(shards.len() - 1);
-    loop {
-        // LIFO local pop in stealing mode, FIFO on the shared queue (one
-        // shard: preserve submission order).
-        let local = if settings.steal {
-            lock_deque(&shards[home]).pop_back()
-        } else {
-            lock_deque(&shards[home]).pop_front()
-        };
-        let item = match local {
-            Some(item) => {
-                counters.local_pops.fetch_add(1, Ordering::Relaxed);
-                Some(item)
-            }
-            None if settings.steal => {
-                // FIFO steal, walking the victims in ring order from our
-                // own shard so thieves spread out.
-                (1..shards.len())
-                    .map(|offset| (home + offset) % shards.len())
-                    .find_map(|victim| lock_deque(&shards[victim]).pop_front())
-                    .inspect(|_| {
-                        counters.steals.fetch_add(1, Ordering::Relaxed);
-                    })
-            }
-            None => None,
-        };
-        // Items are never re-queued, so empty-everywhere means the suite is
-        // drained and the worker can retire.
-        let Some(item) = item else { break };
-        if cancel.is_cancelled() {
-            // Retire the item unsolved. The placeholder error outcome keeps
-            // the slot accounting whole; it is never reported, because a
-            // cancelled run yields `EngineError::Cancelled`, not an outcome.
-            let _ = sender.send((
-                item.scenario_index,
-                item.point_index,
-                PointOutcome {
-                    capacity_cap: item.capacity_cap,
-                    result: Err(cancelled_solve_error()),
-                    solve_time: Duration::ZERO,
-                    source: SolveSource::Fresh,
-                    validation: None,
-                },
-            ));
-            continue;
-        }
-        let inject = injection_target == Some((item.scenario_index, item.point_index));
-        let stall_ms = stall_target
-            .filter(|target| *target == (item.scenario_index, item.point_index))
-            .and_then(|_| settings.inject_stall.as_ref().map(|stall| stall.millis));
-        let outcome = execute_guarded(&item, cache, settings, counters, inject, stall_ms);
-        // The receiver lives until every sender hung up; a send failure
-        // means the submitting thread panicked already.
-        let _ = sender.send((item.scenario_index, item.point_index, outcome));
-    }
-}
-
-/// Collects worker results into pre-addressed slots (suite order, not
-/// finish order) and assembles the run's [`SuiteOutcome`]. Must be called
-/// after every worker's sender has been handed out, with the submitter's
-/// own sender dropped: the receiver loop ends exactly when the last worker
-/// finishes the job.
-#[allow(clippy::too_many_arguments)] // one call site per executor, all distinct
+/// Assembles the run's [`SuiteOutcome`] from the solve phase's results,
+/// which arrive in flat suite order. The wall time is left for the caller
+/// to stamp once the validation stage is done.
 pub(crate) fn assemble_outcome(
     suite: &Suite,
     resolved: Vec<ResolvedScenario>,
-    receiver: mpsc::Receiver<(usize, usize, PointOutcome)>,
+    points: Vec<PointOutcome>,
     settings: &RunSettings,
     cache: &SolveCache,
-    counters: &PoolCounters,
-    workers: usize,
-    start: Instant,
+    executor: ExecutorStats,
 ) -> SuiteOutcome {
-    let mut slots: Vec<Vec<Option<PointOutcome>>> = resolved
-        .iter()
-        .map(|scenario| vec![None; scenario.points])
-        .collect();
-    for (scenario_index, point_index, outcome) in receiver {
-        slots[scenario_index][point_index] = Some(outcome);
-    }
-
+    let mut points = points.into_iter();
     let scenarios = suite
         .scenarios
         .iter()
         .zip(resolved)
-        .zip(slots)
-        .map(|((scenario, resolved), points)| ScenarioOutcome {
+        .map(|(scenario, resolved)| ScenarioOutcome {
             scenario: scenario.clone(),
-            // Every work item (and its view) is gone once the receiver
-            // drains, so the shared base is normally unwrapped for free; a
+            // Every work item (and its view) is gone once the solve phase
+            // returns, so the shared base is normally unwrapped for free; a
             // straggling reference costs one clone per scenario, never per
             // point.
             configuration: Arc::try_unwrap(resolved.configuration)
                 .unwrap_or_else(|shared| (*shared).clone()),
             flow: resolved.flow,
             options: resolved.options,
-            points: points
-                .into_iter()
-                .map(|p| p.expect("every work item reports exactly once"))
-                .collect(),
+            points: points.by_ref().take(resolved.points).collect(),
         })
         .collect();
 
@@ -944,14 +602,8 @@ pub(crate) fn assemble_outcome(
             .use_cache
             .then(|| cache.store().map(|store| store.stats()))
             .flatten(),
-        executor: ExecutorStats {
-            workers: workers as u64,
-            stealing: settings.steal,
-            local_pops: counters.local_pops.load(Ordering::Relaxed),
-            steals: counters.steals.load(Ordering::Relaxed),
-            caught_panics: counters.caught_panics.load(Ordering::Relaxed),
-        },
-        wall_time: start.elapsed(),
+        executor,
+        wall_time: Duration::ZERO,
     }
 }
 
@@ -974,6 +626,7 @@ pub fn run_scenario(
 }
 
 fn execute_item(
+    index: usize,
     item: &WorkItem,
     cache: &SolveCache,
     settings: &RunSettings,
@@ -996,8 +649,8 @@ fn execute_item(
         // claimer-panic path through the cache's slot poison-fill is
         // unit-covered in `cache::tests`.)
         panic!(
-            "injected panic: scenario index {}, cap {:?}",
-            item.scenario_index, item.capacity_cap
+            "injected panic: work item {index}, cap {:?}",
+            item.capacity_cap
         );
     }
     // Timed inside the closure so that a cache hit — including one that
@@ -1112,9 +765,6 @@ mod tests {
     /// claimer materialises, the shared seed caches).
     #[test]
     fn suite_runs_serialise_options_at_most_once_per_scenario() {
-        let _guard = crate::cache::COUNTER_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let suite = Suite::new("hoist", vec![pc_sweep_scenario("hoist")]);
 
         let before = crate::cache::options_serialisation_count();
@@ -1127,9 +777,11 @@ mod tests {
 
         let directory = crate::testutil::TempDir::new("options-hoist");
         let store = crate::store::SolveStore::open(directory.path()).unwrap();
-        let cache = SolveCache::with_store(store);
+        let cache = Arc::new(SolveCache::with_store(store));
         let before = crate::cache::options_serialisation_count();
-        run_suite_with_cache(&suite, &RunSettings::default(), &cache).unwrap();
+        Engine::new(1)
+            .run_suite_with_cache(&suite, &RunSettings::default(), &cache)
+            .unwrap();
         assert_eq!(
             crate::cache::options_serialisation_count() - before,
             1,
@@ -1156,12 +808,17 @@ mod tests {
     #[test]
     fn repeated_runs_reuse_a_shared_cache() {
         let suite = Suite::new("repeat", vec![pc_sweep_scenario("pc")]);
-        let cache = crate::cache::SolveCache::new();
+        let engine = Engine::new(1);
+        let cache = Arc::new(SolveCache::new());
         let settings = RunSettings::default();
-        let first = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        let first = engine
+            .run_suite_with_cache(&suite, &settings, &cache)
+            .unwrap();
         assert_eq!(first.cache.misses, 6);
         assert_eq!(first.cache.hits, 0);
-        let second = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        let second = engine
+            .run_suite_with_cache(&suite, &settings, &cache)
+            .unwrap();
         assert_eq!(second.cache.misses, 6, "no new solves on the second run");
         assert_eq!(second.cache.hits, 6);
         assert!(second.scenarios[0]
@@ -1190,10 +847,15 @@ mod tests {
             .all(|p| p.source == SolveSource::Fresh));
         // Even a dirty shared cache must not leak counters into a run that
         // bypassed it.
-        let cache = SolveCache::new();
+        let engine = Engine::new(1);
+        let cache = Arc::new(SolveCache::new());
         let suite = Suite::new("raw", vec![pc_sweep_scenario("raw")]);
-        run_suite_with_cache(&suite, &RunSettings::default(), &cache).unwrap();
-        let bypassed = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        engine
+            .run_suite_with_cache(&suite, &RunSettings::default(), &cache)
+            .unwrap();
+        let bypassed = engine
+            .run_suite_with_cache(&suite, &settings, &cache)
+            .unwrap();
         assert!(!bypassed.cache_enabled);
         assert_eq!(bypassed.cache, CacheStats { hits: 0, misses: 0 });
     }
@@ -1315,10 +977,9 @@ mod tests {
             "faulted",
             vec![pc_sweep_scenario("a"), pc_sweep_scenario("b")],
         );
-        let report = |jobs: usize, steal: bool| {
+        let report = |jobs: usize| {
             let settings = RunSettings {
                 jobs,
-                steal,
                 inject_panic: Some(PanicInjection {
                     scenario: "b".to_string(),
                     capacity_cap: Some(2),
@@ -1327,9 +988,7 @@ mod tests {
             };
             crate::SuiteReport::from_outcome(&run_suite(&suite, &settings).unwrap()).to_json()
         };
-        let baseline = report(1, true);
-        assert_eq!(baseline, report(8, true));
-        assert_eq!(baseline, report(8, false), "shared queue must agree too");
+        assert_eq!(report(1), report(8));
     }
 
     #[test]
@@ -1371,38 +1030,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_queue_scheduler_matches_work_stealing() {
-        let suite = Suite::new(
-            "modes",
-            vec![pc_sweep_scenario("a"), pc_sweep_scenario("b")],
-        );
-        let json = |steal: bool| {
-            let settings = RunSettings {
-                jobs: 8,
-                steal,
-                ..RunSettings::default()
-            };
-            let outcome = run_suite(&suite, &settings).unwrap();
-            assert_eq!(outcome.executor.stealing, steal);
-            assert_eq!(
-                outcome.executor.local_pops + outcome.executor.steals,
-                12,
-                "every item is popped exactly once"
-            );
-            if !steal {
-                assert_eq!(outcome.executor.steals, 0);
-            }
-            crate::SuiteReport::from_outcome(&outcome).to_json()
-        };
-        assert_eq!(json(true), json(false));
-    }
-
-    #[test]
     fn single_worker_executes_in_suite_order() {
-        // With one worker the LIFO shard is seeded in reverse, so the pool
-        // walks the suite front to back: the first scenario claims every
-        // key and the second one hits memory — the user-visible order a
-        // sequential run has always had.
+        // With one worker the calling thread claims the cursor's indices
+        // in ascending order, walking the suite front to back: the first
+        // scenario claims every key and the second one hits memory — the
+        // user-visible order a sequential run has always had.
         let suite = Suite::new(
             "order",
             vec![pc_sweep_scenario("first"), pc_sweep_scenario("second")],
@@ -1420,8 +1052,8 @@ mod tests {
 
     #[test]
     fn oversubscribed_pool_steals_and_stays_deterministic() {
-        // More workers than a single scenario's share forces idle workers
-        // to steal; 16 workers over 24 items across two scenarios.
+        // More workers than a single scenario's share: 16 threads claim 24
+        // items of four scenarios off one cursor, most of them one each.
         let scenarios: Vec<Scenario> = (0..4)
             .map(|i| pc_sweep_scenario(&format!("s{i}")))
             .collect();

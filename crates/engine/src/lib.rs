@@ -9,14 +9,15 @@
 //!   is a named batch of scenarios. Both live in JSON files.
 //! * [`suites`] — the built-in suites: `paper` (the six experiments of the
 //!   paper), `paper-plus` (plus the cyclic `ring` experiment) and `smoke`.
-//! * [`executor`] — a panic-safe work-stealing `std::thread` worker pool
-//!   that fans the (scenario × sweep-point) work items out across `--jobs N`
-//!   per-worker deques (LIFO local pop, FIFO steal) with deterministic
-//!   result ordering; a panicking solve becomes a per-point error, never a
-//!   dead run.
-//! * [`pool`] — the reusable [`Engine`]: the same scheduler on persistent
-//!   worker threads, parked between runs, so repeated `run_suite` calls
-//!   stop paying thread spawn/teardown.
+//! * [`executor`] — what a run computes: the plan, the (scenario ×
+//!   sweep-point) work items, the panic-safe per-item solve and the
+//!   suite-order outcome assembly; a panicking solve becomes a per-point
+//!   error, never a dead run.
+//! * [`pool`] — the [`Engine`]: persistent `std::thread` workers, parked
+//!   between runs, that run every phase (expand, solve, validate) as one
+//!   cursor job — indices claimed off an atomic cursor, each result in the
+//!   slot its index addresses — so results are deterministic for any
+//!   `--jobs N`. The free [`run_suite`] wraps a temporary engine.
 //! * [`cache`] — memoization of solves keyed by allocation-free 128-bit
 //!   streaming digests of (configuration, options, flow), with
 //!   deterministic hit/miss counters; the full canonical JSON is
@@ -27,7 +28,7 @@
 //! * [`validate`] — the post-solve validation stage: replay every solved
 //!   mapping on the `bbs-scheduler-sim` discrete-event simulator and grade
 //!   measured periods and buffer high-water marks against the solver's
-//!   guarantees, on scoped threads or the parked [`Engine`] workers.
+//!   guarantees, as one more cursor job on the [`Engine`].
 //! * [`gen`] — the seeded scenario generator behind `bbs gen`: schema-valid
 //!   random suites (graph shape, platform timings, sweep ranges) for
 //!   fuzz-scale validation.
@@ -95,8 +96,8 @@ pub use cache::{
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use executor::{
-    expand_suite, run_scenario, run_suite, run_suite_with_cache, ExecutorStats, ExpansionSummary,
-    PanicInjection, PointOutcome, RunSettings, ScenarioOutcome, StallInjection, SuiteOutcome,
+    run_scenario, run_suite, ExecutorStats, ExpansionSummary, PanicInjection, PointOutcome,
+    RunSettings, ScenarioOutcome, StallInjection, SuiteOutcome,
 };
 pub use gen::{generate_suite, GenParams};
 pub use pool::Engine;

@@ -1,20 +1,25 @@
-//! The reusable engine: a persistent worker pool that runs suites without
-//! re-spawning threads.
+//! The engine: one persistent worker pool and the one parallel primitive
+//! every phase of a run uses.
 //!
-//! [`run_suite`](crate::run_suite) spawns its workers per call and joins
-//! them before returning — correct, but a caller that runs suites in a loop
-//! (benchmarks, servers, sweep drivers) pays thread spawn/teardown on every
-//! run. An [`Engine`] spawns its workers once; between runs they park on an
-//! idle channel receive (no spinning, no wakeups), and a run hands each of
-//! them an assignment naming the shared job state. Scheduling inside a
-//! run is *identical* to the scoped executor — the same sharded deques,
-//! steal order, panic boundary and slot-addressed collection, literally the
-//! same drain loop — so pooled and per-run execution produce
-//! byte-identical reports (test- and CI-asserted).
+//! An [`Engine`] spawns its workers once; between runs they park on an idle
+//! channel receive (no spinning, no wakeups). A run has three phases —
+//! expand the suite into work items, solve them, replay the solved mappings
+//! — and each is one *cursor job*: `len` independent items whose indices
+//! the participating threads claim off a shared `AtomicUsize`, in ascending
+//! order, with item `i`'s result landing in slot `i`. Results therefore come
+//! back in suite order no matter who ran what, so reports are
+//! byte-identical across worker counts.
 //!
-//! The job state is reference-counted (`Arc`) because pool workers outlive
-//! any single run's stack frame; that is also why the cache parameter is an
-//! `Arc<SolveCache>` here where the scoped executor borrows one.
+//! One rule decides who drains a phase: its useful parallelism is `jobs`
+//! clamped to the pool size and to the item count, and a phase with only
+//! one useful thread drains on the calling thread — so `--jobs 1` walks the
+//! suite front to back without a thread hop. Otherwise that many parked
+//! workers receive the same job and the caller waits for the last of them
+//! to retire.
+//!
+//! The free [`run_suite`](crate::run_suite) and
+//! [`run_scenario`](crate::run_scenario) are thin wrappers over a temporary
+//! engine.
 //!
 //! # Example
 //!
@@ -41,53 +46,58 @@ use crate::cache::{CacheStats, SolveCache};
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::executor::{
-    assemble_outcome, drain_worker, plan, shard_items, DrainContext, ExpansionJob,
-    ExpansionSummary, PointOutcome, PoolCounters, ResolvedScenario, RunSettings, SuiteOutcome,
-    WorkItem,
+    assemble_outcome, plan, ExecutorStats, Expansion, ExpansionSummary, RunSettings, SolveJob,
+    SuiteOutcome, WorkItem,
 };
 use crate::scenario::Suite;
-use crate::validate::{PointValidation, ValidationJob};
-use std::collections::{HashSet, VecDeque};
-use std::sync::{mpsc, Arc, Mutex};
+use crate::validate::{replay_guarded, replay_tasks};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Everything the workers of one run share: the sharded work items, the
-/// scheduler counters, and the run configuration.
-struct JobState {
-    shards: Vec<Mutex<VecDeque<WorkItem>>>,
-    counters: PoolCounters,
-    settings: RunSettings,
-    injection_target: Option<(usize, usize)>,
-    stall_target: Option<(usize, usize)>,
-    cache: Arc<SolveCache>,
-    cancel: CancelToken,
+/// One phase of a run: `slots.len()` independent items, claimed off
+/// `cursor` in ascending order; item `i`'s result lands in `slots[i]`.
+struct CursorJob<T, F> {
+    cursor: AtomicUsize,
+    slots: Vec<OnceLock<T>>,
+    run: F,
 }
 
-/// One unit of work handed to a parked worker. Both phases of a run flow
-/// through the same inbox: first the (optional) parallel expansion of the
-/// suite's sweeps into work items, then the solve drain over the sharded
-/// items. In each case, dropping the results sender when the loop retires
-/// is what tells the submitting thread this worker is done.
-enum Assignment {
-    /// Claim expansion chunks off the shared cursor and send the minted
-    /// work items home.
-    Expand {
-        job: Arc<ExpansionJob>,
-        results: mpsc::Sender<(usize, Vec<WorkItem>)>,
-    },
-    /// Drain the sharded work items (pop local, steal when dry).
-    Solve {
-        job: Arc<JobState>,
-        home: usize,
-        results: mpsc::Sender<(usize, usize, PointOutcome)>,
-    },
-    /// Claim replay tasks off the validation cursor and send the verdicts
-    /// home slot-addressed.
-    Validate {
-        job: Arc<ValidationJob>,
-        results: mpsc::Sender<(usize, usize, PointValidation)>,
-    },
+/// The type-erased face of a [`CursorJob`] that pool workers drain.
+trait Drain: Send + Sync {
+    /// Claims and runs items until the cursor passes the last one.
+    fn drain(&self);
+}
+
+impl<T, F> Drain for CursorJob<T, F>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Send + Sync,
+{
+    fn drain(&self) {
+        loop {
+            // Relaxed: the cursor only hands out indices. Results are
+            // published by the slots' own synchronisation and by the job's
+            // hand-back to the caller once every drainer has retired.
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.slots.get(index) else {
+                break;
+            };
+            // The cursor hands out every index once, so the slot is empty.
+            let _ = slot.set((self.run)(index));
+        }
+    }
+}
+
+/// What a parked worker is handed: the job to drain, and a sender whose
+/// drop tells the caller that this worker retired. Fields drop in
+/// declaration order, even while unwinding, so the job handle is always
+/// released before the retirement is signalled.
+struct Assignment {
+    job: Arc<dyn Drain>,
+    _retired: mpsc::Sender<()>,
 }
 
 /// One pool worker: its assignment channel plus the join handle. The
@@ -119,32 +129,7 @@ impl Engine {
                         // Parked here between runs; exits when the Engine
                         // drops its sender.
                         while let Ok(assignment) = inbox.recv() {
-                            match assignment {
-                                Assignment::Expand { job, results } => {
-                                    job.drain(&results);
-                                    // `results` drops here: one retired
-                                    // expander.
-                                }
-                                Assignment::Solve { job, home, results } => {
-                                    let context = DrainContext {
-                                        shards: &job.shards,
-                                        settings: &job.settings,
-                                        injection_target: job.injection_target,
-                                        stall_target: job.stall_target,
-                                        cache: &job.cache,
-                                        counters: &job.counters,
-                                        cancel: &job.cancel,
-                                    };
-                                    drain_worker(home, &context, &results);
-                                    // `results` drops here: one retired
-                                    // worker.
-                                }
-                                Assignment::Validate { job, results } => {
-                                    job.drain(&results);
-                                    // `results` drops here: one retired
-                                    // validator.
-                                }
-                            }
+                            assignment.job.drain();
                         }
                     })
                     .expect("spawning an engine worker thread");
@@ -190,20 +175,7 @@ impl Engine {
         settings: &RunSettings,
         cache: &Arc<SolveCache>,
     ) -> Result<SuiteOutcome, EngineError> {
-        let start = Instant::now();
-        let planned = plan(suite, settings)?;
-        let items = self.expand(planned.expansion, settings.jobs.max(1));
-        Ok(self.solve_items(
-            suite,
-            planned.resolved,
-            items,
-            planned.injection_target,
-            planned.stall_target,
-            settings,
-            cache,
-            &CancelToken::new(),
-            start,
-        ))
+        self.run(suite, settings, cache, &CancelToken::new(), false)
     }
 
     /// Runs one suite *submission* against the shared pool and cache tiers —
@@ -237,9 +209,9 @@ impl Engine {
     }
 
     /// [`Engine::submit`] with cooperative cancellation: when `cancel`
-    /// fires, every worker draining this submission retires its remaining
+    /// fires, every thread draining this submission retires its remaining
     /// items unsolved (the item already executing finishes — abort within
-    /// one work item per worker), the validation stage is skipped, and the
+    /// one work item per thread), the validation stage is skipped, and the
     /// call returns [`EngineError::Cancelled`] instead of an outcome.
     ///
     /// Cancellation is *observation-only* for everything shared: solves
@@ -258,149 +230,13 @@ impl Engine {
         cache: &Arc<SolveCache>,
         cancel: &CancelToken,
     ) -> Result<SuiteOutcome, EngineError> {
-        let start = Instant::now();
-        let planned = plan(suite, settings)?;
-        if cancel.is_cancelled() {
-            // Cancelled while still queued: skip the expansion too.
-            return Err(EngineError::Cancelled);
-        }
-        let items = self.expand(planned.expansion, settings.jobs.max(1));
-        let mut distinct = HashSet::with_capacity(items.len());
-        let mut misses = 0u64;
-        for item in &items {
-            if distinct.insert(item.key()) {
-                misses += 1;
-            }
-        }
-        let hits = items.len() as u64 - misses;
-        let mut outcome = self.solve_items(
-            suite,
-            planned.resolved,
-            items,
-            planned.injection_target,
-            planned.stall_target,
-            settings,
-            cache,
-            cancel,
-            start,
-        );
-        if cancel.is_cancelled() {
-            return Err(EngineError::Cancelled);
-        }
-        if settings.use_cache {
-            outcome.cache = CacheStats { hits, misses };
-        }
-        Ok(outcome)
-    }
-
-    /// The shared solve phase behind [`Engine::run_suite_with_cache`] and
-    /// [`Engine::submit`]: shard the expanded items, hand every
-    /// participating parked worker a solve assignment, and assemble the
-    /// outcome in suite order.
-    #[allow(clippy::too_many_arguments)] // two call sites, all distinct state
-    fn solve_items(
-        &self,
-        suite: &Suite,
-        resolved: Vec<ResolvedScenario>,
-        items: Vec<WorkItem>,
-        injection_target: Option<(usize, usize)>,
-        stall_target: Option<(usize, usize)>,
-        settings: &RunSettings,
-        cache: &Arc<SolveCache>,
-        cancel: &CancelToken,
-        start: Instant,
-    ) -> SuiteOutcome {
-        let jobs = settings
-            .jobs
-            .max(1)
-            .min(self.workers.len())
-            .min(items.len().max(1));
-        let job = Arc::new(JobState {
-            shards: shard_items(items, jobs, settings.steal),
-            counters: PoolCounters::default(),
-            settings: settings.clone(),
-            injection_target,
-            stall_target,
-            cache: Arc::clone(cache),
-            cancel: cancel.clone(),
-        });
-        let (sender, receiver) = mpsc::channel::<(usize, usize, PointOutcome)>();
-        for (home, worker) in self.workers.iter().take(jobs).enumerate() {
-            worker
-                .assignments
-                .as_ref()
-                .expect("pool is alive while the engine exists")
-                .send(Assignment::Solve {
-                    job: Arc::clone(&job),
-                    home,
-                    results: sender.clone(),
-                })
-                .expect("engine worker thread is alive");
-        }
-        drop(sender);
-        let mut outcome = assemble_outcome(
-            suite,
-            resolved,
-            receiver,
-            settings,
-            &job.cache,
-            &job.counters,
-            jobs,
-            start,
-        );
-        // The validation stage replays solved mappings after assembly, on
-        // the same parked workers; the wall clock covers it, the report
-        // never does. A cancelled run skips it: its outcome is discarded
-        // anyway, and replays would keep the pool busy after the abort.
-        if !cancel.is_cancelled() {
-            self.validate(&mut outcome, settings);
-        }
-        outcome.wall_time = start.elapsed();
-        outcome
-    }
-
-    /// Runs the validation stage on the parked workers: replays every
-    /// requested feasible point of `outcome` and attaches the verdicts.
-    /// The pooled counterpart of
-    /// [`validate_outcome`](crate::validate::validate_outcome) — same
-    /// cursor, same slot-addressed collection, byte-identical results.
-    fn validate(&self, outcome: &mut SuiteOutcome, settings: &RunSettings) {
-        let job = ValidationJob::from_outcome(outcome, settings);
-        if job.task_count() == 0 {
-            return;
-        }
-        let jobs = settings
-            .jobs
-            .max(1)
-            .min(self.workers.len())
-            .min(job.task_count());
-        let (sender, receiver) = mpsc::channel();
-        if jobs <= 1 {
-            job.drain_serial(&sender);
-            drop(sender);
-        } else {
-            let job = Arc::new(job);
-            for worker in self.workers.iter().take(jobs) {
-                worker
-                    .assignments
-                    .as_ref()
-                    .expect("pool is alive while the engine exists")
-                    .send(Assignment::Validate {
-                        job: Arc::clone(&job),
-                        results: sender.clone(),
-                    })
-                    .expect("engine worker thread is alive");
-            }
-            drop(sender);
-        }
-        ValidationJob::apply(outcome, receiver);
+        self.run(suite, settings, cache, cancel, true)
     }
 
     /// Resolves and expands `suite` on the pooled workers — the exact
     /// pipeline stage [`Engine::run_suite`] performs before solving —
-    /// and reports the counts without solving anything. The pooled
-    /// counterpart of [`expand_suite`](crate::executor::expand_suite),
-    /// used by the expansion benchmarks and diagnostics.
+    /// and reports the counts without solving anything. Used by `bbs
+    /// expand`, the expansion benchmarks and the allocation tests.
     ///
     /// # Errors
     ///
@@ -412,36 +248,156 @@ impl Engine {
     ) -> Result<ExpansionSummary, EngineError> {
         let planned = plan(suite, settings)?;
         let scenarios = planned.resolved.len();
-        let items = self.expand(planned.expansion, settings.jobs.max(1));
+        let items = self.expand(planned.expansion, settings.jobs);
         Ok(ExpansionSummary {
             scenarios,
             points: items.len(),
         })
     }
 
-    /// Runs one [`ExpansionJob`] on up to `jobs` parked workers, falling
-    /// back to in-place serial expansion when a single thread would do.
-    /// Chunk-ordered collection makes the item list identical either way.
-    fn expand(&self, job: ExpansionJob, jobs: usize) -> Vec<WorkItem> {
-        let jobs = jobs.min(self.workers.len()).min(job.chunk_count());
-        if jobs <= 1 {
-            return job.expand_serial();
+    /// The pipeline behind every run: plan, expand, solve, validate.
+    /// `submission` swaps the cache's cumulative counters for the
+    /// submission-local ones [`Engine::submit`] reports.
+    fn run(
+        &self,
+        suite: &Suite,
+        settings: &RunSettings,
+        cache: &Arc<SolveCache>,
+        cancel: &CancelToken,
+        submission: bool,
+    ) -> Result<SuiteOutcome, EngineError> {
+        let start = Instant::now();
+        let planned = plan(suite, settings)?;
+        if cancel.is_cancelled() {
+            // Cancelled while still queued: skip the expansion too.
+            return Err(EngineError::Cancelled);
         }
-        let job = Arc::new(job);
-        let (sender, receiver) = mpsc::channel::<(usize, Vec<WorkItem>)>();
-        for worker in self.workers.iter().take(jobs) {
-            worker
-                .assignments
-                .as_ref()
-                .expect("pool is alive while the engine exists")
-                .send(Assignment::Expand {
-                    job: Arc::clone(&job),
-                    results: sender.clone(),
-                })
-                .expect("engine worker thread is alive");
+        let items = self.expand(planned.expansion, settings.jobs);
+        let local_counters = submission.then(|| distinct_key_counters(&items));
+        let len = items.len();
+        let caught_panics = Arc::new(AtomicU64::new(0));
+        let job = SolveJob {
+            items,
+            cache: Arc::clone(cache),
+            settings: settings.clone(),
+            injection_target: planned.injection_target,
+            stall_target: planned.stall_target,
+            cancel: cancel.clone(),
+            caught_panics: Arc::clone(&caught_panics),
+        };
+        let points = self.run_job(settings.jobs, len, move |index| job.run(index));
+        let executor = ExecutorStats {
+            workers: self.threads(settings.jobs, len) as u64,
+            steals: 0,
+            caught_panics: caught_panics.load(Ordering::Relaxed),
+        };
+        let mut outcome =
+            assemble_outcome(suite, planned.resolved, points, settings, cache, executor);
+        // A cancelled run skips the validation stage: its outcome is
+        // discarded anyway, and replays would keep the pool busy after the
+        // abort. A token that fires during validation still cancels.
+        if !cancel.is_cancelled() {
+            self.validate(&mut outcome, settings);
         }
-        drop(sender);
-        job.collect(receiver)
+        if cancel.is_cancelled() {
+            return Err(EngineError::Cancelled);
+        }
+        if let Some(counters) = local_counters.filter(|_| settings.use_cache) {
+            outcome.cache = counters;
+        }
+        outcome.wall_time = start.elapsed();
+        Ok(outcome)
+    }
+
+    /// The expand phase: mints every work item of `expansion`, in suite
+    /// order.
+    fn expand(&self, expansion: Expansion, jobs: usize) -> Vec<WorkItem> {
+        let len = expansion.points();
+        self.run_job(jobs, len, move |index| expansion.item(index))
+    }
+
+    /// The validation stage: replays every requested feasible point of
+    /// `outcome` and attaches the verdicts to their points.
+    pub(crate) fn validate(&self, outcome: &mut SuiteOutcome, settings: &RunSettings) {
+        let tasks = replay_tasks(outcome, settings);
+        let iterations = settings.simulation_iterations;
+        let verdicts = self.run_job(settings.jobs, tasks.len(), move |index| {
+            let task = &tasks[index];
+            let verdict = replay_guarded(task, iterations);
+            (task.scenario_index, task.point_index, verdict)
+        });
+        for (scenario, point, verdict) in verdicts {
+            outcome.scenarios[scenario].points[point].validation = Some(verdict);
+        }
+    }
+
+    /// Threads that drain a phase of `len` items at `jobs`: `jobs` clamped
+    /// to the pool size and to the item count, never below one.
+    fn threads(&self, jobs: usize, len: usize) -> usize {
+        jobs.min(self.workers.len()).min(len).max(1)
+    }
+
+    /// Runs one cursor job of `len` items and returns the results in index
+    /// order. With one useful thread the calling thread drains the job
+    /// itself; otherwise that many parked workers drain it while the caller
+    /// waits for the last one to retire.
+    fn run_job<T, F>(&self, jobs: usize, len: usize, run: F) -> Vec<T>
+    where
+        T: Send + Sync + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        let job = Arc::new(CursorJob {
+            cursor: AtomicUsize::new(0),
+            slots: (0..len).map(|_| OnceLock::new()).collect(),
+            run,
+        });
+        let threads = self.threads(jobs, len);
+        if threads == 1 {
+            job.drain();
+        } else {
+            let (retired, all_retired) = mpsc::channel();
+            for worker in &self.workers[..threads] {
+                let assignment = Assignment {
+                    job: Arc::clone(&job) as Arc<dyn Drain>,
+                    _retired: retired.clone(),
+                };
+                worker
+                    .assignments
+                    .as_ref()
+                    .expect("pool is alive while the engine exists")
+                    .send(assignment)
+                    .expect("engine worker thread is alive");
+            }
+            drop(retired);
+            // Nothing is ever sent: the receive returns once the last
+            // worker has dropped its sender.
+            let _ = all_retired.recv();
+        }
+        let job = Arc::try_unwrap(job)
+            .ok()
+            .expect("every worker released the job before retiring");
+        let mut results = Vec::with_capacity(len);
+        results.extend(
+            job.slots
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("every item runs exactly once")),
+        );
+        results
+    }
+}
+
+/// Submission-local cache counters of an expanded suite: one miss per
+/// distinct key, one hit per repeated lookup — what a cold fresh-cache run
+/// of the same suite reports.
+fn distinct_key_counters(items: &[WorkItem]) -> CacheStats {
+    let mut distinct = HashSet::with_capacity(items.len());
+    let misses = items
+        .iter()
+        .filter(|item| distinct.insert(item.key()))
+        .count() as u64;
+    CacheStats {
+        hits: items.len() as u64 - misses,
+        misses,
     }
 }
 
@@ -463,11 +419,13 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::cancelled_solve_error;
     use crate::executor::{run_suite, PanicInjection};
     use crate::scenario::{Scenario, SweepSpec, WorkloadSpec};
     use crate::suites::smoke_suite;
     use crate::SuiteReport;
     use bbs_taskgraph::presets::PresetSpec;
+    use std::thread::ThreadId;
 
     fn pc_sweep_scenario(name: &str) -> Scenario {
         Scenario::new(
@@ -478,22 +436,94 @@ mod tests {
     }
 
     #[test]
-    fn pooled_reports_match_the_scoped_executor() {
-        let suite = Suite::new("pool", vec![pc_sweep_scenario("a"), pc_sweep_scenario("b")]);
-        let engine = Engine::new(8);
-        for (jobs, steal) in [(1, true), (8, true), (8, false)] {
-            let settings = RunSettings {
-                jobs,
-                steal,
-                ..RunSettings::default()
+    fn cursor_job_runs_every_index_once_into_its_own_slot() {
+        let engine = Engine::new(16);
+        let caller = std::thread::current().id();
+        // Zero items, fewer items than workers, and more items than
+        // workers.
+        for len in [0usize, 1, 3, 100] {
+            for jobs in [1usize, 2, 16] {
+                let runs: Arc<Vec<AtomicUsize>> =
+                    Arc::new((0..len).map(|_| AtomicUsize::new(0)).collect());
+                let threads: Arc<std::sync::Mutex<HashSet<ThreadId>>> = Arc::default();
+                let results = engine.run_job(jobs, len, {
+                    let (runs, threads) = (Arc::clone(&runs), Arc::clone(&threads));
+                    move |index| {
+                        runs[index].fetch_add(1, Ordering::Relaxed);
+                        threads.lock().unwrap().insert(std::thread::current().id());
+                        index * 10
+                    }
+                });
+                assert_eq!(
+                    results,
+                    (0..len).map(|index| index * 10).collect::<Vec<_>>(),
+                    "len={len} jobs={jobs}: results out of slot order"
+                );
+                assert!(
+                    runs.iter().all(|count| count.load(Ordering::Relaxed) == 1),
+                    "len={len} jobs={jobs}: an index ran other than once"
+                );
+                let threads = threads.lock().unwrap();
+                if engine.threads(jobs, len) == 1 {
+                    assert!(
+                        threads.iter().all(|&thread| thread == caller),
+                        "len={len} jobs={jobs}: one useful thread drains on the caller"
+                    );
+                } else {
+                    assert!(
+                        !threads.contains(&caller),
+                        "len={len} jobs={jobs}: the caller only waits for the pool"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_token_fired_mid_run_retires_the_remaining_items() {
+        let engine = Engine::new(16);
+        let suite = Suite::new(
+            "cancelled",
+            vec![pc_sweep_scenario("a"), pc_sweep_scenario("b")],
+        );
+        for jobs in [1usize, 2, 16] {
+            let settings = RunSettings::with_jobs(jobs);
+            let planned = plan(&suite, &settings).unwrap();
+            let items = engine.expand(planned.expansion, jobs);
+            let len = items.len();
+            let job = SolveJob {
+                items,
+                cache: Arc::new(SolveCache::new()),
+                settings,
+                injection_target: None,
+                stall_target: None,
+                cancel: CancelToken::new(),
+                caught_panics: Arc::default(),
             };
-            let scoped = SuiteReport::from_outcome(&run_suite(&suite, &settings).unwrap());
-            let pooled = SuiteReport::from_outcome(&engine.run_suite(&suite, &settings).unwrap());
+            // Item 0 fires the token once it has solved.
+            let points = engine.run_job(jobs, len, move |index| {
+                let outcome = job.run(index);
+                if index == 0 {
+                    job.cancel.cancel();
+                }
+                outcome
+            });
+            assert_eq!(points.len(), 12, "jobs={jobs}: every slot reports once");
+            assert!(points[0].result.is_ok(), "jobs={jobs}: item 0 finished");
+            let retired = points
+                .iter()
+                .filter(|point| point.result == Err(cancelled_solve_error()))
+                .count();
             assert_eq!(
-                scoped.to_json(),
-                pooled.to_json(),
-                "jobs={jobs} steal={steal}"
+                retired + points.iter().filter(|p| p.result.is_ok()).count(),
+                12,
+                "jobs={jobs}: every item is solved or retired, none dropped"
             );
+            if jobs == 1 {
+                // The calling thread claims in suite order: everything
+                // after item 0 was claimed after the token fired.
+                assert_eq!(retired, 11);
+            }
         }
     }
 
@@ -577,24 +607,29 @@ mod tests {
 
     #[test]
     fn pooled_panic_injection_is_a_per_point_error_and_the_pool_survives() {
-        let engine = Engine::new(4);
+        let engine = Engine::new(16);
         let suite = Suite::new("faulted", vec![pc_sweep_scenario("a")]);
-        let settings = RunSettings {
-            jobs: 4,
-            inject_panic: Some(PanicInjection {
-                scenario: "a".to_string(),
-                capacity_cap: Some(3),
-            }),
-            ..RunSettings::default()
-        };
-        let outcome = engine.run_suite(&suite, &settings).unwrap();
-        assert_eq!(outcome.executor.caught_panics, 1);
-        assert_eq!(outcome.unexpected_failures().len(), 1);
-        // The same pool keeps working after catching a panic.
-        let healthy = engine
-            .run_suite(&smoke_suite(), &RunSettings::with_jobs(4))
-            .unwrap();
-        assert!(healthy.unexpected_failures().is_empty());
+        for jobs in [1usize, 2, 16] {
+            let settings = RunSettings {
+                jobs,
+                inject_panic: Some(PanicInjection {
+                    scenario: "a".to_string(),
+                    capacity_cap: Some(3),
+                }),
+                ..RunSettings::default()
+            };
+            let outcome = engine.run_suite(&suite, &settings).unwrap();
+            assert_eq!(outcome.executor.caught_panics, 1, "jobs={jobs}");
+            let failures = outcome.unexpected_failures();
+            assert_eq!(failures.len(), 1, "jobs={jobs}");
+            assert_eq!(failures[0].1, Some(3), "jobs={jobs}");
+            // The same pool keeps working after catching a panic.
+            let healthy = engine
+                .run_suite(&smoke_suite(), &RunSettings::with_jobs(jobs))
+                .unwrap();
+            assert!(healthy.unexpected_failures().is_empty(), "jobs={jobs}");
+            assert_eq!(healthy.executor.caught_panics, 0, "jobs={jobs}");
+        }
     }
 
     #[test]

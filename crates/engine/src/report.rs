@@ -569,16 +569,8 @@ pub fn render_timing_summary(outcome: &SuiteOutcome) -> String {
     let pool = &outcome.executor;
     let _ = writeln!(
         out,
-        "pool: {} workers ({}), {} local pops / {} steals / {} caught panics",
-        pool.workers,
-        if pool.stealing {
-            "work-stealing"
-        } else {
-            "shared queue"
-        },
-        pool.local_pops,
-        pool.steals,
-        pool.caught_panics,
+        "pool: {} workers / {} caught panics",
+        pool.workers, pool.caught_panics,
     );
     for scenario in &outcome.scenarios {
         let scenario_time: f64 = scenario

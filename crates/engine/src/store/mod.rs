@@ -64,22 +64,24 @@
 //! # Example
 //!
 //! ```
-//! use bbs_engine::{run_suite_with_cache, RunSettings, SolveCache, SolveStore};
+//! use bbs_engine::{Engine, RunSettings, SolveCache, SolveStore};
 //! use bbs_engine::suites::smoke_suite;
+//! use std::sync::Arc;
 //!
 //! let dir = std::env::temp_dir().join(format!("bbs-store-doc-{}", std::process::id()));
+//! let engine = Engine::new(1);
 //! let settings = RunSettings::default();
 //!
 //! // Cold run: every distinct instance is solved and stored.
-//! let cache = SolveCache::with_store(SolveStore::open(&dir).unwrap());
-//! run_suite_with_cache(&smoke_suite(), &settings, &cache).unwrap();
+//! let cache = Arc::new(SolveCache::with_store(SolveStore::open(&dir).unwrap()));
+//! engine.run_suite_with_cache(&smoke_suite(), &settings, &cache).unwrap();
 //! let cold = cache.store().unwrap().stats();
 //! assert_eq!(cold.disk_hits, 0);
 //! assert!(cold.stored > 0);
 //!
 //! // Warm run in a fresh cache (a new process): all disk hits, no solves.
-//! let cache = SolveCache::with_store(SolveStore::open(&dir).unwrap());
-//! run_suite_with_cache(&smoke_suite(), &settings, &cache).unwrap();
+//! let cache = Arc::new(SolveCache::with_store(SolveStore::open(&dir).unwrap()));
+//! engine.run_suite_with_cache(&smoke_suite(), &settings, &cache).unwrap();
 //! let warm = cache.store().unwrap().stats();
 //! assert_eq!(warm.fresh_solves, 0);
 //! assert_eq!(warm.disk_hits, cold.stored);

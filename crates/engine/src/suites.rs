@@ -177,7 +177,7 @@ pub const SWEEP_10K_POINTS: usize = 10_000;
 /// whose explicit cap list cycles 1..=10 for [`SWEEP_10K_POINTS`] points.
 /// Only ten distinct cache keys exist, so the suite is cheap to *solve* —
 /// 9 990 of its points are in-memory hits — and exists to exercise
-/// expansion, sharding and slot-ordered assembly at three orders of
+/// expansion, cursor claiming and slot-ordered assembly at three orders of
 /// magnitude more points than the paper suites (determinism CI gates, the
 /// `suite_expansion` bench).
 pub fn sweep_10k_suite() -> Suite {

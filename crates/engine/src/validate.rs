@@ -4,21 +4,20 @@
 //! Validation runs *after* a suite's solves have been assembled into a
 //! [`SuiteOutcome`]: every feasible point of a scenario that requests
 //! validation (`validate: "sim"`, or all scenarios under
-//! [`RunSettings::validate_all`]) becomes one replay task. Tasks are
-//! claimed off an atomic cursor — by scoped threads or by the parked
-//! [`Engine`](crate::Engine) workers, exactly like expansion chunks — and
-//! their results land in slots pre-addressed by (scenario, point) index.
-//! A replay is a pure function of (configuration, budgets, capacities,
-//! iterations), so validation outcomes, and the [`ValidationReport`] built
-//! from them, are byte-identical across worker counts, schedulers and
-//! executors.
+//! [`RunSettings::validate_all`]) becomes one replay task. The tasks run
+//! as one cursor job on the [`Engine`] — the same primitive as expansion
+//! and solving — and each verdict lands on the (scenario, point) its task
+//! was collected from. A replay is a pure function of (configuration,
+//! budgets, capacities, iterations), so validation outcomes, and the
+//! [`ValidationReport`] built from them, are byte-identical across worker
+//! counts.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use crate::executor::{RunSettings, SuiteOutcome};
+use crate::pool::Engine;
 use bbs_scheduler_sim::{validate_mapping, SimulationSettings};
 use bbs_taskgraph::{BufferRef, Configuration, TaskRef};
 use serde::{Deserialize, Serialize};
@@ -57,104 +56,52 @@ impl PointValidation {
 /// One replay to perform: the scenario's shared base configuration plus
 /// the solved mapping's budgets and capacities, addressed back to its
 /// (scenario, point) slot.
-struct ReplayTask {
-    scenario_index: usize,
-    point_index: usize,
+pub(crate) struct ReplayTask {
+    pub(crate) scenario_index: usize,
+    pub(crate) point_index: usize,
     configuration: Arc<Configuration>,
     budgets: BTreeMap<TaskRef, u64>,
     capacities: BTreeMap<BufferRef, u64>,
 }
 
-/// The validation work of one suite outcome: replay tasks claimed off an
-/// atomic cursor, results slot-addressed by (scenario, point) index — the
-/// same discipline solving and expansion use, so validation outcomes are
-/// ordered by the suite alone, never by who replayed what.
-pub(crate) struct ValidationJob {
-    tasks: Vec<ReplayTask>,
-    cursor: AtomicUsize,
-    iterations: usize,
-}
-
-impl ValidationJob {
-    /// Collects the replay tasks of `outcome`: every feasible point of
-    /// every scenario that requests validation (all scenarios under
-    /// [`RunSettings::validate_all`]). Infeasible points have nothing to
-    /// replay and are skipped — they are the solver's verdict, not the
-    /// simulator's.
-    pub(crate) fn from_outcome(outcome: &SuiteOutcome, settings: &RunSettings) -> Self {
-        let mut tasks = Vec::new();
-        for (scenario_index, scenario) in outcome.scenarios.iter().enumerate() {
-            let requested = settings.validate_all
-                || scenario
-                    .scenario
-                    .resolved_validation()
-                    .ok()
-                    .flatten()
-                    .is_some();
-            if !requested {
-                continue;
-            }
-            // One shared base per scenario; capacity caps are solver
-            // constraints the simulator never reads, so the uncapped base
-            // stands in for every sweep point.
-            let configuration = Arc::new(scenario.configuration.clone());
-            for (point_index, point) in scenario.points.iter().enumerate() {
-                let Ok(mapping) = &point.result else { continue };
-                tasks.push(ReplayTask {
-                    scenario_index,
-                    point_index,
-                    configuration: Arc::clone(&configuration),
-                    budgets: mapping.budgets().collect(),
-                    capacities: mapping.capacities().collect(),
-                });
-            }
+/// Collects the replay tasks of `outcome`, in suite order: every feasible
+/// point of every scenario that requests validation (all scenarios under
+/// [`RunSettings::validate_all`]). Infeasible points have nothing to replay
+/// and are skipped — they are the solver's verdict, not the simulator's.
+pub(crate) fn replay_tasks(outcome: &SuiteOutcome, settings: &RunSettings) -> Vec<ReplayTask> {
+    let mut tasks = Vec::new();
+    for (scenario_index, scenario) in outcome.scenarios.iter().enumerate() {
+        let requested = settings.validate_all
+            || scenario
+                .scenario
+                .resolved_validation()
+                .ok()
+                .flatten()
+                .is_some();
+        if !requested {
+            continue;
         }
-        Self {
-            tasks,
-            cursor: AtomicUsize::new(0),
-            iterations: settings.simulation_iterations,
+        // One shared base per scenario; capacity caps are solver
+        // constraints the simulator never reads, so the uncapped base
+        // stands in for every sweep point.
+        let configuration = Arc::new(scenario.configuration.clone());
+        for (point_index, point) in scenario.points.iter().enumerate() {
+            let Ok(mapping) = &point.result else { continue };
+            tasks.push(ReplayTask {
+                scenario_index,
+                point_index,
+                configuration: Arc::clone(&configuration),
+                budgets: mapping.budgets().collect(),
+                capacities: mapping.capacities().collect(),
+            });
         }
     }
-
-    /// Number of replays — the useful parallelism of this validation.
-    pub(crate) fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// One worker's validation loop: claim the next replay off the cursor,
-    /// run it, send the verdict home labelled with its slot coordinates.
-    pub(crate) fn drain(&self, sender: &mpsc::Sender<(usize, usize, PointValidation)>) {
-        loop {
-            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = self.tasks.get(index) else {
-                break;
-            };
-            let validation = replay_guarded(task, self.iterations);
-            // The receiver lives until collection is done; a send failure
-            // means the submitting thread panicked already.
-            let _ = sender.send((task.scenario_index, task.point_index, validation));
-        }
-    }
-
-    /// Single-threaded validation, used below two useful workers.
-    pub(crate) fn drain_serial(&self, sender: &mpsc::Sender<(usize, usize, PointValidation)>) {
-        self.drain(sender);
-    }
-
-    /// Attaches drained verdicts to their pre-addressed points.
-    pub(crate) fn apply(
-        outcome: &mut SuiteOutcome,
-        receiver: mpsc::Receiver<(usize, usize, PointValidation)>,
-    ) {
-        for (scenario_index, point_index, validation) in receiver {
-            outcome.scenarios[scenario_index].points[point_index].validation = Some(validation);
-        }
-    }
+    tasks
 }
 
 /// Replays one task behind a panic boundary: a panicking replay becomes a
 /// deterministic unsound verdict on that point, never a lost suite.
-fn replay_guarded(task: &ReplayTask, iterations: usize) -> PointValidation {
+pub(crate) fn replay_guarded(task: &ReplayTask, iterations: usize) -> PointValidation {
     let settings = SimulationSettings {
         iterations,
         ..SimulationSettings::default()
@@ -188,9 +135,10 @@ fn replay_guarded(task: &ReplayTask, iterations: usize) -> PointValidation {
     }
 }
 
-/// Runs the validation stage on scoped threads (the fresh-executor
-/// counterpart of [`Engine`](crate::Engine)'s pooled stage): replays every
-/// requested feasible point of `outcome` and attaches the verdicts.
+/// Runs the validation stage on a temporary [`Engine`] of `settings.jobs`
+/// workers: replays every requested feasible point of `outcome` and
+/// attaches the verdicts. Engine runs do this themselves; this entry point
+/// is for outcomes assembled elsewhere.
 ///
 /// Scenarios request validation with `validate: "sim"`;
 /// [`RunSettings::validate_all`] replays every scenario regardless (the
@@ -198,26 +146,7 @@ fn replay_guarded(task: &ReplayTask, iterations: usize) -> PointValidation {
 /// mappings, so the annotated outcome — and any report built from it — is
 /// byte-identical across `jobs` counts.
 pub fn validate_outcome(outcome: &mut SuiteOutcome, settings: &RunSettings) {
-    let job = ValidationJob::from_outcome(outcome, settings);
-    if job.task_count() == 0 {
-        return;
-    }
-    let jobs = settings.jobs.max(1).min(job.task_count());
-    let (sender, receiver) = mpsc::channel();
-    if jobs <= 1 {
-        job.drain_serial(&sender);
-        drop(sender);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let sender = sender.clone();
-                let job = &job;
-                scope.spawn(move || job.drain(&sender));
-            }
-            drop(sender);
-        });
-    }
-    ValidationJob::apply(outcome, receiver);
+    Engine::new(settings.jobs).validate(outcome, settings);
 }
 
 /// The deterministic summary document of one validation run: per point,
@@ -225,7 +154,7 @@ pub fn validate_outcome(outcome: &mut SuiteOutcome, settings: &RunSettings) {
 /// [`ValidationReport::from_outcome`] after a run with validation;
 /// serialises to pretty JSON (`bbs validate --json`) and renders the
 /// human summary `bbs validate` prints. Contains no wall-clock data, so
-/// it is byte-identical across worker counts, schedulers and executors.
+/// it is byte-identical across worker counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValidationReport {
     /// Report schema version (shared with
@@ -353,8 +282,7 @@ impl ValidationReport {
 
     /// Renders the deterministic human summary `bbs validate` prints: one
     /// line per scenario, one line per violation, one total line. No
-    /// wall-clock data — byte-identical across worker counts and
-    /// executors.
+    /// wall-clock data — byte-identical across worker counts.
     pub fn render_summary(&self) -> String {
         let mut lines = Vec::new();
         lines.push(format!("validation summary for suite `{}`", self.suite));

@@ -33,22 +33,6 @@ fn reports_are_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn reports_are_byte_identical_across_schedulers() {
-    // Steals move work between workers but never reorder results: the
-    // work-stealing pool and the shared-queue baseline agree byte for byte.
-    let suite = smoke_suite();
-    let stealing = report_json(&suite, &RunSettings::with_jobs(8));
-    let shared = report_json(
-        &suite,
-        &RunSettings {
-            steal: false,
-            ..RunSettings::with_jobs(8)
-        },
-    );
-    assert_eq!(stealing, shared);
-}
-
-#[test]
 fn reports_are_byte_identical_across_repeated_runs() {
     let suite = smoke_suite();
     let settings = RunSettings::with_jobs(4);
@@ -83,47 +67,37 @@ fn reports_do_not_depend_on_the_cache() {
 
 #[test]
 fn pooled_and_per_run_executors_report_byte_identically_on_paper_plus() {
-    // The full paper-plus suite through the reusable Engine pool versus the
-    // scoped per-run executor, at one and at eight workers — reports must
-    // be byte-identical (and the pool is reused across all four runs).
+    // The full paper-plus suite at one worker through the free `run_suite`
+    // (a temporary engine per run) versus eight workers on a long-lived
+    // Engine pool: reports must be byte-identical.
     let suite = paper_plus_suite();
-    let engine = Engine::new(8);
-    for jobs in [1usize, 8] {
-        let settings = RunSettings::with_jobs(jobs);
-        let fresh = report_json(&suite, &settings);
-        let pooled =
-            SuiteReport::from_outcome(&engine.run_suite(&suite, &settings).expect("suite runs"))
-                .to_json();
-        assert_eq!(fresh, pooled, "pooled vs fresh diverged at --jobs {jobs}");
-    }
+    let per_run = report_json(&suite, &RunSettings::with_jobs(1));
+    let pooled = SuiteReport::from_outcome(
+        &Engine::new(8)
+            .run_suite(&suite, &RunSettings::with_jobs(8))
+            .expect("suite runs"),
+    )
+    .to_json();
+    assert_eq!(per_run, pooled, "--jobs 1 vs --jobs 8 diverged");
 }
 
 #[test]
 fn sweep_10k_reports_are_byte_identical_across_jobs_and_executors() {
-    // The 10 000-point generated sweep goes through the parallel chunked
-    // expansion (20 chunks), the work-stealing drain and the slot-ordered
-    // assembly; one worker versus sixteen, pooled versus per-run scoped
-    // threads, the JSON report must not move by a byte. Only ten distinct
-    // cache keys exist, so the suite is cheap to solve and this is really a
+    // The 10 000-point generated sweep goes through the parallel expansion,
+    // the cursor-claimed solve and the slot-ordered assembly; one worker
+    // (the free `run_suite`) versus sixteen (a long-lived Engine pool), the
+    // JSON report must not move by a byte. Only ten distinct cache keys
+    // exist, so the suite is cheap to solve and this is really a
     // scheduling/expansion determinism test at scale.
     let suite = sweep_10k_suite();
     let baseline = report_json(&suite, &RunSettings::with_jobs(1));
-    assert_eq!(
-        baseline,
-        report_json(&suite, &RunSettings::with_jobs(16)),
-        "scoped executor diverged between --jobs 1 and --jobs 16"
-    );
-    let engine = Engine::new(16);
-    for jobs in [1usize, 16] {
-        let settings = RunSettings::with_jobs(jobs);
-        let pooled =
-            SuiteReport::from_outcome(&engine.run_suite(&suite, &settings).expect("suite runs"))
-                .to_json();
-        assert_eq!(
-            baseline, pooled,
-            "pooled executor diverged at --jobs {jobs}"
-        );
-    }
+    let pooled = SuiteReport::from_outcome(
+        &Engine::new(16)
+            .run_suite(&suite, &RunSettings::with_jobs(16))
+            .expect("suite runs"),
+    )
+    .to_json();
+    assert_eq!(baseline, pooled, "--jobs 1 vs --jobs 16 diverged");
     let report = SuiteReport::from_json(&baseline).unwrap();
     assert_eq!(report.scenarios[0].points.len(), SWEEP_10K_POINTS);
     assert!(report.scenarios[0].points.iter().all(|p| p.feasible));
@@ -155,9 +129,10 @@ fn suite_with_expected_infeasible_points_is_still_deterministic() {
 #[test]
 fn validation_summaries_are_byte_identical_across_jobs_and_executors() {
     // The `bbs validate` surface: a generated suite (every scenario carries
-    // `validate: "sim"`), replayed at one, two and sixteen workers, on the
-    // scoped executor and on the reusable pool — the validation report JSON
-    // and the rendered summary must not move by a byte.
+    // `validate: "sim"`), replayed at one worker through the free
+    // `run_suite` and at two and sixteen on a long-lived Engine pool — the
+    // validation report JSON and the rendered summary must not move by a
+    // byte.
     let suite = gen_smoke_suite();
     let settings = |jobs| RunSettings {
         validate_all: true,
@@ -167,22 +142,19 @@ fn validation_summaries_are_byte_identical_across_jobs_and_executors() {
     let baseline = ValidationReport::from_outcome(&run_suite(&suite, &settings(1)).unwrap());
     assert!(baseline.validated_points() > 0, "nothing was replayed");
     let engine = Engine::new(16);
-    for jobs in [1usize, 2, 16] {
-        let fresh = ValidationReport::from_outcome(&run_suite(&suite, &settings(jobs)).unwrap());
+    for jobs in [2usize, 16] {
         let pooled =
             ValidationReport::from_outcome(&engine.run_suite(&suite, &settings(jobs)).unwrap());
-        for (label, report) in [("fresh", &fresh), ("pooled", &pooled)] {
-            assert_eq!(
-                baseline.to_json(),
-                report.to_json(),
-                "{label} validation JSON diverged at --jobs {jobs}"
-            );
-            assert_eq!(
-                baseline.render_summary(),
-                report.render_summary(),
-                "{label} summary diverged at --jobs {jobs}"
-            );
-        }
+        assert_eq!(
+            baseline.to_json(),
+            pooled.to_json(),
+            "validation JSON diverged at --jobs {jobs}"
+        );
+        assert_eq!(
+            baseline.render_summary(),
+            pooled.render_summary(),
+            "summary diverged at --jobs {jobs}"
+        );
     }
 }
 

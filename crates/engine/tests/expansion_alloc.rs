@@ -13,7 +13,7 @@
 //! process-global, and a lone test keeps the harness from running anything
 //! concurrently with the measured regions.
 
-use bbs_engine::{expand_suite, RunSettings, Scenario, Suite, SweepSpec, WorkloadSpec};
+use bbs_engine::{Engine, RunSettings, Scenario, Suite, SweepSpec, WorkloadSpec};
 use bbs_taskgraph::presets::PresetSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -66,24 +66,26 @@ fn sweep_suite(points: u64) -> Suite {
 
 #[test]
 fn expansion_allocations_do_not_scale_with_point_count() {
-    // Serial settings: the parallel path adds per-chunk vectors and thread
-    // machinery, which is O(chunks), not what this test pins down.
+    // Serial settings: one useful thread drains the expansion on the
+    // calling thread, so no worker machinery is charged to the measurement.
+    // The engine is built outside the measured regions.
+    let engine = Engine::new(1);
     let settings = RunSettings::default();
     let small = sweep_suite(100);
     let large = sweep_suite(1000);
 
     // Warm up once so lazily initialised process state is not charged to
     // the first measured expansion.
-    black_box(expand_suite(&small, &settings).unwrap());
-    black_box(expand_suite(&large, &settings).unwrap());
+    black_box(engine.expand_suite(&small, &settings).unwrap());
+    black_box(engine.expand_suite(&large, &settings).unwrap());
 
     let before = allocations();
-    let summary = black_box(expand_suite(&small, &settings).unwrap());
+    let summary = black_box(engine.expand_suite(&small, &settings).unwrap());
     let small_allocations = allocations() - before;
     assert_eq!(summary.points, 100);
 
     let before = allocations();
-    let summary = black_box(expand_suite(&large, &settings).unwrap());
+    let summary = black_box(engine.expand_suite(&large, &settings).unwrap());
     let large_allocations = allocations() - before;
     assert_eq!(summary.points, 1000);
 

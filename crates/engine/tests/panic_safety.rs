@@ -1,12 +1,10 @@
-//! Panic safety and scheduler integration tests, driven through the real
+//! Panic safety and executor integration tests, driven through the real
 //! `bbs` binary (`CARGO_BIN_EXE_bbs`).
 //!
 //! The contract under test: a panicking solve is a *per-point* error — the
 //! run completes, every other point solves, the report stays schema-valid
 //! and `--jobs`-deterministic — and the process exits non-zero because a
-//! panic is an unexpected failure, never an expected infeasibility. Before
-//! the work-stealing rewrite a single panic poisoned the shared queue mutex
-//! and aborted the whole suite.
+//! panic is an unexpected failure, never an expected infeasibility.
 
 use bbs_engine::SuiteReport;
 use std::fs;
@@ -105,9 +103,9 @@ fn injected_panic_is_a_per_point_error_not_an_abort() {
 fn faulted_reports_stay_jobs_deterministic() {
     let directory = TempDir::new("inject-jobs");
     let mut reports = Vec::new();
-    for (label, jobs, steal) in [("j1", "1", true), ("j16", "16", true), ("sq", "16", false)] {
-        let path = directory.path().join(format!("{label}.json"));
-        let mut args = vec![
+    for jobs in ["1", "16"] {
+        let path = directory.path().join(format!("j{jobs}.json"));
+        let args = [
             "run",
             "--suite",
             "smoke",
@@ -117,15 +115,11 @@ fn faulted_reports_stay_jobs_deterministic() {
             path.to_str().unwrap(),
             "--quiet",
         ];
-        if !steal {
-            args.push("--no-steal");
-        }
         let output = bbs_raw(&args, &[("BBS_TEST_INJECT_PANIC", "smoke-chain:6")], None);
         assert!(!output.status.success());
         reports.push(fs::read_to_string(&path).unwrap());
     }
     assert_eq!(reports[0], reports[1], "jobs 1 vs 16 under a panic");
-    assert_eq!(reports[0], reports[2], "work-stealing vs shared queue");
 }
 
 #[test]
@@ -201,42 +195,39 @@ fn blank_cache_env_behaves_like_unset() {
 }
 
 #[test]
-fn scheduler_modes_report_identically_and_say_so() {
-    let directory = TempDir::new("modes");
-    let steal_path = directory.path().join("steal.json");
-    let shared_path = directory.path().join("shared.json");
-    let steal = bbs_raw(
-        &[
-            "run",
-            "--suite",
-            "smoke",
-            "--jobs",
-            "4",
-            "--json",
-            steal_path.to_str().unwrap(),
-        ],
-        &[],
-        None,
-    );
-    let shared = bbs_raw(
-        &[
-            "run",
-            "--suite",
-            "smoke",
-            "--jobs",
-            "4",
-            "--no-steal",
-            "--json",
-            shared_path.to_str().unwrap(),
-        ],
-        &[],
-        None,
-    );
-    assert!(steal.status.success() && shared.status.success());
-    assert!(String::from_utf8_lossy(&steal.stdout).contains("work-stealing"));
-    assert!(String::from_utf8_lossy(&shared.stdout).contains("shared queue"));
-    assert_eq!(
-        fs::read_to_string(&steal_path).unwrap(),
-        fs::read_to_string(&shared_path).unwrap()
-    );
+fn pool_line_reports_workers_and_caught_panics() {
+    // The `pool:` timing line is the only place the executor shows: how
+    // many threads drained the solves and how many panics they caught. It
+    // sits outside the report, which stays byte-identical across `--jobs`.
+    let directory = TempDir::new("pool-line");
+    let mut reports = Vec::new();
+    for (jobs, inject, expected) in [
+        ("1", "", "pool: 1 workers / 0 caught panics\n"),
+        ("4", "", "pool: 4 workers / 0 caught panics\n"),
+        ("4", "smoke-pc:2", "pool: 4 workers / 1 caught panics\n"),
+    ] {
+        let path = directory
+            .path()
+            .join(format!("j{jobs}-{}.json", inject.len()));
+        let output = bbs_raw(
+            &[
+                "run",
+                "--suite",
+                "smoke",
+                "--jobs",
+                jobs,
+                "--json",
+                path.to_str().unwrap(),
+            ],
+            &[("BBS_TEST_INJECT_PANIC", inject)],
+            None,
+        );
+        assert_eq!(output.status.success(), inject.is_empty());
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains(expected), "--jobs {jobs}: {stdout}");
+        if inject.is_empty() {
+            reports.push(fs::read_to_string(&path).unwrap());
+        }
+    }
+    assert_eq!(reports[0], reports[1], "the report never learns --jobs");
 }

@@ -4,11 +4,12 @@
 
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{
-    generate_suite, run_suite_with_cache, BreakerConfig, GenParams, RemoteBackend, RunSettings,
-    ServeConfig, Server, SolveCache, SolveStore, SuiteReport,
+    generate_suite, BreakerConfig, Engine, GenParams, RemoteBackend, RunSettings, ServeConfig,
+    Server, SolveCache, SolveStore, Suite, SuiteOutcome, SuiteReport,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A unique, self-cleaning scratch directory.
@@ -36,6 +37,14 @@ impl Drop for TempDir {
     }
 }
 
+/// Runs `suite` against `cache` on a one-off engine of `settings.jobs`
+/// workers.
+fn run_cached(suite: &Suite, settings: &RunSettings, cache: &Arc<SolveCache>) -> SuiteOutcome {
+    Engine::new(settings.jobs)
+        .run_suite_with_cache(suite, settings, cache)
+        .unwrap()
+}
+
 /// Starts a store-backed daemon on an ephemeral port.
 fn start_peer(store_dir: &Path) -> Server {
     Server::start(ServeConfig {
@@ -47,9 +56,11 @@ fn start_peer(store_dir: &Path) -> Server {
 }
 
 /// A local store in `dir` with the daemon at `addr` as its remote tier.
-fn tiered_cache(dir: &Path, addr: &str) -> SolveCache {
+fn tiered_cache(dir: &Path, addr: &str) -> Arc<SolveCache> {
     let remote = RemoteBackend::connect(addr).unwrap();
-    SolveCache::with_store(SolveStore::open(dir).unwrap().with_remote(Box::new(remote)))
+    Arc::new(SolveCache::with_store(
+        SolveStore::open(dir).unwrap().with_remote(Box::new(remote)),
+    ))
 }
 
 #[test]
@@ -67,7 +78,7 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
     let first_report;
     {
         let cache = tiered_cache(&directory.path().join("a"), &addr);
-        let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        let outcome = run_cached(&suite, &settings, &cache);
         let stats = cache.store().unwrap().stats();
         assert!(stats.remote_enabled);
         assert_eq!(stats.fresh_solves, 8);
@@ -86,7 +97,7 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
     // read through into the local tier; nothing is solved.
     {
         let cache = tiered_cache(&directory.path().join("b"), &addr);
-        let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        let outcome = run_cached(&suite, &settings, &cache);
         let stats = cache.store().unwrap().stats();
         assert_eq!(stats.fresh_solves, 0, "the peer keeps the run warm");
         assert_eq!(stats.remote_hits, 8);
@@ -105,7 +116,7 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
     // traffic needed, and still the identical report.
     {
         let cache = tiered_cache(&directory.path().join("b"), &addr);
-        let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        let outcome = run_cached(&suite, &settings, &cache);
         let stats = cache.store().unwrap().stats();
         assert_eq!(stats.disk_hits, 8);
         assert_eq!(stats.remote_hits, 0);
@@ -114,7 +125,7 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
     }
 
     // The report never learned the store existed: a store-free run matches.
-    let reference = run_suite_with_cache(&suite, &settings, &SolveCache::new()).unwrap();
+    let reference = run_cached(&suite, &settings, &Arc::new(SolveCache::new()));
     assert_eq!(
         SuiteReport::from_outcome(&reference).to_json(),
         first_report
@@ -136,7 +147,7 @@ fn peer_stats_reports_the_daemon_store_and_a_dead_peer_degrades_gracefully() {
     // Populate the peer, then ask it for its own store report.
     {
         let cache = tiered_cache(&directory.path().join("a"), &addr);
-        run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        run_cached(&suite, &settings, &cache);
     }
     let probe = RemoteBackend::connect(&addr).unwrap();
     let report = probe.peer_stats().unwrap();
@@ -157,8 +168,8 @@ fn peer_stats_reports_the_daemon_store_and_a_dead_peer_degrades_gracefully() {
         Some(remote) => store.with_remote(Box::new(remote)),
         None => store,
     };
-    let cache = SolveCache::with_store(store);
-    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    let cache = Arc::new(SolveCache::with_store(store));
+    let outcome = run_cached(&suite, &settings, &cache);
     assert!(outcome.unexpected_failures().is_empty());
     let stats = cache.store().unwrap().stats();
     assert_eq!(stats.fresh_solves, 8);
@@ -178,7 +189,7 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
     // flushes the write-behind queue).
     {
         let cache = tiered_cache(&directory.path().join("a"), &addr);
-        run_suite_with_cache(&suite, &settings, &cache).unwrap();
+        run_cached(&suite, &settings, &cache);
     }
 
     // The backend under test: a tight breaker so the blip and the heal
@@ -218,12 +229,12 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
     })
     .unwrap();
     std::thread::sleep(Duration::from_millis(60));
-    let cache = SolveCache::with_store(
+    let cache = Arc::new(SolveCache::with_store(
         SolveStore::open(directory.path().join("b"))
             .unwrap()
             .with_remote(Box::new(remote)),
-    );
-    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    ));
+    let outcome = run_cached(&suite, &settings, &cache);
     assert!(outcome.unexpected_failures().is_empty());
     let stats = cache.store().unwrap().stats();
     assert_eq!(stats.remote_hits, 8, "remote hits resume after the heal");
@@ -239,7 +250,7 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
         seed: 11,
         points: 4,
     });
-    run_suite_with_cache(&extra, &settings, &cache).unwrap();
+    run_cached(&extra, &settings, &cache);
     let fresh = cache.store().unwrap().stats().fresh_solves;
     assert!(
         fresh > 0,

@@ -9,13 +9,14 @@
 
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{
-    run_suite_with_cache, GcPolicy, RunSettings, Scenario, SolveCache, SolveSource, SolveStore,
-    Suite, SuiteReport, SweepSpec, WorkloadSpec,
+    Engine, GcPolicy, RunSettings, Scenario, SolveCache, SolveSource, SolveStore, Suite,
+    SuiteOutcome, SuiteReport, SweepSpec, WorkloadSpec,
 };
 use bbs_taskgraph::presets::PresetSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 
 /// A unique, self-cleaning scratch directory.
 struct TempDir(PathBuf);
@@ -42,8 +43,16 @@ impl Drop for TempDir {
     }
 }
 
-fn fresh_cache(directory: &Path) -> SolveCache {
-    SolveCache::with_store(SolveStore::open(directory).unwrap())
+/// Runs `suite` against `cache` on a one-off engine of `settings.jobs`
+/// workers.
+fn run_cached(suite: &Suite, settings: &RunSettings, cache: &Arc<SolveCache>) -> SuiteOutcome {
+    Engine::new(settings.jobs)
+        .run_suite_with_cache(suite, settings, cache)
+        .unwrap()
+}
+
+fn fresh_cache(directory: &Path) -> Arc<SolveCache> {
+    Arc::new(SolveCache::with_store(SolveStore::open(directory).unwrap()))
 }
 
 /// A suite mixing feasible sweeps with an expected infeasibility, so
@@ -77,14 +86,14 @@ fn second_process_is_all_disk_hits_with_an_identical_report() {
     let settings = RunSettings::default();
 
     let cold_cache = fresh_cache(directory.path());
-    let cold = run_suite_with_cache(&mixed_suite(), &settings, &cold_cache).unwrap();
+    let cold = run_cached(&mixed_suite(), &settings, &cold_cache);
     let cold_stats = cold_cache.store().unwrap().stats();
     assert_eq!(cold_stats.disk_hits, 0);
     assert_eq!(cold_stats.fresh_solves, 8, "5 pc caps + 3 ring caps");
     assert_eq!(cold_stats.stored, 8, "infeasibility is persisted too");
 
     let warm_cache = fresh_cache(directory.path());
-    let warm = run_suite_with_cache(&mixed_suite(), &settings, &warm_cache).unwrap();
+    let warm = run_cached(&mixed_suite(), &settings, &warm_cache);
     let warm_stats = warm_cache.store().unwrap().stats();
     assert_eq!(warm_stats.fresh_solves, 0, "nothing solved on a warm store");
     assert_eq!(warm_stats.disk_hits, 8);
@@ -113,7 +122,7 @@ fn corrupt_and_foreign_version_entries_fall_back_to_fresh_solves() {
     let suite = smoke_suite();
 
     let cache = fresh_cache(directory.path());
-    run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    run_cached(&suite, &settings, &cache);
     let stored = cache.store().unwrap().stats().stored;
     assert!(stored > 0);
 
@@ -131,7 +140,7 @@ fn corrupt_and_foreign_version_entries_fall_back_to_fresh_solves() {
     .unwrap();
 
     let recovering = fresh_cache(directory.path());
-    let outcome = run_suite_with_cache(&suite, &settings, &recovering).unwrap();
+    let outcome = run_cached(&suite, &settings, &recovering);
     assert!(outcome.unexpected_failures().is_empty());
     let stats = recovering.store().unwrap().stats();
     assert_eq!(stats.disk_hits, stored - 2);
@@ -141,7 +150,7 @@ fn corrupt_and_foreign_version_entries_fall_back_to_fresh_solves() {
 
     // Third run: the store healed itself.
     let healed = fresh_cache(directory.path());
-    run_suite_with_cache(&suite, &settings, &healed).unwrap();
+    run_cached(&suite, &settings, &healed);
     assert_eq!(healed.store().unwrap().stats().fresh_solves, 0);
 }
 
@@ -152,12 +161,10 @@ fn reports_are_byte_identical_across_jobs_with_the_disk_tier() {
 
     // Cold, parallel.
     let parallel_cache = fresh_cache(directory.path());
-    let parallel =
-        run_suite_with_cache(&suite, &RunSettings::with_jobs(8), &parallel_cache).unwrap();
+    let parallel = run_cached(&suite, &RunSettings::with_jobs(8), &parallel_cache);
     // Warm, sequential — different jobs *and* different disk state.
     let sequential_cache = fresh_cache(directory.path());
-    let sequential =
-        run_suite_with_cache(&suite, &RunSettings::with_jobs(1), &sequential_cache).unwrap();
+    let sequential = run_cached(&suite, &RunSettings::with_jobs(1), &sequential_cache);
 
     let parallel_report = SuiteReport::from_outcome(&parallel);
     let sequential_report = SuiteReport::from_outcome(&sequential);
@@ -173,7 +180,7 @@ fn reports_are_byte_identical_across_jobs_with_the_disk_tier() {
 fn gc_retention_is_enforced() {
     let directory = TempDir::new("gc");
     let cache = fresh_cache(directory.path());
-    run_suite_with_cache(&mixed_suite(), &RunSettings::default(), &cache).unwrap();
+    run_cached(&mixed_suite(), &RunSettings::default(), &cache);
     let store = cache.store().unwrap();
     assert_eq!(store.summary().unwrap().entries, 8);
 
@@ -190,7 +197,7 @@ fn gc_retention_is_enforced() {
 
     // A later run back-fills only the evicted entries.
     let refill = fresh_cache(directory.path());
-    run_suite_with_cache(&mixed_suite(), &RunSettings::default(), &refill).unwrap();
+    run_cached(&mixed_suite(), &RunSettings::default(), &refill);
     let stats = refill.store().unwrap().stats();
     assert_eq!(stats.disk_hits, 3);
     assert_eq!(stats.fresh_solves, 5);

@@ -4,9 +4,10 @@
 //! `recompress` must migrate it in place without changing any report.
 
 use bbs_engine::suites::smoke_suite;
-use bbs_engine::{run_suite_with_cache, RunSettings, SolveCache, SolveStore, SuiteReport};
+use bbs_engine::{Engine, RunSettings, SolveCache, SolveStore, Suite, SuiteOutcome, SuiteReport};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A unique, self-cleaning scratch directory.
 struct TempDir(PathBuf);
@@ -31,6 +32,14 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
     }
+}
+
+/// Runs `suite` against `cache` on a one-off engine of `settings.jobs`
+/// workers.
+fn run_cached(suite: &Suite, settings: &RunSettings, cache: &Arc<SolveCache>) -> SuiteOutcome {
+    Engine::new(settings.jobs)
+        .run_suite_with_cache(suite, settings, cache)
+        .unwrap()
 }
 
 /// Copies the checked-in v1 fixture tree into a scratch directory, so the
@@ -67,8 +76,8 @@ fn v1_store_trees_replay_warm_and_recompress_in_place() {
     assert_eq!(before.v2_entries, 0);
 
     // Warm replay through the v2 code path: every solve is a disk hit.
-    let cache = SolveCache::with_store(store);
-    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    let cache = Arc::new(SolveCache::with_store(store));
+    let outcome = run_cached(&suite, &settings, &cache);
     let stats = cache.store().unwrap().stats();
     assert_eq!(stats.fresh_solves, 0, "a v1 store must stay fully warm");
     assert_eq!(stats.disk_hits, 8);
@@ -91,15 +100,17 @@ fn v1_store_trees_replay_warm_and_recompress_in_place() {
     assert_eq!(after.logical_bytes, before.logical_bytes);
 
     // The migrated store is still fully warm and reports byte-identically.
-    let cache = SolveCache::with_store(SolveStore::open_existing(directory.path()).unwrap());
-    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    let cache = Arc::new(SolveCache::with_store(
+        SolveStore::open_existing(directory.path()).unwrap(),
+    ));
+    let outcome = run_cached(&suite, &settings, &cache);
     let stats = cache.store().unwrap().stats();
     assert_eq!(stats.fresh_solves, 0, "recompression must not evict");
     assert_eq!(stats.disk_hits, 8);
     assert_eq!(SuiteReport::from_outcome(&outcome).to_json(), replayed);
 
     // And both match a store-free run byte for byte.
-    let reference = run_suite_with_cache(&suite, &settings, &SolveCache::new()).unwrap();
+    let reference = run_cached(&suite, &settings, &Arc::new(SolveCache::new()));
     assert_eq!(SuiteReport::from_outcome(&reference).to_json(), replayed);
 }
 
@@ -115,8 +126,10 @@ fn a_v1_entry_is_superseded_by_its_v2_rewrite() {
     assert_eq!(victim.version, 1);
     fs::write(&victim.path, "{truncated garbage").unwrap();
 
-    let cache = SolveCache::with_store(SolveStore::open_existing(directory.path()).unwrap());
-    run_suite_with_cache(&smoke_suite(), &RunSettings::default(), &cache).unwrap();
+    let cache = Arc::new(SolveCache::with_store(
+        SolveStore::open_existing(directory.path()).unwrap(),
+    ));
+    run_cached(&smoke_suite(), &RunSettings::default(), &cache);
     let stats = cache.store().unwrap().stats();
     assert_eq!(stats.fresh_solves, 1);
     assert_eq!(stats.stored, 1);
