@@ -3,7 +3,7 @@
 //!
 //! The implementation follows the classic Nesterov–Todd scaled
 //! path-following scheme with a Mehrotra predictor–corrector, as popularised
-//! by CVXOPT and ECOS, specialised to dense problems without equality
+//! by CVXOPT and ECOS, specialised to problems without equality
 //! constraints:
 //!
 //! ```text
@@ -12,16 +12,34 @@
 //! ```
 //!
 //! with `K` a product of a nonnegative orthant and second-order cones. Every
-//! iteration solves a dense normal-equation system `Gᵀ W⁻² G Δx = r` by
-//! Cholesky factorisation, which is appropriate for the small, dense
-//! formulations produced by the budget/buffer mapping problem (tens of
-//! variables and at most a few hundred rows).
+//! iteration solves the augmented KKT system
+//!
+//! ```text
+//! [ 0   Gᵀ  ] [Δx]   [ r_x ]
+//! [ G  −W²  ] [Δz] = [ r_z ]
+//! ```
+//!
+//! twice (predictor and corrector), never the normal equations
+//! `Gᵀ W⁻² G Δx = r`, which would square the condition number of the scaled
+//! constraint matrix. The system is sparse: G's nonzeros, a diagonal for
+//! the orthant part of `W²` and one small dense block per second-order
+//! cone. It is regularised to the quasi-definite `[ δI  Gᵀ ; G  −W² − δI ]`,
+//! factored by a sparse LDLᵀ whose symbolic analysis is computed once per
+//! solve, and refined against the exact system (see the `kkt` module).
+//!
+//! The elimination order is the natural one, `x` first and then `z`, and
+//! every sum runs in the order of the dense kernels it replaced
+//! ([`bbs_linalg::Ldlt`], [`bbs_linalg::DMatrix::matvec`]): the sparse
+//! solver produces the bits a dense factorisation of the same matrices
+//! would, so solve results, stored entries and reports do not depend on the
+//! sparsity. A fill-reducing order would be faster and round differently.
 
 use crate::cone::Cone;
 use crate::error::{ConicError, SolveStatus};
+use crate::kkt::KktSystem;
 use crate::problem::ConeProblem;
 use crate::scaling::NtScaling;
-use bbs_linalg::{Cholesky, DMatrix, DVector, Ldlt};
+use bbs_linalg::{Cholesky, CsrMatrix, DVector};
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the interior-point method.
@@ -38,7 +56,12 @@ pub struct IpmSettings {
     /// Threshold for declaring primal/dual infeasibility from the
     /// (normalised) certificate residuals.
     pub tol_infeasibility: f64,
-    /// Static regularisation added to the normal-equation diagonal.
+    /// Static regularisation of the KKT system. Scaled by `1 + ‖G‖∞` it is
+    /// the `δ` added to the `x` diagonal and subtracted from the `z`
+    /// diagonal of the augmented matrix `[ δI  Gᵀ ; G  −W² − δI ]`, which
+    /// makes it quasi-definite and so factorable by LDLᵀ without pivoting.
+    /// Floored at `1e-12` and scaled by `1 + ‖GᵀG‖∞`, it also regularises
+    /// the least-squares starting point.
     pub regularization: f64,
     /// Fraction of the maximum step to the cone boundary actually taken.
     pub step_fraction: f64,
@@ -159,18 +182,19 @@ pub fn solve_cone_problem(
         return Err(ConicError::Unbounded);
     }
 
-    let g = &problem.g;
     let h = &problem.h;
     let c = &problem.c;
     let degree = cone.degree().max(1) as f64;
     let e = cone.identity();
+    let g = &CsrMatrix::from_dense(&problem.g);
+    let mut kkt = KktSystem::new(g, cone, settings.regularization);
 
     // --- Initialisation (CVXOPT-style least-squares start) -----------------
     let mut x;
     let mut s;
     let mut z;
     {
-        let mut gtg = g.transpose().matmul(g);
+        let mut gtg = problem.g.transpose().matmul(&problem.g);
         let reg = settings.regularization.max(1e-12) * (1.0 + gtg.norm_inf());
         gtg.add_diagonal(reg);
         let chol =
@@ -264,71 +288,20 @@ pub fn solve_cone_problem(
         };
         let lambda = scaling.lambda(&z);
 
-        // Assemble the augmented (quasi-definite) KKT matrix
-        //   [ δI    Gᵀ      ]
-        //   [ G   −W² − δI ]
-        // and factor it with LDLᵀ. Solving the augmented system instead of
-        // the normal equations avoids squaring the condition number of the
-        // scaled constraint matrix, which matters once bounds become active
-        // and the slacks span many orders of magnitude.
-        let w_squared = scaling.w_squared();
-        let dim = n + m;
-        let mut kkt_exact = DMatrix::zeros(dim, dim);
-        for r in 0..m {
-            for c_col in 0..n {
-                let v = g[(r, c_col)];
-                kkt_exact[(n + r, c_col)] = v;
-                kkt_exact[(c_col, n + r)] = v;
-            }
-            for c_col in 0..m {
-                kkt_exact[(n + r, n + c_col)] = -w_squared[(r, c_col)];
-            }
-        }
-        let delta = settings.regularization * (1.0 + g.norm_inf());
-        let mut kkt_regularised = kkt_exact.clone();
-        for i in 0..n {
-            kkt_regularised[(i, i)] += delta;
-        }
-        for i in 0..m {
-            kkt_regularised[(n + i, n + i)] -= delta;
-        }
-        let ldlt = match Ldlt::factor(&kkt_regularised) {
-            Ok(f) => f,
-            Err(_) => {
-                let bump = 1e-7 * (1.0 + kkt_exact.norm_inf());
-                let mut heavier = kkt_exact.clone();
-                for i in 0..n {
-                    heavier[(i, i)] += bump;
-                }
-                for i in 0..m {
-                    heavier[(n + i, n + i)] -= bump;
-                }
-                Ldlt::factor(&heavier).map_err(|_| ConicError::KktFactorisation { iteration })?
-            }
-        };
-        // Solve the *exact* KKT system using the regularised factorisation as
-        // a preconditioner, with a few steps of iterative refinement.
-        let refine_solve = |rhs: &DVector| -> DVector {
-            let mut sol = ldlt.solve(rhs);
-            for _ in 0..3 {
-                let residual = rhs - &kkt_exact.matvec(&sol);
-                sol += &ldlt.solve(&residual);
-            }
-            sol
-        };
-
-        let kkt = |bs: &DVector, rx: &DVector, rz: &DVector| -> (DVector, DVector, DVector) {
+        // Factor the sparse quasi-definite KKT matrix for this scaling.
+        kkt.factor(&scaling, iteration)?;
+        let direction = |bs: &DVector, rx: &DVector, rz: &DVector| -> (DVector, DVector, DVector) {
             // [ 0  Gᵀ ] [Δx]   [ −rx        ]
             // [ G −W² ] [Δz] = [ −rz − W bs ]
             let w_bs = scaling.apply(bs);
-            let mut rhs = DVector::zeros(dim);
+            let mut rhs = DVector::zeros(n + m);
             for i in 0..n {
                 rhs[i] = -rx[i];
             }
             for i in 0..m {
                 rhs[n + i] = -rz[i] - w_bs[i];
             }
-            let sol = refine_solve(&rhs);
+            let sol = kkt.solve(&rhs);
             let dx = DVector::from_vec(sol.as_slice()[..n].to_vec());
             let dz = DVector::from_vec(sol.as_slice()[n..].to_vec());
             // Δs = −rz − G Δx  (exactly satisfies the primal equation)
@@ -338,7 +311,7 @@ pub fn solve_cone_problem(
 
         // Predictor (affine-scaling) direction: bs = λ \ (−λ∘λ) = −λ.
         let bs_aff = -&lambda;
-        let (_dx_aff, ds_aff, dz_aff) = kkt(&bs_aff, &rx, &rz);
+        let (_dx_aff, ds_aff, dz_aff) = direction(&bs_aff, &rx, &rz);
         let alpha_aff = cone
             .max_step(&s, &ds_aff, 1.0)
             .min(cone.max_step(&z, &dz_aff, 1.0))
@@ -362,7 +335,7 @@ pub fn solve_cone_problem(
         rhs_comp -= &correction;
         rhs_comp.axpy(sigma * gap, &e);
         let bs = cone.jordan_solve(&lambda, &rhs_comp);
-        let (dx, ds, dz) = kkt(&bs, &rx, &rz);
+        let (dx, ds, dz) = direction(&bs, &rx, &rz);
 
         let alpha = (settings.step_fraction
             * cone

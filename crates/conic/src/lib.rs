@@ -42,6 +42,7 @@ mod cone;
 mod cutting_plane;
 mod error;
 mod ipm;
+mod kkt;
 mod problem;
 mod scaling;
 

@@ -133,27 +133,24 @@ impl NtScaling {
         self.apply(z)
     }
 
-    /// The dense matrix `W²`, assembled block by block in closed form:
-    /// `diag(wᵢ²)` for orthant entries and `η·(2 w̄ w̄ᵀ − J)` (the quadratic
-    /// representation of the scaling point) for each second-order cone
-    /// block. This is what the interior-point KKT system needs, and building
-    /// it directly avoids an `O(m³)` matrix–matrix product per iteration.
-    pub fn w_squared(&self) -> bbs_linalg::DMatrix {
-        let m = self.cone.dim();
-        let mut out = bbs_linalg::DMatrix::zeros(m, m);
-        for ((off, block), scaling) in self.cone.iter_offsets().zip(self.blocks.iter()) {
-            match (block, scaling) {
-                (ConeBlock::NonNeg(n), BlockScaling::Orthant { w }) => {
-                    for i in 0..n {
-                        out[(off + i, off + i)] = w[i] * w[i];
-                    }
-                }
-                (ConeBlock::Soc(n), BlockScaling::Soc { eta_sqrt, wbar }) => {
+    /// `W²` block by block, packed into `out` (cleared first) in the cone's
+    /// block order: an orthant block of dimension `n` contributes its `n`
+    /// diagonal entries `wᵢ·wᵢ`; a second-order cone block of dimension `n`
+    /// contributes all `n×n` entries `η·(2·w̄ᵢ·w̄ⱼ − Jᵢⱼ)` row by row (the
+    /// quadratic representation of the scaling point). Every entry of `W²`
+    /// outside these blocks is zero. The interior-point KKT system reads its
+    /// `W²` entries from here, so `out` keeps its capacity across iterations.
+    pub fn w_squared_blocks(&self, out: &mut Vec<f64>) {
+        out.clear();
+        for scaling in &self.blocks {
+            match scaling {
+                BlockScaling::Orthant { w } => out.extend(w.iter().map(|wi| wi * wi)),
+                BlockScaling::Soc { eta_sqrt, wbar } => {
                     // W = sqrt(η)·W̄ with W̄² = 2w̄w̄ᵀ − J, hence W² = η·(2w̄w̄ᵀ − J)
                     // where η = (eta_sqrt)².
                     let eta = eta_sqrt * eta_sqrt;
-                    for i in 0..n {
-                        for j in 0..n {
+                    for i in 0..wbar.len() {
+                        for j in 0..wbar.len() {
                             let jordan = if i == j {
                                 if i == 0 {
                                     1.0
@@ -163,14 +160,12 @@ impl NtScaling {
                             } else {
                                 0.0
                             };
-                            out[(off + i, off + j)] = eta * (2.0 * wbar[i] * wbar[j] - jordan);
+                            out.push(eta * (2.0 * wbar[i] * wbar[j] - jordan));
                         }
                     }
                 }
-                _ => unreachable!("cone/scaling block mismatch"),
             }
         }
-        out
     }
 
     fn apply_impl(&self, v: &DVector, inverse: bool) -> DVector {
@@ -293,19 +288,34 @@ mod tests {
         let s = DVector::from_slice(&[4.0, 1.0, 3.0, 1.0, 0.5, -0.8]);
         let z = DVector::from_slice(&[1.0, 2.0, 2.0, -0.5, 0.3, 0.4]);
         let w = NtScaling::compute(&cone, &s, &z).unwrap();
-        let w2 = w.w_squared();
-        let mut basis = DVector::zeros(cone.dim());
-        for j in 0..cone.dim() {
+        let mut packed = Vec::new();
+        w.w_squared_blocks(&mut packed);
+        assert_eq!(packed.len(), 2 + 4 * 4);
+        // Unpack into the dense W²: the orthant diagonal, then the SOC block.
+        let dim = cone.dim();
+        let mut w2 = vec![vec![0.0; dim]; dim];
+        w2[0][0] = packed[0];
+        w2[1][1] = packed[1];
+        for i in 0..4 {
+            for j in 0..4 {
+                w2[2 + i][2 + j] = packed[2 + 4 * i + j];
+            }
+        }
+        let mut basis = DVector::zeros(dim);
+        for j in 0..dim {
             basis[j] = 1.0;
             let expected = w.apply(&w.apply(&basis));
-            for i in 0..cone.dim() {
+            for i in 0..dim {
                 assert!(
-                    (w2[(i, j)] - expected[i]).abs() < 1e-10,
+                    (w2[i][j] - expected[i]).abs() < 1e-10,
                     "entry ({i}, {j}) mismatch"
                 );
             }
             basis[j] = 0.0;
         }
+        // The buffer is reused: a second call replaces, never appends.
+        w.w_squared_blocks(&mut packed);
+        assert_eq!(packed.len(), 18);
     }
 
     #[test]

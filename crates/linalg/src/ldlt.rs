@@ -3,7 +3,9 @@
 //!
 //! The interior-point KKT systems solved in `bbs-conic` are symmetric
 //! quasi-definite after regularisation, which is exactly the class for which
-//! an unpivoted LDLᵀ factorisation is numerically acceptable.
+//! an unpivoted LDLᵀ factorisation is numerically acceptable. The solver
+//! factors them with [`crate::SparseLdlt`], which reproduces this dense
+//! factorisation bit for bit; `Ldlt` is its reference in the tests.
 
 use crate::{DMatrix, DVector};
 use std::error::Error;

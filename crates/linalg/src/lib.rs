@@ -1,11 +1,22 @@
-//! Small, dependency-free dense linear algebra kernels.
+//! Small, dependency-free linear algebra kernels.
 //!
-//! The conic interior-point solver in `bbs-conic` needs a handful of dense
-//! operations on small matrices (tens to a few hundreds of rows): vector
-//! arithmetic, matrix products, symmetric rank updates, and Cholesky / LDLᵀ
-//! factorisations with solves. This crate provides exactly those kernels with
-//! a deliberately small and well-tested surface instead of pulling in a large
-//! external linear-algebra dependency.
+//! The conic interior-point solver in `bbs-conic` needs two kinds of
+//! kernels:
+//!
+//! * dense vectors and matrices with a Cholesky factorisation, for vector
+//!   arithmetic and the least-squares starting point;
+//! * a compressed-row matrix ([`CsrMatrix`]) and a sparse LDLᵀ
+//!   factorisation ([`SparseLdlt`]), for the quasi-definite KKT system
+//!   factored in every iteration. Its symbolic analysis runs once; the
+//!   numeric factor is recomputed in place.
+//!
+//! The sparse kernels are bit-identical to their dense counterparts
+//! ([`DMatrix::matvec`], [`DMatrix::matvec_transpose`], [`Ldlt`]). They
+//! perform the same floating-point operations in the same order and skip
+//! only terms with a structurally zero factor. The dense [`Ldlt`] stays as
+//! the test oracle that checks this. The crate keeps a deliberately small,
+//! well-tested surface instead of pulling in a large external
+//! linear-algebra dependency.
 //!
 //! # Example
 //!
@@ -28,15 +39,19 @@
 #![warn(missing_docs)]
 
 mod cholesky;
+mod csr;
 mod ldlt;
 mod matrix;
+mod sparse_ldlt;
 mod triangular;
 mod vector;
 
 pub use cholesky::{Cholesky, CholeskyError};
+pub use csr::CsrMatrix;
 pub use ldlt::{Ldlt, LdltError};
 pub use matrix::DMatrix;
-pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};
+pub use sparse_ldlt::SparseLdlt;
+pub use triangular::{solve_lower, solve_lower_transpose};
 pub use vector::DVector;
 
 /// Numerical tolerance helpers shared by the factorisations and their tests.

@@ -112,11 +112,6 @@ impl DMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns a copy of column `c`.
-    pub fn column(&self, c: usize) -> DVector {
-        DVector::from_vec((0..self.rows).map(|r| self[(r, c)]).collect())
-    }
-
     /// Matrix–vector product `A x`.
     ///
     /// # Panics
@@ -189,71 +184,6 @@ impl DMatrix {
         out
     }
 
-    /// Computes `Aᵀ D A` for a diagonal matrix `D` given as a vector.
-    ///
-    /// This is the normal-equations building block of the interior-point
-    /// method when all cones are one-dimensional.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != nrows()`.
-    pub fn congruence_diag(&self, d: &DVector) -> DMatrix {
-        assert_eq!(d.len(), self.rows, "congruence_diag: dimension mismatch");
-        let n = self.cols;
-        let mut out = DMatrix::zeros(n, n);
-        for r in 0..self.rows {
-            let w = d[r];
-            if w == 0.0 {
-                continue;
-            }
-            let row = self.row(r);
-            for i in 0..n {
-                let wi = w * row[i];
-                if wi == 0.0 {
-                    continue;
-                }
-                let orow = out.row_mut(i);
-                for j in 0..n {
-                    orow[j] += wi * row[j];
-                }
-            }
-        }
-        out
-    }
-
-    /// In-place symmetric rank-one update `self += alpha * v vᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square of dimension `v.len()`.
-    pub fn syr(&mut self, alpha: f64, v: &DVector) {
-        assert_eq!(self.rows, self.cols, "syr: matrix must be square");
-        assert_eq!(self.rows, v.len(), "syr: dimension mismatch");
-        for i in 0..self.rows {
-            let vi = alpha * v[i];
-            if vi == 0.0 {
-                continue;
-            }
-            let row = self.row_mut(i);
-            for (j, r) in row.iter_mut().enumerate() {
-                *r += vi * v[j];
-            }
-        }
-    }
-
-    /// In-place addition `self += alpha * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled(&mut self, alpha: f64, other: &DMatrix) {
-        assert_eq!(self.rows, other.rows, "add_scaled: shape mismatch");
-        assert_eq!(self.cols, other.cols, "add_scaled: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Adds `value` to every diagonal entry (used for regularisation).
     pub fn add_diagonal(&mut self, value: f64) {
         let n = self.rows.min(self.cols);
@@ -267,29 +197,22 @@ impl DMatrix {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    /// Entry-wise `f(self, other)` of two same-shaped matrices.
+    fn zip_map(&self, other: &DMatrix, f: impl Fn(f64, f64) -> f64) -> DMatrix {
+        assert_eq!(self.rows, other.rows, "matrix arithmetic: shape mismatch");
+        assert_eq!(self.cols, other.cols, "matrix arithmetic: shape mismatch");
+        let data = self
+            .data
+            .iter()
+            .zip(&other.data)
+            .map(|(&a, &b)| f(a, b))
+            .collect();
+        Self::from_row_major(self.rows, self.cols, data)
     }
 
     /// Returns `true` if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Returns `true` if the matrix is symmetric to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -334,18 +257,14 @@ impl IndexMut<(usize, usize)> for DMatrix {
 impl Add for &DMatrix {
     type Output = DMatrix;
     fn add(self, rhs: &DMatrix) -> DMatrix {
-        let mut out = self.clone();
-        out.add_scaled(1.0, rhs);
-        out
+        self.zip_map(rhs, |a, b| a + b)
     }
 }
 
 impl Sub for &DMatrix {
     type Output = DMatrix;
     fn sub(self, rhs: &DMatrix) -> DMatrix {
-        let mut out = self.clone();
-        out.add_scaled(-1.0, rhs);
-        out
+        self.zip_map(rhs, |a, b| a - b)
     }
 }
 
@@ -379,7 +298,6 @@ mod tests {
         assert_eq!(m.ncols(), 3);
         assert_eq!(m[(1, 2)], 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.column(1).as_slice(), &[2.0, 5.0]);
         assert!(!m.is_empty());
         assert!(DMatrix::zeros(0, 0).is_empty());
     }
@@ -417,28 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn congruence_diag_is_symmetric_psd() {
-        let g = small_matrix();
-        let d = DVector::from_slice(&[2.0, 3.0]);
-        let m = g.congruence_diag(&d);
-        assert!(m.is_symmetric(1e-12));
-        // xᵀ (Gᵀ D G) x = Σ d_r (G x)_r² ≥ 0
-        let x = DVector::from_slice(&[0.3, -0.7, 1.1]);
-        let gx = g.matvec(&x);
-        let expected: f64 = (0..2).map(|r| d[r] * gx[r] * gx[r]).sum();
-        assert!((x.dot(&m.matvec(&x)) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn syr_rank_one_update() {
-        let mut m = DMatrix::zeros(2, 2);
-        let v = DVector::from_slice(&[1.0, 2.0]);
-        m.syr(3.0, &v);
-        assert_eq!(m.row(0), &[3.0, 6.0]);
-        assert_eq!(m.row(1), &[6.0, 12.0]);
-    }
-
-    #[test]
     fn add_sub_and_norms() {
         let a = DMatrix::identity(2);
         let b = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
@@ -447,7 +343,6 @@ mod tests {
         let d = &c - &b;
         assert_eq!(d, a);
         assert_eq!(b.norm_inf(), 1.0);
-        assert!((c.norm_frobenius() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -456,8 +351,8 @@ mod tests {
         a.add_diagonal(0.5);
         assert_eq!(a[(0, 0)], 1.5);
         assert!(a.is_finite());
-        assert!(a.is_symmetric(0.0));
-        assert!(!small_matrix().is_symmetric(0.0));
+        a[(1, 0)] = f64::NAN;
+        assert!(!a.is_finite());
     }
 
     #[test]

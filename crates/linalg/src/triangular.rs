@@ -54,29 +54,6 @@ pub fn solve_lower_transpose(l: &DMatrix, b: &DVector) -> DVector {
     x
 }
 
-/// Solves `U x = b` where `U` is upper triangular (entries below the diagonal
-/// are ignored).
-///
-/// # Panics
-///
-/// Panics if `U` is not square, if the dimensions do not match, or if a
-/// diagonal entry is exactly zero.
-pub fn solve_upper(u: &DMatrix, b: &DVector) -> DVector {
-    let n = check_square(u, b);
-    let mut x = DVector::zeros(n);
-    for i in (0..n).rev() {
-        let mut acc = b[i];
-        let row = u.row(i);
-        for j in (i + 1)..n {
-            acc -= row[j] * x[j];
-        }
-        let d = row[i];
-        assert!(d != 0.0, "solve_upper: zero diagonal at {i}");
-        x[i] = acc / d;
-    }
-    x
-}
-
 fn check_square(m: &DMatrix, b: &DVector) -> usize {
     assert_eq!(m.nrows(), m.ncols(), "triangular solve: matrix not square");
     assert_eq!(m.nrows(), b.len(), "triangular solve: dimension mismatch");
@@ -109,17 +86,6 @@ mod tests {
         let x_true = DVector::from_slice(&[0.5, 1.5, -0.5]);
         let b = lt.matvec(&x_true);
         let x = solve_lower_transpose(&l, &b);
-        for i in 0..3 {
-            assert!((x[i] - x_true[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn upper_solve_roundtrip() {
-        let u = lower().transpose();
-        let x_true = DVector::from_slice(&[2.0, 0.0, -1.0]);
-        let b = u.matvec(&x_true);
-        let x = solve_upper(&u, &b);
         for i in 0..3 {
             assert!((x[i] - x_true[i]).abs() < 1e-12);
         }

@@ -7,8 +7,8 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 ///
 /// `DVector` is a thin wrapper around `Vec<f64>` that adds the numerical
 /// operations needed by the interior-point solver (dot products, norms, axpy
-/// updates, element-wise products) while keeping indexing and iteration as
-/// cheap as on a plain slice.
+/// updates) while keeping indexing and iteration as cheap as on a plain
+/// slice.
 ///
 /// # Example
 ///
@@ -116,16 +116,6 @@ impl DVector {
         self.data.iter().sum()
     }
 
-    /// Minimum element; `+inf` for the empty vector.
-    pub fn min(&self) -> f64 {
-        self.data.iter().fold(f64::INFINITY, |m, &v| m.min(v))
-    }
-
-    /// Maximum element; `-inf` for the empty vector.
-    pub fn max(&self) -> f64 {
-        self.data.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v))
-    }
-
     /// In-place `self += alpha * x` (the BLAS `axpy` update).
     ///
     /// # Panics
@@ -136,70 +126,6 @@ impl DVector {
         for (s, &v) in self.data.iter_mut().zip(x.data.iter()) {
             *s += alpha * v;
         }
-    }
-
-    /// In-place scaling `self *= alpha`.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
-    /// Returns a scaled copy `alpha * self`.
-    pub fn scaled(&self, alpha: f64) -> Self {
-        let mut out = self.clone();
-        out.scale_mut(alpha);
-        out
-    }
-
-    /// Element-wise product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        assert_eq!(self.len(), other.len(), "hadamard: length mismatch");
-        Self::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        )
-    }
-
-    /// Element-wise division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn element_div(&self, other: &Self) -> Self {
-        assert_eq!(self.len(), other.len(), "element_div: length mismatch");
-        Self::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a / b)
-                .collect(),
-        )
-    }
-
-    /// Returns a sub-vector copy of the half-open range `[start, start + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn segment(&self, start: usize, len: usize) -> Self {
-        Self::from_slice(&self.data[start..start + len])
-    }
-
-    /// Copies `values` into the range starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn set_segment(&mut self, start: usize, values: &[f64]) {
-        self.data[start..start + values.len()].copy_from_slice(values);
     }
 
     /// Returns `true` if all entries are finite.
@@ -298,7 +224,7 @@ impl Neg for &DVector {
 impl Mul<f64> for &DVector {
     type Output = DVector;
     fn mul(self, rhs: f64) -> DVector {
-        self.scaled(rhs)
+        DVector::from_vec(self.data.iter().map(|v| v * rhs).collect())
     }
 }
 
@@ -336,8 +262,6 @@ mod tests {
         assert_eq!(x.norm2(), 5.0);
         assert_eq!(x.norm_inf(), 4.0);
         assert_eq!(x.sum(), -1.0);
-        assert_eq!(x.min(), -4.0);
-        assert_eq!(x.max(), 3.0);
     }
 
     #[test]
@@ -361,22 +285,6 @@ mod tests {
         assert_eq!(z.as_slice(), &[4.0, 7.0]);
         z -= &y;
         assert_eq!(z.as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn hadamard_and_division() {
-        let x = DVector::from_slice(&[2.0, 3.0]);
-        let y = DVector::from_slice(&[4.0, 6.0]);
-        assert_eq!(x.hadamard(&y).as_slice(), &[8.0, 18.0]);
-        assert_eq!(y.element_div(&x).as_slice(), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn segment_roundtrip() {
-        let mut x = DVector::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(x.segment(1, 2).as_slice(), &[2.0, 3.0]);
-        x.set_segment(2, &[9.0, 8.0]);
-        assert_eq!(x.as_slice(), &[1.0, 2.0, 9.0, 8.0]);
     }
 
     #[test]
@@ -422,7 +330,7 @@ mod tests {
         #[test]
         fn prop_triangle_inequality(a in proptest::collection::vec(-1e3f64..1e3, 1..20)) {
             let x = DVector::from_slice(&a);
-            let y = x.scaled(-0.3);
+            let y = &x * -0.3;
             let lhs = (&x + &y).norm2();
             prop_assert!(lhs <= x.norm2() + y.norm2() + 1e-9);
         }
@@ -431,8 +339,8 @@ mod tests {
         fn prop_axpy_matches_operator(a in proptest::collection::vec(-1e2f64..1e2, 1..16),
                                       alpha in -10.0f64..10.0) {
             let x = DVector::from_slice(&a);
-            let mut y = x.scaled(2.0);
-            let expected = &y + &x.scaled(alpha);
+            let mut y = &x * 2.0;
+            let expected = &y + &(&x * alpha);
             y.axpy(alpha, &x);
             for i in 0..y.len() {
                 prop_assert!((y[i] - expected[i]).abs() < 1e-9);

@@ -11,7 +11,7 @@
 //! * [`bbs_taskgraph`] — application and platform model.
 //! * [`bbs_srdf`] — single-rate dataflow analysis.
 //! * [`bbs_conic`] — LP/SOCP interior-point solver.
-//! * [`bbs_linalg`] — dense linear algebra kernels.
+//! * [`bbs_linalg`] — linear algebra kernels (dense, plus the sparse KKT factorisation).
 //! * [`bbs_scheduler_sim`] — TDM budget-scheduler simulator.
 //! * [`bbs_engine`] — batch-solving engine (scenarios, executor, cache, `bbs` CLI).
 
