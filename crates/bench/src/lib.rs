@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bbs_engine::suites::{fig2a_scenario, fig3_scenario, runtime_scenarios};
+use bbs_engine::suites::{fig2a_scenario, fig3_scenario, runtime_scenario, runtime_scenarios};
 use bbs_engine::{run_scenario, RunSettings, Scenario, ScenarioOutcome};
 use bbs_taskgraph::{BufferRef, Configuration, TaskRef};
 use budget_buffer::{Mapping, MappingError, SolveOptions, TradeoffPoint};
@@ -122,17 +122,25 @@ pub fn fig3_sweep() -> Result<(Configuration, Vec<TradeoffPoint>), MappingError>
 pub fn runtime_workloads() -> Vec<(String, Configuration)> {
     runtime_scenarios()
         .into_iter()
-        .map(|scenario| {
-            let configuration = scenario
-                .workload
-                .resolve()
-                .expect("built-in runtime workloads are valid");
-            (
-                format!("{}-task random DAG", configuration.num_tasks()),
-                configuration,
-            )
-        })
+        .map(named_workload)
         .collect()
+}
+
+/// The run-time recipe at `tasks` tasks, beyond the built-in sizes, named
+/// like [`runtime_workloads`]' entries.
+pub fn runtime_workload(tasks: usize) -> (String, Configuration) {
+    named_workload(runtime_scenario(tasks))
+}
+
+fn named_workload(scenario: Scenario) -> (String, Configuration) {
+    let configuration = scenario
+        .workload
+        .resolve()
+        .expect("runtime workloads are valid");
+    (
+        format!("{}-task random DAG", configuration.num_tasks()),
+        configuration,
+    )
 }
 
 /// Converts a mapping into the plain maps the TDM scheduler simulator

@@ -27,12 +27,10 @@
 //! factored by a sparse LDLᵀ whose symbolic analysis is computed once per
 //! solve, and refined against the exact system (see the `kkt` module).
 //!
-//! The elimination order is the natural one, `x` first and then `z`, and
-//! every sum runs in the order of the dense kernels it replaced
-//! ([`bbs_linalg::Ldlt`], [`bbs_linalg::DMatrix::matvec`]): the sparse
-//! solver produces the bits a dense factorisation of the same matrices
-//! would, so solve results, stored entries and reports do not depend on the
-//! sparsity. A fill-reducing order would be faster and round differently.
+//! The factor eliminates in the exact minimum-degree order of the KKT
+//! pattern. The order depends on the pattern alone, so a solve rounds the
+//! same way on every machine; a change to the order or to the refinement
+//! changes raw results and is a new [`crate::SOLVER_REVISION`].
 
 use crate::cone::Cone;
 use crate::error::{ConicError, SolveStatus};
@@ -65,8 +63,6 @@ pub struct IpmSettings {
     pub regularization: f64,
     /// Fraction of the maximum step to the cone boundary actually taken.
     pub step_fraction: f64,
-    /// Record the per-iteration trace (residuals and gap) in the solution.
-    pub record_trace: bool,
 }
 
 impl Default for IpmSettings {
@@ -79,7 +75,6 @@ impl Default for IpmSettings {
             tol_infeasibility: 1e-5,
             regularization: 1e-10,
             step_fraction: 0.99,
-            record_trace: false,
         }
     }
 }
@@ -95,21 +90,6 @@ impl IpmSettings {
             ..Self::default()
         }
     }
-}
-
-/// One entry of the per-iteration convergence trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterationRecord {
-    /// Iteration index (0-based).
-    pub iteration: usize,
-    /// Relative primal residual `‖Gx + s − h‖ / max(1, ‖h‖)`.
-    pub primal_residual: f64,
-    /// Relative dual residual `‖Gᵀz + c‖ / max(1, ‖c‖)`.
-    pub dual_residual: f64,
-    /// Normalised complementarity gap `sᵀz / degree(K)`.
-    pub gap: f64,
-    /// Step length taken.
-    pub step: f64,
 }
 
 /// Raw output of [`solve_cone_problem`].
@@ -135,8 +115,6 @@ pub struct RawSolution {
     pub primal_residual: f64,
     /// Final relative dual residual.
     pub dual_residual: f64,
-    /// Optional per-iteration trace (when requested in the settings).
-    pub trace: Vec<IterationRecord>,
 }
 
 impl RawSolution {
@@ -176,7 +154,6 @@ pub fn solve_cone_problem(
                 gap: 0.0,
                 primal_residual: 0.0,
                 dual_residual: 0.0,
-                trace: Vec::new(),
             });
         }
         return Err(ConicError::Unbounded);
@@ -211,7 +188,6 @@ pub fn solve_cone_problem(
 
     let h_norm = h.norm2().max(1.0);
     let c_norm = c.norm2().max(1.0);
-    let mut trace = Vec::new();
     let mut best_status = SolveStatus::MaxIterations;
     let mut iterations_done = settings.max_iterations;
 
@@ -225,16 +201,6 @@ pub fn solve_cone_problem(
         let pres = rz.norm2() / h_norm;
         let dres = rx.norm2() / c_norm;
         let relgap = (pobj - dobj).abs() / pobj.abs().max(dobj.abs()).max(1.0);
-
-        if settings.record_trace {
-            trace.push(IterationRecord {
-                iteration,
-                primal_residual: pres,
-                dual_residual: dres,
-                gap,
-                step: 0.0,
-            });
-        }
 
         if pres <= settings.tol_feasibility
             && dres <= settings.tol_feasibility
@@ -290,24 +256,25 @@ pub fn solve_cone_problem(
 
         // Factor the sparse quasi-definite KKT matrix for this scaling.
         kkt.factor(&scaling, iteration)?;
-        let direction = |bs: &DVector, rx: &DVector, rz: &DVector| -> (DVector, DVector, DVector) {
-            // [ 0  Gᵀ ] [Δx]   [ −rx        ]
-            // [ G −W² ] [Δz] = [ −rz − W bs ]
-            let w_bs = scaling.apply(bs);
-            let mut rhs = DVector::zeros(n + m);
-            for i in 0..n {
-                rhs[i] = -rx[i];
-            }
-            for i in 0..m {
-                rhs[n + i] = -rz[i] - w_bs[i];
-            }
-            let sol = kkt.solve(&rhs);
-            let dx = DVector::from_vec(sol.as_slice()[..n].to_vec());
-            let dz = DVector::from_vec(sol.as_slice()[n..].to_vec());
-            // Δs = −rz − G Δx  (exactly satisfies the primal equation)
-            let ds = -&(&g.matvec(&dx) + rz);
-            (dx, ds, dz)
-        };
+        let mut direction =
+            |bs: &DVector, rx: &DVector, rz: &DVector| -> (DVector, DVector, DVector) {
+                // [ 0  Gᵀ ] [Δx]   [ −rx        ]
+                // [ G −W² ] [Δz] = [ −rz − W bs ]
+                let w_bs = scaling.apply(bs);
+                let mut rhs = DVector::zeros(n + m);
+                for i in 0..n {
+                    rhs[i] = -rx[i];
+                }
+                for i in 0..m {
+                    rhs[n + i] = -rz[i] - w_bs[i];
+                }
+                let sol = kkt.solve(&rhs);
+                let dx = DVector::from_vec(sol.as_slice()[..n].to_vec());
+                let dz = DVector::from_vec(sol.as_slice()[n..].to_vec());
+                // Δs = −rz − G Δx  (exactly satisfies the primal equation)
+                let ds = -&(&g.matvec(&dx) + rz);
+                (dx, ds, dz)
+            };
 
         // Predictor (affine-scaling) direction: bs = λ \ (−λ∘λ) = −λ.
         let bs_aff = -&lambda;
@@ -353,9 +320,6 @@ pub fn solve_cone_problem(
         x.axpy(alpha, &dx);
         s.axpy(alpha, &ds);
         z.axpy(alpha, &dz);
-        if let Some(last) = trace.last_mut() {
-            last.step = alpha;
-        }
     }
 
     let rx = &g.matvec_transpose(&z) + c;
@@ -371,7 +335,6 @@ pub fn solve_cone_problem(
         z,
         status: best_status,
         iterations: iterations_done,
-        trace,
     })
 }
 
@@ -531,19 +494,6 @@ mod tests {
             solve_cone_problem(&p_unbounded, &default_settings()),
             Err(ConicError::Unbounded)
         ));
-    }
-
-    #[test]
-    fn trace_is_recorded_when_requested() {
-        let mut m = ModelBuilder::new();
-        let x = m.add_var_with_cost("x", 1.0);
-        m.bound_lower(x, 2.0);
-        let model = m.build().unwrap();
-        let mut settings = default_settings();
-        settings.record_trace = true;
-        let sol = solve_cone_problem(model.problem(), &settings).unwrap();
-        assert!(!sol.trace.is_empty());
-        assert!(sol.iterations >= 1);
     }
 
     #[test]

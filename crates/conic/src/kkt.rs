@@ -9,19 +9,30 @@
 //!
 //! by factoring the regularised quasi-definite matrix
 //! `[ δI  Gᵀ ; G  −W² − δI ]` with a sparse LDLᵀ and refining against the
-//! exact one. The unknowns stay in their natural order, `x` first and then
-//! `z`, and [`SparseLdlt`] keeps the dense factorisation's operation order,
-//! so every result is bit-identical to factoring the dense matrix with
-//! [`bbs_linalg::Ldlt`]. The pattern is fixed per problem: G's nonzeros,
-//! one diagonal entry per orthant row, and a dense lower triangle per
-//! second-order cone block of `W²`. [`KktSystem::new`] builds it and the
-//! symbolic analysis once; [`KktSystem::factor`] rewrites the values and
-//! refactors in place.
+//! exact one. [`SparseLdlt`] eliminates in the exact minimum-degree order of
+//! the pattern, which depends on the pattern alone. The pattern is fixed per
+//! problem: G's nonzeros, one diagonal entry per orthant row, and a dense
+//! lower triangle per second-order cone block of `W²`. [`KktSystem::new`]
+//! builds it and the symbolic analysis once; [`KktSystem::factor`] rewrites
+//! the values and refactors in place.
+//!
+//! Three refinement steps always run. Near an infeasibility certificate the
+//! system is so ill-conditioned that they can leave a residual large enough
+//! to collapse the step length, so the solve keeps refining while the
+//! residual is above [`REFINE_TOLERANCE`] and still falling, for at most
+//! [`EXTRA_REFINE_STEPS`] more steps.
 
 use crate::cone::{Cone, ConeBlock};
 use crate::error::ConicError;
 use crate::scaling::NtScaling;
 use bbs_linalg::{CsrMatrix, DVector, SparseLdlt};
+
+/// Refinement past the first three steps stops once
+/// `‖K x − b‖∞ ≤ REFINE_TOLERANCE · (1 + ‖b‖∞)`.
+const REFINE_TOLERANCE: f64 = 1e-10;
+
+/// The most refinement steps taken after the first three.
+const EXTRA_REFINE_STEPS: usize = 10;
 
 /// Sparse quasi-definite KKT system for one conic problem.
 #[derive(Debug)]
@@ -39,6 +50,19 @@ pub(crate) struct KktSystem<'a> {
     w_squared: Vec<f64>,
     /// Static regularisation `δ`.
     delta: f64,
+    /// Refinement buffers, allocated once per system.
+    buffers: Buffers,
+}
+
+/// The work vectors of [`KktSystem::solve`], one KKT dimension each.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// `b − K x` for the current solution.
+    residual: Vec<f64>,
+    /// A correction `K̃⁻¹ r`, then the trial solution it leads to.
+    trial: Vec<f64>,
+    /// `b − K x` for the trial solution.
+    trial_residual: Vec<f64>,
 }
 
 impl<'a> KktSystem<'a> {
@@ -83,6 +107,11 @@ impl<'a> KktSystem<'a> {
             diag,
             factor,
             w_squared: Vec::new(),
+            buffers: Buffers {
+                residual: vec![0.0; dim],
+                trial: vec![0.0; dim],
+                trial_residual: vec![0.0; dim],
+            },
         }
     }
 
@@ -142,15 +171,14 @@ impl<'a> KktSystem<'a> {
         }
     }
 
-    /// The exact (unregularised) product `K v`, in the order of the dense
-    /// `K.matvec(v)`: `x` rows sum `Gᵀ v_z`; `z` row `q` sums G's row
-    /// against `v_x`, then row `q` of `−W²` against `v_z`.
-    fn matvec(&self, v: &DVector) -> DVector {
+    /// The residual `out = b − K v` of the exact (unregularised) system.
+    /// `K v` sums, for `x` rows, `Gᵀ v_z`; for `z` row `q`, G's row against
+    /// `v_x`, then row `q` of `−W²` against `v_z`.
+    fn residual(&self, b: &[f64], v: &[f64], out: &mut [f64]) {
         let n = self.g.ncols();
-        let v = v.as_slice();
         let (vx, vz) = v.split_at(n);
-        let mut out = DVector::zeros(v.len());
-        let (out_x, out_z) = out.as_mut_slice().split_at_mut(n);
+        let (out_x, out_z) = out.split_at_mut(n);
+        out_x.fill(0.0);
         self.g.add_matvec_transpose(vz, out_x);
         let mut packed = 0;
         for (off, block) in self.cone.iter_offsets() {
@@ -178,34 +206,73 @@ impl<'a> KktSystem<'a> {
                 ConeBlock::Soc(_) => nb * nb,
             };
         }
-        out
+        for (r, &bi) in out.iter_mut().zip(b) {
+            *r = bi - *r;
+        }
     }
 
     /// Solves the exact KKT system with the regularised factor as a
-    /// preconditioner and three steps of iterative refinement.
-    pub(crate) fn solve(&self, rhs: &DVector) -> DVector {
-        let mut sol = self.factor.solve(rhs);
+    /// preconditioner: three steps of iterative refinement, then up to
+    /// [`EXTRA_REFINE_STEPS`] more while `‖K x − b‖∞` exceeds
+    /// [`REFINE_TOLERANCE`]` · (1 + ‖b‖∞)`. A further step is kept only if it
+    /// lowers the residual, and the first that does not ends the solve.
+    pub(crate) fn solve(&mut self, rhs: &DVector) -> DVector {
+        let b = rhs.as_slice();
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let Buffers {
+            residual,
+            trial,
+            trial_residual,
+        } = &mut buffers;
+        let mut sol = rhs.clone();
+        self.factor.solve_in_place(sol.as_mut_slice());
         for _ in 0..3 {
-            let residual = rhs - &self.matvec(&sol);
-            sol += &self.factor.solve(&residual);
+            self.residual(b, sol.as_slice(), residual);
+            trial.copy_from_slice(residual);
+            self.factor.solve_in_place(trial);
+            for (x, c) in sol.iter_mut().zip(trial.iter()) {
+                *x += c;
+            }
         }
+        let tolerance = REFINE_TOLERANCE * (1.0 + rhs.norm_inf());
+        self.residual(b, sol.as_slice(), residual);
+        let mut residual_norm = norm_inf(residual);
+        for _ in 0..EXTRA_REFINE_STEPS {
+            if residual_norm <= tolerance {
+                break;
+            }
+            trial.copy_from_slice(residual);
+            self.factor.solve_in_place(trial);
+            for (c, x) in trial.iter_mut().zip(sol.iter()) {
+                *c += x;
+            }
+            self.residual(b, trial, trial_residual);
+            let trial_norm = norm_inf(trial_residual);
+            if trial_norm.is_nan() || trial_norm >= residual_norm {
+                break;
+            }
+            sol.as_mut_slice().copy_from_slice(trial);
+            std::mem::swap(residual, trial_residual);
+            residual_norm = trial_norm;
+        }
+        self.buffers = buffers;
         sol
     }
+}
+
+fn norm_inf(v: &[f64]) -> f64 {
+    v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbs_linalg::{DMatrix, Ldlt};
+    use bbs_linalg::DMatrix;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn bits(v: &DVector) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// The dense KKT matrices the solver used to build, exact and
-    /// regularised, from the same packed `W²`.
+    /// The dense KKT matrices, exact and shifted by `shift`, from the same
+    /// packed `W²`.
     fn dense_kkt(g: &DMatrix, cone: &Cone, w2: &[f64], shift: f64) -> (DMatrix, DMatrix) {
         let (m, n) = (g.nrows(), g.ncols());
         let mut w = DMatrix::zeros(m, m);
@@ -238,18 +305,28 @@ mod tests {
                 exact[(n + r, n + c)] = -w[(r, c)];
             }
         }
-        let mut regularised = exact.clone();
+        let mut shifted = exact.clone();
         for i in 0..n {
-            regularised[(i, i)] += shift;
+            shifted[(i, i)] += shift;
         }
         for i in 0..m {
-            regularised[(n + i, n + i)] -= shift;
+            shifted[(n + i, n + i)] -= shift;
         }
-        (exact, regularised)
+        (exact, shifted)
+    }
+
+    /// `‖K x − b‖∞ / (1 + ‖b‖∞)`.
+    fn relative_residual(k: &DMatrix, x: &DVector, b: &DVector) -> f64 {
+        (&k.matvec(x) - b).norm_inf() / (1.0 + b.norm_inf())
+    }
+
+    /// The scaling of the identity point in the cone: `W = I`.
+    fn unit_scaling(cone: &Cone) -> NtScaling {
+        NtScaling::compute(cone, &cone.identity(), &cone.identity()).unwrap()
     }
 
     #[test]
-    fn sparse_kkt_solves_bit_identically_to_the_dense_kkt() {
+    fn refined_solves_meet_the_exact_system() {
         let cone = Cone::new(vec![
             ConeBlock::NonNeg(7),
             ConeBlock::Soc(3),
@@ -267,6 +344,10 @@ mod tests {
                     }
                 }
             }
+            // A full column rank G makes the exact system nonsingular.
+            for c in 0..n {
+                g[(c, c)] = rng.gen_range(1.0..3.0);
+            }
             let mut s = cone.identity();
             let mut z = cone.identity();
             for i in 0..m {
@@ -283,37 +364,59 @@ mod tests {
             let sparse_g = CsrMatrix::from_dense(&g);
             let mut kkt = KktSystem::new(&sparse_g, &cone, 1e-10);
             kkt.factor(&scaling, 0).unwrap();
-            let (exact, regularised) =
-                dense_kkt(&g, &cone, &kkt.w_squared, 1e-10 * (1.0 + g.norm_inf()));
-            let ldlt = Ldlt::factor(&regularised).unwrap();
-            let rhs: DVector = (0..n + m).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            assert_eq!(bits(&kkt.matvec(&rhs)), bits(&exact.matvec(&rhs)));
-            let mut sol = ldlt.solve(&rhs);
+            let (exact, _) = dense_kkt(&g, &cone, &kkt.w_squared, 0.0);
             for _ in 0..3 {
-                let residual = &rhs - &exact.matvec(&sol);
-                sol += &ldlt.solve(&residual);
+                let rhs: DVector = (0..n + m).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                let x = kkt.solve(&rhs);
+                let error = relative_residual(&exact, &x, &rhs);
+                assert!(error <= 1e-9, "seed {seed}: relative residual {error}");
             }
-            assert_eq!(bits(&kkt.solve(&rhs)), bits(&sol), "seed {seed}");
         }
     }
 
     #[test]
     fn a_zero_regularisation_takes_the_retry_shift() {
-        // Without δ the x diagonal is an exact zero pivot; the retry adds
-        // 1e-7·(1 + ‖K‖∞) to both diagonals, as the dense path did.
+        // Without δ, an x that no constraint touches is an exact zero pivot
+        // wherever the order puts it; the retry adds 1e-7·(1 + ‖K‖∞) to
+        // both diagonals.
         let cone = Cone::new(vec![ConeBlock::NonNeg(2)]);
-        let g = DMatrix::from_rows(&[&[1.0], &[-2.0]]);
+        let g = DMatrix::from_rows(&[&[1.0, 0.0], &[-2.0, 0.0]]);
         let s = DVector::from_slice(&[1.0, 4.0]);
         let z = DVector::from_slice(&[1.0, 1.0]);
         let scaling = NtScaling::compute(&cone, &s, &z).unwrap();
         let sparse_g = CsrMatrix::from_dense(&g);
         let mut kkt = KktSystem::new(&sparse_g, &cone, 0.0);
         kkt.factor(&scaling, 3).unwrap();
+        // W² = diag(4, 1) here, so ‖K‖∞ = 4.
         let bump = 1e-7 * (1.0 + 4.0_f64);
-        let (_, regularised) = dense_kkt(&g, &cone, &kkt.w_squared, bump);
-        assert!(Ldlt::factor(&dense_kkt(&g, &cone, &kkt.w_squared, 0.0).1).is_err());
-        let ldlt = Ldlt::factor(&regularised).unwrap();
-        let rhs = DVector::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(bits(&kkt.factor.solve(&rhs)), bits(&ldlt.solve(&rhs)));
+        let rhs = DVector::from_slice(&[1.0, 2.0, 3.0, -1.0]);
+        let x = kkt.factor.solve(&rhs);
+        assert_eq!(x[1], 2.0 / bump);
+        let (_, shifted) = dense_kkt(&g, &cone, &kkt.w_squared, bump);
+        assert!((&shifted.matvec(&x) - &rhs).norm_inf() <= 1e-15 * x.norm_inf());
+        kkt.write_values(0.0);
+        assert!(kkt.factor.factor(&kkt.lower).is_err());
+    }
+
+    #[test]
+    fn the_refinement_tail_finishes_what_three_steps_leave() {
+        // A heavy regularisation makes the factor a poor preconditioner:
+        // each step cuts the residual by about δ/|λ_min(K)| ≈ 0.08, so
+        // three steps leave it far above the tolerance.
+        let cone = Cone::new(vec![ConeBlock::NonNeg(1)]);
+        let g = DMatrix::from_rows(&[&[1.0]]);
+        let sparse_g = CsrMatrix::from_dense(&g);
+        let mut kkt = KktSystem::new(&sparse_g, &cone, 0.025);
+        kkt.factor(&unit_scaling(&cone), 0).unwrap();
+        let (exact, _) = dense_kkt(&g, &cone, &kkt.w_squared, 0.0);
+        let rhs = DVector::from_slice(&[1.0, -2.0]);
+        let mut three_steps = kkt.factor.solve(&rhs);
+        for _ in 0..3 {
+            let residual = &rhs - &exact.matvec(&three_steps);
+            three_steps += &kkt.factor.solve(&residual);
+        }
+        assert!(relative_residual(&exact, &three_steps, &rhs) > 1e-6);
+        let x = kkt.solve(&rhs);
+        assert!(relative_residual(&exact, &x, &rhs) <= REFINE_TOLERANCE);
     }
 }

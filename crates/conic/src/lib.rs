@@ -11,7 +11,9 @@
 //!   predictor–corrector, with polynomial iteration complexity — the
 //!   property the paper relies on for its "milliseconds" run-time claim;
 //! * a cutting-plane fallback ([`solve_with_cutting_planes`]) used as an
-//!   independent cross-check and as an ablation baseline in the benches.
+//!   independent cross-check and as an ablation baseline in the benches;
+//! * a certificate checker ([`check_certificate`]) that recomputes, from
+//!   the problem data alone, what a solution's status claims.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod certificate;
 mod cone;
 mod cutting_plane;
 mod error;
@@ -46,12 +49,24 @@ mod kkt;
 mod problem;
 mod scaling;
 
+pub use certificate::{check_certificate, CertificateError};
 pub use cone::{Cone, ConeBlock};
 pub use cutting_plane::{solve_with_cutting_planes, CuttingPlaneOutcome, CuttingPlaneSettings};
 pub use error::{ConicError, SolveStatus};
-pub use ipm::{solve_cone_problem, IpmSettings, IterationRecord, RawSolution};
+pub use ipm::{solve_cone_problem, IpmSettings, RawSolution};
 pub use problem::{ConeProblem, LinExpr, Model, ModelBuilder, SocConstraint, Solution, VarId};
 pub use scaling::NtScaling;
+
+/// The revision of the solver's arithmetic: the KKT order, the refinement
+/// and every other choice that decides the bits of a raw solution. Raw
+/// values, objectives and iteration counts are a function of the problem,
+/// the settings and this revision. The solve store keys every entry by it,
+/// so no store serves one revision's raw values to another.
+///
+/// Revision 1 factored the KKT system in the natural order. Revision 2
+/// factors it in the exact minimum-degree order and refines while the
+/// residual is large and still falling.
+pub const SOLVER_REVISION: u64 = 2;
 
 #[cfg(test)]
 mod tests {

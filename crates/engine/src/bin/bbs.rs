@@ -11,8 +11,7 @@
 //! bbs list
 //! bbs check [REPORT.json | SUITE.json | -]
 //! bbs cache (stats [--json] | clear
-//!           | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N]
-//!                [--recompress])
+//!           | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N])
 //!           [--cache-dir DIR]
 //! bbs serve [--addr HOST:PORT] [--jobs N] [--queue-capacity N]
 //!           [--retry-after-ms MS] [--max-sessions N] [--idle-timeout-ms MS]
@@ -92,8 +91,7 @@ usage:
   bbs list
   bbs check [REPORT.json | SUITE.json | -]
   bbs cache (stats [--json] | clear
-            | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N]
-                 [--recompress])
+            | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N])
             [--cache-dir DIR]
   bbs serve [--addr HOST:PORT] [--jobs N] [--queue-capacity N]
             [--retry-after-ms MS] [--max-sessions N] [--idle-timeout-ms MS]
@@ -112,8 +110,9 @@ BBS_CACHE_DIR environment variable) persists solve results across runs;
 eviction `cache gc` applies. `--remote-store HOST:PORT` (or
 BBS_REMOTE_STORE) layers a peer `bbs serve` daemon's store under the local
 directory: misses are fetched from the peer, fresh solves offered back.
-`cache gc --recompress` migrates v1 (plain JSON) entries to the compressed
-v2 container in place.
+Stored results belong to the solver revision that computed them; after an
+upgrade `cache stats` counts older ones as stale and `cache gc` ages them
+out.
 `serve` hosts the engine for many concurrent clients; `client run` fetches
 a report byte-identical to a local `bbs run` of the same suite, retrying
 up to `--retries` times (default 3) after structured rejections and
@@ -662,7 +661,6 @@ struct CacheArgs {
     max_entries: Option<u64>,
     max_age: Option<Duration>,
     max_bytes: Option<u64>,
-    recompress: bool,
     json: bool,
 }
 
@@ -681,7 +679,6 @@ fn parse_cache_args(args: &[String]) -> Result<CacheArgs, String> {
         max_entries: None,
         max_age: None,
         max_bytes: None,
-        recompress: false,
         json: false,
     };
     let mut iter = flags.iter();
@@ -715,7 +712,6 @@ fn parse_cache_args(args: &[String]) -> Result<CacheArgs, String> {
                         .map_err(|_| format!("--max-bytes must be a byte count, got `{raw}`"))?,
                 );
             }
-            "--recompress" if action == "gc" => parsed.recompress = true,
             other => {
                 return Err(format!(
                     "unknown flag `{other}` for `cache {action}`\n{USAGE}"
@@ -727,12 +723,8 @@ fn parse_cache_args(args: &[String]) -> Result<CacheArgs, String> {
         && parsed.max_entries.is_none()
         && parsed.max_age.is_none()
         && parsed.max_bytes.is_none()
-        && !parsed.recompress
     {
-        return Err(
-            "`cache gc` needs --max-entries, --max-age, --max-bytes and/or --recompress"
-                .to_string(),
-        );
+        return Err("`cache gc` needs --max-entries, --max-age and/or --max-bytes".to_string());
     }
     Ok(parsed)
 }
@@ -776,10 +768,13 @@ fn cache(args: &[String]) -> Result<(), String> {
                 "  {} bytes logical (uncompressed), {} bytes on disk",
                 summary.logical_bytes, summary.total_bytes
             );
-            println!(
-                "  {} v1 (plain JSON) entries, {} v2 (compressed) entries",
-                summary.v1_entries, summary.v2_entries
-            );
+            if summary.stale > 0 {
+                println!(
+                    "  {} stale entries of another solver revision (never served; \
+                     `bbs cache gc` or `clear` removes them)",
+                    summary.stale
+                );
+            }
             if summary.corrupt > 0 {
                 println!(
                     "  {} corrupt or foreign-version files (ignored by lookups; `bbs cache gc` \
@@ -795,38 +790,23 @@ fn cache(args: &[String]) -> Result<(), String> {
             println!("cache directory {dir}: removed {removed} entries");
         }
         "gc" => {
-            // Recompress first: migrated entries shrink before any byte
-            // budget is enforced, so a combined invocation evicts only what
-            // the compacted store still cannot hold.
-            if args.recompress {
-                let outcome = store
-                    .recompress()
-                    .map_err(|e| format!("cannot recompress {dir}: {e}"))?;
+            let outcome = store
+                .gc(GcPolicy {
+                    max_entries: args.max_entries,
+                    max_age: args.max_age,
+                    max_bytes: args.max_bytes,
+                })
+                .map_err(|e| format!("cannot gc {dir}: {e}"))?;
+            println!(
+                "cache directory {dir}: removed {} entries, kept {} ({} bytes)",
+                outcome.removed, outcome.kept, outcome.kept_bytes
+            );
+            if outcome.unreadable_mtimes > 0 {
                 println!(
-                    "cache directory {dir}: recompressed {} entries ({} already current, \
-                     {} corrupt, {} failed)",
-                    outcome.migrated, outcome.already_current, outcome.corrupt, outcome.failed
+                    "  {} entries had unreadable mtimes (treated as written now, \
+                     never age-evicted)",
+                    outcome.unreadable_mtimes
                 );
-            }
-            if args.max_entries.is_some() || args.max_age.is_some() || args.max_bytes.is_some() {
-                let outcome = store
-                    .gc(GcPolicy {
-                        max_entries: args.max_entries,
-                        max_age: args.max_age,
-                        max_bytes: args.max_bytes,
-                    })
-                    .map_err(|e| format!("cannot gc {dir}: {e}"))?;
-                println!(
-                    "cache directory {dir}: removed {} entries, kept {} ({} bytes)",
-                    outcome.removed, outcome.kept, outcome.kept_bytes
-                );
-                if outcome.unreadable_mtimes > 0 {
-                    println!(
-                        "  {} entries had unreadable mtimes (treated as written now, \
-                         never age-evicted)",
-                        outcome.unreadable_mtimes
-                    );
-                }
             }
         }
         _ => unreachable!("validated by parse_cache_args"),

@@ -11,14 +11,16 @@
 //! The identity has two representations:
 //!
 //! * [`CacheKey`] — a 16-byte `Copy` value holding the 128-bit
-//!   [`CanonicalDigest`] of `options ‖ flow ‖ configuration`, computed by
+//!   [`CanonicalDigest`] of
+//!   `solver revision ‖ options ‖ flow ‖ configuration`, computed by
 //!   *streaming* the canonical JSON bytes into the digest lanes
 //!   ([`serde::Serialize::serialize_canonical`]) — no JSON string, no
 //!   `Value` tree, zero heap allocation. This is the `HashMap` key of the
 //!   in-memory tier, so the per-lookup cost on the hot path is one digest
 //!   pass plus a 16-byte hash.
 //! * [`CanonicalKey`] — the materialised form: the full canonical JSON of
-//!   the configuration and options plus the flow name, verbatim. Only the
+//!   the configuration and options plus the flow name, verbatim, and the
+//!   solver revision ([`bbs_conic::SOLVER_REVISION`]). Only the
 //!   persistent [`SolveStore`] needs it (its on-disk entries repeat the
 //!   full key so 64-bit path-hash collisions are detected by string
 //!   comparison), so it is built *lazily* — once per distinct key, by the
@@ -34,11 +36,16 @@
 //! caught by the full-key comparison there and heals as a fresh solve (see
 //! `docs/ARCHITECTURE.md`, "the two-level cache key").
 //!
+//! The solver revision is part of the identity because raw solver values
+//! are a function of the problem *and* the solver's arithmetic: a store
+//! filled by one revision must never answer for another.
+//!
 //! Per-scenario constants are hoisted: a [`ScenarioKeySeed`] folds the
-//! options JSON and the flow into the digest state once per scenario, so a
-//! capacity sweep only streams each point's (capped) configuration — and
-//! serialises [`SolveOptions`] exactly once per scenario, not once per
-//! point (regression-guarded by [`options_serialisation_count`]).
+//! revision, the options JSON and the flow into the digest state once per
+//! scenario, so a capacity sweep only streams each point's (capped)
+//! configuration — and serialises [`SolveOptions`] exactly once per
+//! scenario, not once per point (regression-guarded by
+//! [`options_serialisation_count`]).
 //!
 //! # Claiming
 //!
@@ -57,7 +64,7 @@
 //! distinct key, regardless of `--jobs`.
 
 use crate::store::SolveStore;
-use bbs_conic::ConicError;
+use bbs_conic::{ConicError, SOLVER_REVISION};
 use bbs_taskgraph::{fnv1a, CanonicalDigest, CanonicalHasher, ConfigView, Configuration};
 use budget_buffer::{Mapping, MappingError, SolveOptions};
 use serde::{Deserialize, Serialize};
@@ -85,8 +92,8 @@ pub fn options_serialisation_count() -> u64 {
     OPTIONS_SERIALISATIONS.with(Cell::get)
 }
 
-/// The hot-path identity of one solve: a 128-bit streaming digest of
-/// `options ‖ flow ‖ configuration` canonical JSON.
+/// The hot-path identity of one solve: a 128-bit streaming digest of the
+/// solver revision and the `options ‖ flow ‖ configuration` canonical JSON.
 ///
 /// `Copy`, 16 bytes, and built without a single heap allocation — see the
 /// [module docs](self) for how it relates to the materialised
@@ -121,9 +128,10 @@ impl CacheKey {
 }
 
 /// The per-scenario constants of key derivation, hoisted out of the
-/// per-point loop: a digest state pre-folded with the options and the flow
-/// name. [`ScenarioKeySeed::key_for`] then derives one point's key by
-/// streaming only that point's (capped) configuration on top.
+/// per-point loop: a digest state pre-folded with the solver revision, the
+/// options and the flow name. [`ScenarioKeySeed::key_for`] then derives one
+/// point's key by streaming only that point's (capped) configuration on
+/// top.
 ///
 /// Creating a seed *streams* the options into the digest — no JSON string
 /// exists yet. The options JSON (needed only to materialise
@@ -132,9 +140,11 @@ impl CacheKey {
 /// every point of the scenario.
 #[derive(Debug)]
 pub struct ScenarioKeySeed {
-    /// Digest state after folding `options ‖ 0x00 ‖ flow ‖ 0x00` (the
-    /// options as their canonical JSON byte stream; the NUL separators keep
-    /// the concatenation unambiguous).
+    /// Digest state after folding
+    /// `revision ‖ options ‖ 0x00 ‖ flow ‖ 0x00` (the revision through
+    /// [`CanonicalHasher::write_u64`], the options as their canonical JSON
+    /// byte stream; the NUL separators keep the concatenation
+    /// unambiguous).
     state: CanonicalHasher,
     options: SolveOptions,
     options_json: std::sync::OnceLock<Arc<str>>,
@@ -147,6 +157,7 @@ impl ScenarioKeySeed {
     /// options are hashed by streaming, not serialised.
     pub fn new(options: &SolveOptions, flow: &str) -> Self {
         let mut state = CanonicalHasher::new();
+        state.write_u64(SOLVER_REVISION);
         serde::Serialize::serialize_canonical(options, &mut state);
         state.write(&[0]);
         state.write(flow.as_bytes());
@@ -213,12 +224,15 @@ pub struct CanonicalKey {
     pub options: String,
     /// Flow name (`joint`, `two-phase-min`, `two-phase-fair`).
     pub flow: String,
+    /// The [`bbs_conic::SOLVER_REVISION`] whose raw values the entry holds.
+    pub solver_revision: u64,
 }
 
 impl CanonicalKey {
     /// Materialises the canonical key from a configuration and an
     /// already-serialised options JSON (the hoisted
-    /// [`ScenarioKeySeed::options_json`]).
+    /// [`ScenarioKeySeed::options_json`]), for this build's
+    /// [`bbs_conic::SOLVER_REVISION`].
     ///
     /// `configuration` may be an owned [`Configuration`] or a
     /// [`ConfigView`]: the canonical JSON is streamed straight from the
@@ -236,6 +250,7 @@ impl CanonicalKey {
             configuration: json,
             options: options_json.to_string(),
             flow: flow.to_string(),
+            solver_revision: SOLVER_REVISION,
         }
     }
 
@@ -582,6 +597,27 @@ mod tests {
             configuration.canonical_fingerprint()
         );
         assert_eq!(materialised.configuration, configuration.canonical_json());
+        assert_eq!(materialised.solver_revision, SOLVER_REVISION);
+    }
+
+    #[test]
+    fn the_key_digest_folds_the_solver_revision_first() {
+        // Raw values depend on the solver's arithmetic, so a key of another
+        // revision must address another solve.
+        let configuration =
+            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 3);
+        let options = paper_options();
+        let digest_at = |revision: u64| {
+            let mut state = CanonicalHasher::new();
+            state.write_u64(revision);
+            serde::Serialize::serialize_canonical(&options, &mut state);
+            state.write(b"\0joint\0");
+            configuration.serialize_canonical(&mut state);
+            state.finish()
+        };
+        let key = CacheKey::new(&configuration, &options, "joint");
+        assert_eq!(key.digest(), digest_at(SOLVER_REVISION));
+        assert_ne!(key.digest(), digest_at(SOLVER_REVISION - 1));
     }
 
     #[test]

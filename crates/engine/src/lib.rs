@@ -105,9 +105,9 @@ pub use report::{PointReport, ScenarioReport, SuiteReport, SCHEMA_VERSION};
 pub use scenario::{Flow, Scenario, Suite, SweepSpec, ValidationMode, WorkloadSpec};
 pub use serve::{Reply, Request, ServeConfig, Server, StatsSnapshot};
 pub use store::{
-    BreakerConfig, CircuitBreaker, GcOutcome, GcPolicy, LocalDirBackend, RawEntry,
-    RecompressOutcome, RemoteBackend, RemoteHealth, SolveStore, StoreBackend, StoreEntry,
-    StoreStats, StoreSummary, OLDEST_READABLE_SCHEMA, STORE_SCHEMA_VERSION,
+    BreakerConfig, CircuitBreaker, GcOutcome, GcPolicy, LocalDirBackend, RemoteBackend,
+    RemoteHealth, SolveStore, StoreBackend, StoreEntry, StoreStats, StoreSummary,
+    STORE_SCHEMA_VERSION,
 };
 pub use validate::{validate_outcome, PointValidation, ValidationReport};
 

@@ -35,8 +35,10 @@ pub const MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;
 /// `logical_bytes`, per-version entry counts); `3` — adds the failure-model
 /// counters: `queue.cancelled`, `sessions.reaped`, and the remote-tier
 /// circuit-breaker fields on the store section (`breaker_opens`,
-/// `breaker_closes`, `breaker_probes`, `breaker_open`, `dropped_puts`).
-pub const STATS_SCHEMA_VERSION: u64 = 3;
+/// `breaker_closes`, `breaker_probes`, `breaker_open`, `dropped_puts`);
+/// `4` — the store section drops the per-version entry counts with the
+/// `v1` container and counts `stale` entries of other solver revisions.
+pub const STATS_SCHEMA_VERSION: u64 = 4;
 
 /// Writes one length-prefixed frame and flushes the stream.
 pub fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> io::Result<()> {
@@ -417,8 +419,7 @@ impl Request {
 ///   produce, and to acknowledge a `"cancel"` request.
 /// * `"stats"` — answer to a `"stats"` request, in `stats`.
 /// * `"store_entry"` — answer to a `"store_get"`: `entry` holds the body
-///   (absent on a miss — a miss is a normal reply, not an error) and
-///   `entry_version` the container version it was read from.
+///   (absent on a miss — a miss is a normal reply, not an error).
 /// * `"store_ok"` — acknowledgement of an accepted `"store_put"`.
 /// * `"store_stats"` — answer to a `"store_stats"` request, in `store`.
 /// * `"bye"` — acknowledgement of a `"shutdown"` request.
@@ -447,8 +448,6 @@ pub struct Reply {
     pub stats: Option<StatsSnapshot>,
     /// The entry body, on a `"store_entry"` hit.
     pub entry: Option<String>,
-    /// Container version the entry was read from, on `"store_entry"`.
-    pub entry_version: Option<u64>,
     /// The store view, on `"store_stats"`.
     pub store: Option<StoreReport>,
 }
@@ -467,7 +466,6 @@ impl Reply {
             report: None,
             stats: None,
             entry: None,
-            entry_version: None,
             store: None,
         }
     }
@@ -529,12 +527,10 @@ impl Reply {
         }
     }
 
-    /// A `"store_entry"` reply: the body and container version on a hit,
-    /// both absent on a miss.
-    pub fn store_entry(body: Option<String>, version: Option<u64>) -> Self {
+    /// A `"store_entry"` reply: the body on a hit, absent on a miss.
+    pub fn store_entry(body: Option<String>) -> Self {
         Self {
             entry: body,
-            entry_version: version,
             ..Self::blank("store_entry")
         }
     }
@@ -605,13 +601,11 @@ pub struct StoreReport {
     pub feasible: u64,
     /// Entries holding infeasible results.
     pub infeasible: u64,
+    /// Entries of another solver revision, which no lookup serves.
+    pub stale: u64,
     /// Unreadable or schema-mismatched entries.
     pub corrupt: u64,
-    /// Entries still in the `v1` (plain JSON) container format.
-    pub v1_entries: u64,
-    /// Entries in the current `v2` (compressed) container format.
-    pub v2_entries: u64,
-    /// Physical bytes across all entries (compressed sizes for `v2`).
+    /// Physical (compressed) bytes across all entries.
     pub total_bytes: u64,
     /// Uncompressed bytes across all readable entry bodies.
     pub logical_bytes: u64,
@@ -654,9 +648,8 @@ impl StoreReport {
             entries: summary.entries,
             feasible: summary.feasible,
             infeasible: summary.infeasible,
+            stale: summary.stale,
             corrupt: summary.corrupt,
-            v1_entries: summary.v1_entries,
-            v2_entries: summary.v2_entries,
             total_bytes: summary.total_bytes,
             logical_bytes: summary.logical_bytes,
             disk_hits: stats.disk_hits,
@@ -847,8 +840,8 @@ mod tests {
             Reply::report(report_text.to_string(), Some("1 failure".to_string())),
             Reply::cancelled(7, "client disconnected"),
             Reply::stats(StatsSnapshot::new()),
-            Reply::store_entry(Some("{\"schema\":2}\n".to_string()), Some(2)),
-            Reply::store_entry(None, None),
+            Reply::store_entry(Some("{\"schema\":2}\n".to_string())),
+            Reply::store_entry(None),
             Reply::store_ok(),
             Reply::bye(),
             Reply::error("unknown kind"),
@@ -897,9 +890,8 @@ mod tests {
                 entries: 6,
                 feasible: 4,
                 infeasible: 2,
+                stale: 1,
                 corrupt: 0,
-                v1_entries: 1,
-                v2_entries: 5,
                 total_bytes: 4096,
                 logical_bytes: 9000,
                 disk_hits: 3,

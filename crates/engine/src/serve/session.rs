@@ -403,8 +403,7 @@ fn handle_store_get(state: &ServiceState, request: &Request) -> Reply {
         return Reply::error("store_get needs key_hash: 16 lowercase hex digits");
     };
     match store.peer_get(address) {
-        Ok(Some(raw)) => Reply::store_entry(Some(raw.body), Some(raw.version)),
-        Ok(None) => Reply::store_entry(None, None),
+        Ok(body) => Reply::store_entry(body),
         Err(e) => Reply::error(&format!("store read failed: {e}")),
     }
 }

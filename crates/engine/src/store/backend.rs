@@ -10,11 +10,10 @@
 //!
 //! Bodies cross the trait boundary as **uncompressed JSON text**. How a
 //! backend represents them at rest is its own business: the local
-//! directory backend stores `v2` entries as [`minilz`]-compressed files
-//! (and still reads plain-JSON `v1` files), while the remote backend ships
-//! the text verbatim inside protocol frames. Keeping compression below the
-//! trait means the wire format needs no binary envelope and a remote peer
-//! can re-compress however it likes.
+//! directory backend stores `v2` entries as [`minilz`]-compressed files,
+//! while the remote backend ships the text verbatim inside protocol
+//! frames. Keeping compression below the trait means the wire format needs
+//! no binary envelope and a remote peer can re-compress however it likes.
 
 use std::fmt;
 use std::fs;
@@ -23,36 +22,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
-/// Version of the on-disk entry format written by this build. Entries live
-/// under a `v<N>` directory; lookups read the current version first and
-/// fall back to the still-supported previous one (see
-/// [`OLDEST_READABLE_SCHEMA`]).
+/// Version of the on-disk entry format: entries live under a `v<N>`
+/// directory as minilz-compressed JSON. The plain-JSON `v1` container of
+/// older builds is no longer read; its entries were all written by solver
+/// revision 1, which no lookup serves (see
+/// [`bbs_conic::SOLVER_REVISION`]).
 pub const STORE_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest entry format this build still reads: `v1` plain-JSON files
-/// migrate lazily (or in one pass via `bbs cache gc --recompress`) instead
-/// of becoming invisible.
-pub const OLDEST_READABLE_SCHEMA: u64 = 1;
-
-/// One entry body as a backend hands it to the store: the uncompressed
-/// canonical JSON text plus the container version it was read from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawEntry {
-    /// On-disk format version of the container the body came out of
-    /// (`1` = plain JSON file, `2` = minilz-compressed file).
-    pub version: u64,
-    /// The entry body: one JSON object repeating the full canonical key
-    /// plus the stored outcome.
-    pub body: String,
-}
 
 /// One entry file as seen by a [`StoreBackend::list`] scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Path of the entry file.
     pub path: PathBuf,
-    /// On-disk format version of the file (its `v<N>` directory).
-    pub version: u64,
     /// Last-modified time; the scan time when the filesystem cannot report
     /// one (see [`StoreEntry::mtime_readable`]).
     pub modified: SystemTime,
@@ -60,7 +41,7 @@ pub struct StoreEntry {
     /// one sort as the newest files of the scan and are exempt from
     /// age-based eviction.
     pub mtime_readable: bool,
-    /// Physical file size in bytes (compressed size for `v2` entries).
+    /// Physical (compressed) file size in bytes.
     pub bytes: u64,
 }
 
@@ -72,9 +53,9 @@ pub struct StoreEntry {
 ///
 /// * [`get`](Self::get) — `Ok(None)` is a plain miss; `Err` means a body
 ///   exists but could not be read back (corrupt container, I/O failure).
-/// * [`put`](Self::put) — makes `body` the *only* representation stored at
-///   `address`, superseding any older-version container for the same
-///   address; returns the physical bytes written.
+/// * [`put`](Self::put) — makes `body` the representation stored at
+///   `address`, superseding any previous one; returns the physical bytes
+///   written.
 /// * [`list`](Self::list)/[`read_body`](Self::read_body)/
 ///   [`remove`](Self::remove)/[`clear`](Self::clear) — the management
 ///   surface behind `bbs cache stats|gc|clear`. Backends that cannot
@@ -85,16 +66,18 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// Human-readable identity for logs and errors.
     fn describe(&self) -> String;
 
-    /// Fetches the body stored at `address` (16 lowercase hex digits).
+    /// Fetches the body stored at `address` (16 lowercase hex digits): one
+    /// JSON object repeating the full canonical key plus the stored
+    /// outcome.
     ///
     /// # Errors
     ///
     /// Any error other than a plain miss: unreadable file, corrupt
     /// compression framing, transport failure.
-    fn get(&self, address: &str) -> io::Result<Option<RawEntry>>;
+    fn get(&self, address: &str) -> io::Result<Option<String>>;
 
-    /// Stores `body` at `address`, superseding any previous (and any
-    /// previous-version) container. Returns the physical bytes written.
+    /// Stores `body` at `address`, superseding any previous container.
+    /// Returns the physical bytes written.
     ///
     /// # Errors
     ///
@@ -115,7 +98,7 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     ///
     /// The underlying read/decode error, or
     /// [`io::ErrorKind::Unsupported`].
-    fn read_body(&self, entry: &StoreEntry) -> io::Result<RawEntry>;
+    fn read_body(&self, entry: &StoreEntry) -> io::Result<String>;
 
     /// Removes one listed entry. `Ok(false)` means it was already gone (a
     /// concurrent pass won the race) — not an error.
@@ -125,8 +108,8 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
     /// The underlying removal error, or [`io::ErrorKind::Unsupported`].
     fn remove(&self, entry: &StoreEntry) -> io::Result<bool>;
 
-    /// Removes every entry of every version. Returns the number of entry
-    /// containers removed.
+    /// Removes every entry (every version directory, so trees of older
+    /// builds go too). Returns the number of entry containers removed.
     ///
     /// # Errors
     ///
@@ -145,15 +128,11 @@ pub trait StoreBackend: Send + Sync + fmt::Debug {
 /// The default backend: a content-addressed directory tree.
 ///
 /// ```text
-/// <root>/v2/<hh>/<hhhhhhhhhhhhhhhh>.mlz   (current: minilz-compressed)
-/// <root>/v1/<hh>/<hhhhhhhhhhhhhhhh>.json  (read-compat: plain JSON)
+/// <root>/v2/<hh>/<hhhhhhhhhhhhhhhh>.mlz   (minilz-compressed JSON)
 /// ```
 ///
-/// Writes always produce `v2` containers and remove any `v1` file for the
-/// same address, so a tree migrates lazily as entries are rewritten;
-/// `bbs cache gc --recompress` migrates a whole tree in one pass. Writes
-/// are atomic (temp file + rename), so concurrent processes sharing one
-/// root can race freely.
+/// Writes are atomic (temp file + rename), so concurrent processes sharing
+/// one root can race freely.
 #[derive(Debug)]
 pub struct LocalDirBackend {
     root: PathBuf,
@@ -202,16 +181,8 @@ impl LocalDirBackend {
         &self.root
     }
 
-    /// Where a `v1` (plain JSON) container for `address` would live.
-    pub fn v1_path(&self, address: &str) -> PathBuf {
-        self.root
-            .join("v1")
-            .join(&address[..2])
-            .join(format!("{address}.json"))
-    }
-
-    /// Where the current `v2` (compressed) container for `address` lives.
-    pub fn v2_path(&self, address: &str) -> PathBuf {
+    /// Where the container for `address` lives.
+    pub fn entry_path(&self, address: &str) -> PathBuf {
         self.root
             .join(format!("v{STORE_SCHEMA_VERSION}"))
             .join(&address[..2])
@@ -237,18 +208,11 @@ impl LocalDirBackend {
         }
     }
 
-    /// Scans one version directory, appending its entries to `entries`.
-    fn scan_version(
-        &self,
-        version: u64,
-        extension: &str,
-        scan_time: SystemTime,
-        entries: &mut Vec<StoreEntry>,
-    ) -> io::Result<()> {
-        let directory = self.root.join(format!("v{version}"));
+    /// Scans the version directory, appending its entries to `entries`.
+    fn scan(&self, scan_time: SystemTime, entries: &mut Vec<StoreEntry>) -> io::Result<()> {
+        let directory = self.root.join(format!("v{STORE_SCHEMA_VERSION}"));
         // A missing version directory is an empty tier (e.g. cleared by a
-        // concurrent process, or a pre-migration store); reads stay pure
-        // and never create it.
+        // concurrent process); reads stay pure and never create it.
         let shards = match fs::read_dir(&directory) {
             Ok(shards) => shards,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
@@ -267,7 +231,7 @@ impl LocalDirBackend {
             for file in files {
                 let file = file?;
                 let path = file.path();
-                if path.extension().and_then(|e| e.to_str()) != Some(extension) {
+                if path.extension().and_then(|e| e.to_str()) != Some("mlz") {
                     continue; // temp files and strays
                 }
                 let metadata = match file.metadata() {
@@ -281,7 +245,6 @@ impl LocalDirBackend {
                 };
                 entries.push(StoreEntry {
                     path,
-                    version,
                     modified,
                     mtime_readable,
                     bytes: metadata.len(),
@@ -292,8 +255,8 @@ impl LocalDirBackend {
     }
 }
 
-/// Decodes one compressed `v2` container into its body text.
-fn decode_v2(bytes: &[u8]) -> io::Result<String> {
+/// Decodes one compressed container into its body text.
+fn decode(bytes: &[u8]) -> io::Result<String> {
     let raw = minilz::decompress(bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     String::from_utf8(raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
@@ -304,20 +267,9 @@ impl StoreBackend for LocalDirBackend {
         format!("local dir {}", self.root.display())
     }
 
-    fn get(&self, address: &str) -> io::Result<Option<RawEntry>> {
-        match fs::read(self.v2_path(address)) {
-            Ok(bytes) => {
-                return Ok(Some(RawEntry {
-                    version: STORE_SCHEMA_VERSION,
-                    body: decode_v2(&bytes)?,
-                }))
-            }
-            // A missing current-version container falls through to v1.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        match fs::read_to_string(self.v1_path(address)) {
-            Ok(body) => Ok(Some(RawEntry { version: 1, body })),
+    fn get(&self, address: &str) -> io::Result<Option<String>> {
+        match fs::read(self.entry_path(address)) {
+            Ok(bytes) => decode(&bytes).map(Some),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
@@ -325,18 +277,13 @@ impl StoreBackend for LocalDirBackend {
 
     fn put(&self, address: &str, body: &str) -> io::Result<u64> {
         let frame = minilz::compress(body.as_bytes());
-        self.write_atomically(&self.v2_path(address), &frame)?;
-        // Supersede any v1-era container for the same address so scans and
-        // retention see exactly one entry per key.
-        let _ = fs::remove_file(self.v1_path(address));
+        self.write_atomically(&self.entry_path(address), &frame)?;
         Ok(frame.len() as u64)
     }
 
     fn list(&self) -> io::Result<Vec<StoreEntry>> {
-        let scan_time = SystemTime::now();
         let mut entries = Vec::new();
-        self.scan_version(1, "json", scan_time, &mut entries)?;
-        self.scan_version(STORE_SCHEMA_VERSION, "mlz", scan_time, &mut entries)?;
+        self.scan(SystemTime::now(), &mut entries)?;
         entries.sort_by(|a, b| {
             a.modified
                 .cmp(&b.modified)
@@ -345,16 +292,8 @@ impl StoreBackend for LocalDirBackend {
         Ok(entries)
     }
 
-    fn read_body(&self, entry: &StoreEntry) -> io::Result<RawEntry> {
-        let body = if entry.version == 1 {
-            fs::read_to_string(&entry.path)?
-        } else {
-            decode_v2(&fs::read(&entry.path)?)?
-        };
-        Ok(RawEntry {
-            version: entry.version,
-            body,
-        })
+    fn read_body(&self, entry: &StoreEntry) -> io::Result<String> {
+        decode(&fs::read(&entry.path)?)
     }
 
     fn remove(&self, entry: &StoreEntry) -> io::Result<bool> {

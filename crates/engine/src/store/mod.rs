@@ -5,7 +5,7 @@
 //! persistence a re-run of a suite pays full solve cost for every distinct
 //! problem instance. The store closes that gap: each completed solve is
 //! written out keyed by the same canonical identity the in-memory cache
-//! uses — the (configuration, options, flow) triple of the
+//! uses — the (configuration, options, flow, solver revision) of the
 //! [`CanonicalKey`] — and later runs (of any process) read it back instead
 //! of solving again.
 //!
@@ -26,19 +26,26 @@
 //! # Layout (the local backend)
 //!
 //! ```text
-//! <root>/v2/<hh>/<hhhhhhhhhhhhhhhh>.mlz   current: minilz-compressed JSON
-//! <root>/v1/<hh>/<hhhhhhhhhhhhhhhh>.json  read-compat: plain JSON
+//! <root>/v2/<hh>/<hhhhhhhhhhhhhhhh>.mlz   minilz-compressed JSON
 //! ```
 //!
 //! where `hhhhhhhhhhhhhhhh` is the 16-hex-digit FNV-1a hash of the full
 //! cache key ([`entry_address`]) and `<hh>` its first two digits (a
 //! 256-way fan-out so no single directory grows huge). `v2` is
-//! [`STORE_SCHEMA_VERSION`]; `v1` trees written by older builds stay
-//! readable ([`OLDEST_READABLE_SCHEMA`]) and migrate either lazily on
-//! rewrite or in one pass via `bbs cache gc --recompress`. Each entry body
-//! is a single JSON object that repeats the *full* canonical key, so a
-//! 64-bit hash collision is detected by string comparison and treated as a
-//! miss, never as a wrong answer.
+//! [`STORE_SCHEMA_VERSION`]. Each entry body is a single JSON object that
+//! repeats the *full* canonical key, solver revision included, so a 64-bit
+//! hash collision is detected by comparison and treated as a miss, never as
+//! a wrong answer.
+//!
+//! # Solver revisions
+//!
+//! Raw values depend on the solver's arithmetic, so the address and the
+//! body both carry [`bbs_conic::SOLVER_REVISION`]. A build looks entries up
+//! only at its own revision's addresses and rejects a body of another
+//! revision, so no store, local or remote, serves one revision's raw values
+//! to another: after an upgrade every point is solved fresh once. Entries
+//! of older revisions stay on disk as [`StoreSummary::stale`] until
+//! `bbs cache gc` or `bbs cache clear` removes them.
 //!
 //! # Crash- and concurrency-safety
 //!
@@ -93,14 +100,12 @@ pub mod backend;
 pub mod breaker;
 pub mod remote;
 
-pub use backend::{
-    LocalDirBackend, RawEntry, StoreBackend, StoreEntry, OLDEST_READABLE_SCHEMA,
-    STORE_SCHEMA_VERSION,
-};
+pub use backend::{LocalDirBackend, StoreBackend, StoreEntry, STORE_SCHEMA_VERSION};
 pub use breaker::{BreakerConfig, CircuitBreaker, RemoteHealth};
 pub use remote::RemoteBackend;
 
 use crate::cache::CanonicalKey;
+use bbs_conic::SOLVER_REVISION;
 use bbs_taskgraph::{fnv1a, BufferRef, Configuration, MemoryId, ProcessorId, TaskRef};
 use budget_buffer::{Mapping, MappingError};
 use serde::{Deserialize, Serialize};
@@ -126,7 +131,7 @@ pub struct StoreStats {
     /// plus read-through fills from the remote tier.
     pub stored: u64,
     /// Entries ignored because they were corrupt, carried a foreign schema
-    /// version, or collided with a different key.
+    /// version or solver revision, or collided with a different key.
     pub rejected: u64,
     /// Whether a remote tier is attached. Configuration, not a counter —
     /// it lets renderers show the remote column only when one exists.
@@ -153,25 +158,22 @@ pub struct StoreStats {
 /// What `bbs cache stats` reports: a full scan of the primary tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreSummary {
-    /// Readable entries of a supported schema version.
+    /// Valid entries of this build's solver revision: the ones lookups
+    /// serve.
     pub entries: u64,
-    /// Entries holding a feasible mapping.
+    /// Of `entries`, those holding a feasible mapping.
     pub feasible: u64,
-    /// Entries holding a persisted infeasibility.
+    /// Of `entries`, those holding a persisted infeasibility.
     pub infeasible: u64,
+    /// Valid entries of another solver revision, which no lookup serves.
+    pub stale: u64,
     /// Files that failed to read or parse, or carry a foreign schema
     /// version.
     pub corrupt: u64,
-    /// Valid entries still in the `v1` (plain JSON) container format.
-    pub v1_entries: u64,
-    /// Valid entries in the current `v2` (compressed) container format.
-    pub v2_entries: u64,
-    /// Physical size of all entry files, in bytes (compressed sizes for
-    /// `v2`).
+    /// Physical (compressed) size of all entry files, in bytes.
     pub total_bytes: u64,
     /// Uncompressed size of all readable entry bodies, in bytes. The
-    /// `logical/physical` ratio is the compression win; for a pure-`v1`
-    /// tree the two are equal.
+    /// `logical/physical` ratio is the compression win.
     pub logical_bytes: u64,
 }
 
@@ -205,31 +207,30 @@ pub struct GcOutcome {
     pub unreadable_mtimes: u64,
 }
 
-/// What a [`SolveStore::recompress`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecompressOutcome {
-    /// `v1` entries rewritten as `v2` containers.
-    pub migrated: u64,
-    /// Entries already in the current container format, left untouched.
-    pub already_current: u64,
-    /// `v1` files skipped because they failed to read or validate; they
-    /// stay in place for `bbs cache stats` to report as corrupt.
-    pub corrupt: u64,
-    /// Valid `v1` entries whose rewrite failed (I/O); left in place.
-    pub failed: u64,
-}
-
 /// One entry body: the full canonical key (collision guard) plus exactly
 /// one of a stored mapping or a stored infeasibility.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoredEntry {
     schema: u64,
+    /// The solver revision that computed the outcome; `None` in bodies
+    /// written before the field existed, by revision 1.
+    solver_revision: Option<u64>,
     fingerprint: u64,
     configuration: String,
     options: String,
     flow: String,
     feasible: Option<StoredMapping>,
     infeasible: Option<StoredInfeasibility>,
+}
+
+impl StoredEntry {
+    /// Whether the body has this build's schema and solver revision and
+    /// exactly one outcome: whether a lookup at its address may serve it.
+    fn is_current(&self) -> bool {
+        self.schema == STORE_SCHEMA_VERSION
+            && self.solver_revision == Some(SOLVER_REVISION)
+            && self.feasible.is_some() != self.infeasible.is_some()
+    }
 }
 
 /// The raw solver values a [`Mapping`] is deterministically rebuilt from.
@@ -489,8 +490,8 @@ impl SolveStore {
         configuration: &Configuration,
         count_read_errors: bool,
     ) -> Option<(Result<Mapping, MappingError>, String)> {
-        let raw = match tier.get(address) {
-            Ok(Some(raw)) => raw,
+        let body = match tier.get(address) {
+            Ok(Some(body)) => body,
             // A missing entry is the normal cold-cache case, not a rejection.
             Ok(None) => return None,
             Err(_) => {
@@ -500,15 +501,16 @@ impl SolveStore {
                 return None;
             }
         };
-        let Ok(entry) = serde_json::from_str::<StoredEntry>(&raw.body) else {
+        let Ok(entry) = serde_json::from_str::<StoredEntry>(&body) else {
             return self.reject();
         };
-        if !is_readable_schema(entry.schema) {
+        if !entry.is_current() {
             return self.reject();
         }
         // Full-key comparison: a 64-bit hash collision surfaces here and
         // falls back to a fresh solve instead of returning a wrong answer.
-        if entry.fingerprint != key.fingerprint
+        if entry.solver_revision != Some(key.solver_revision)
+            || entry.fingerprint != key.fingerprint
             || entry.configuration != key.configuration
             || entry.options != key.options
             || entry.flow != key.flow
@@ -517,11 +519,11 @@ impl SolveStore {
         }
         match (entry.feasible, entry.infeasible) {
             (Some(mapping), None) => match decode_mapping(&mapping, configuration) {
-                Some(mapping) => Some((Ok(mapping), raw.body)),
+                Some(mapping) => Some((Ok(mapping), body)),
                 None => self.reject(),
             },
             (None, Some(error)) => match decode_infeasibility(&error) {
-                Some(error) => Some((Err(error), raw.body)),
+                Some(error) => Some((Err(error), body)),
                 None => self.reject(),
             },
             _ => self.reject(),
@@ -622,15 +624,15 @@ impl SolveStore {
     /// # Errors
     ///
     /// The primary backend's read error.
-    pub fn peer_get(&self, address: &str) -> io::Result<Option<RawEntry>> {
+    pub fn peer_get(&self, address: &str) -> io::Result<Option<String>> {
         self.primary.get(address)
     }
 
     /// Serves one `store_put` request from a peer: validates the body
-    /// (parseable, supported schema, exactly one outcome), derives the
-    /// address from the *embedded* canonical key — the peer's claimed
-    /// address is never trusted — and persists it through the same capped
-    /// write path as local saves.
+    /// (parseable, this build's schema and solver revision, exactly one
+    /// outcome), derives the address from the *embedded* canonical key —
+    /// the peer's claimed address is never trusted — and persists it
+    /// through the same capped write path as local saves.
     ///
     /// # Errors
     ///
@@ -639,16 +641,27 @@ impl SolveStore {
     pub fn peer_put(&self, body: &str) -> Result<(), String> {
         let entry = serde_json::from_str::<StoredEntry>(body)
             .map_err(|e| format!("entry body is not valid JSON: {e}"))?;
-        if !is_readable_schema(entry.schema) {
+        if entry.schema != STORE_SCHEMA_VERSION {
             return Err(format!(
-                "unsupported entry schema {} (this build reads {OLDEST_READABLE_SCHEMA}..={STORE_SCHEMA_VERSION})",
+                "unsupported entry schema {} (this build reads {STORE_SCHEMA_VERSION})",
                 entry.schema
+            ));
+        }
+        if entry.solver_revision != Some(SOLVER_REVISION) {
+            return Err(format!(
+                "entry of solver revision {} (this build serves revision {SOLVER_REVISION})",
+                entry.solver_revision.unwrap_or(1)
             ));
         }
         if entry.feasible.is_some() == entry.infeasible.is_some() {
             return Err("entry must hold exactly one of feasible/infeasible".to_string());
         }
-        let address = address_of_parts(&entry.configuration, &entry.options, &entry.flow);
+        let address = address_of_parts(
+            &entry.configuration,
+            &entry.options,
+            &entry.flow,
+            SOLVER_REVISION,
+        );
         if self.persist_primary(&address, body) {
             Ok(())
         } else {
@@ -656,12 +669,11 @@ impl SolveStore {
         }
     }
 
-    /// Every entry file of the primary tier, all supported versions,
-    /// sorted oldest-first (ties broken by path so GC is deterministic
-    /// regardless of readdir order). Entries whose mtime the filesystem
-    /// cannot report are stamped with the scan time — i.e. as the newest
-    /// files present — so retention policies never mistake them for
-    /// infinitely old. Files that vanish mid-scan — a concurrent
+    /// Every entry file of the primary tier, sorted oldest-first (ties
+    /// broken by path so GC is deterministic regardless of readdir order).
+    /// Entries whose mtime the filesystem cannot report are stamped with
+    /// the scan time — i.e. as the newest files present — so retention
+    /// policies never mistake them for infinitely old. Files that vanish mid-scan — a concurrent
     /// `gc`/`clear` — are skipped, not errors.
     ///
     /// # Errors
@@ -680,40 +692,36 @@ impl SolveStore {
         let mut summary = StoreSummary::default();
         for entry in self.primary.list()? {
             summary.total_bytes += entry.bytes;
-            let raw = self.primary.read_body(&entry).ok();
-            if let Some(raw) = &raw {
-                summary.logical_bytes += raw.body.len() as u64;
+            let body = self.primary.read_body(&entry).ok();
+            if let Some(body) = &body {
+                summary.logical_bytes += body.len() as u64;
             }
             // Classify with the same validity rule lookups apply, so stats
             // never report entries a lookup would reject.
-            let parsed = raw
-                .and_then(|raw| serde_json::from_str::<StoredEntry>(&raw.body).ok())
-                .filter(|parsed| is_readable_schema(parsed.schema));
-            match parsed.map(|parsed| (parsed.feasible.is_some(), parsed.infeasible.is_some())) {
-                Some((true, false)) => {
+            let parsed = body.and_then(|body| serde_json::from_str::<StoredEntry>(&body).ok());
+            match parsed {
+                Some(parsed) if parsed.is_current() => {
                     summary.entries += 1;
-                    summary.feasible += 1;
+                    if parsed.feasible.is_some() {
+                        summary.feasible += 1;
+                    } else {
+                        summary.infeasible += 1;
+                    }
                 }
-                Some((false, true)) => {
-                    summary.entries += 1;
-                    summary.infeasible += 1;
+                Some(parsed)
+                    if parsed.schema == STORE_SCHEMA_VERSION
+                        && parsed.solver_revision != Some(SOLVER_REVISION) =>
+                {
+                    summary.stale += 1;
                 }
-                Some(_) | None => {
-                    summary.corrupt += 1;
-                    continue;
-                }
-            }
-            if entry.version == 1 {
-                summary.v1_entries += 1;
-            } else {
-                summary.v2_entries += 1;
+                Some(_) | None => summary.corrupt += 1,
             }
         }
         Ok(summary)
     }
 
-    /// Removes every entry of the primary tier (all schema versions).
-    /// Returns the number of files removed.
+    /// Removes every entry of the primary tier (all schema versions and
+    /// solver revisions). Returns the number of files removed.
     ///
     /// # Errors
     ///
@@ -743,68 +751,38 @@ impl SolveStore {
         }
         Ok(outcome)
     }
-
-    /// Migrates every valid `v1` (plain JSON) entry of the primary tier
-    /// into the current compressed `v2` container format, in place —
-    /// `bbs cache gc --recompress`. Bodies are carried over *verbatim*
-    /// (never re-serialised), so the collision guard and a warm replay are
-    /// untouched; only the container changes. Corrupt `v1` files are left
-    /// in place for `bbs cache stats` to report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`io::Error`] when the tree cannot be read.
-    pub fn recompress(&self) -> io::Result<RecompressOutcome> {
-        let mut outcome = RecompressOutcome::default();
-        for entry in self.primary.list()? {
-            if entry.version >= STORE_SCHEMA_VERSION {
-                outcome.already_current += 1;
-                continue;
-            }
-            let Ok(raw) = self.primary.read_body(&entry) else {
-                outcome.corrupt += 1;
-                continue;
-            };
-            let valid = serde_json::from_str::<StoredEntry>(&raw.body)
-                .ok()
-                .filter(|parsed| is_readable_schema(parsed.schema))
-                .is_some_and(|parsed| parsed.feasible.is_some() != parsed.infeasible.is_some());
-            let Some(address) = entry_file_address(&entry.path) else {
-                outcome.corrupt += 1;
-                continue;
-            };
-            if !valid {
-                outcome.corrupt += 1;
-                continue;
-            }
-            // `put` supersedes the v1 container as part of its contract.
-            if self.primary.put(&address, &raw.body).is_ok() {
-                outcome.migrated += 1;
-            } else {
-                outcome.failed += 1;
-            }
-        }
-        Ok(outcome)
-    }
 }
 
 /// The content address of a key: the 16-hex-digit FNV-1a hash over the
 /// full canonical identity — the file stem every backend stores the entry
 /// under.
 pub fn entry_address(key: &CanonicalKey) -> String {
-    address_of_parts(&key.configuration, &key.options, &key.flow)
+    address_of_parts(
+        &key.configuration,
+        &key.options,
+        &key.flow,
+        key.solver_revision,
+    )
 }
 
 /// [`entry_address`] from the raw canonical strings (used when the key
 /// arrives embedded in an entry body instead of as a [`CanonicalKey`]).
-/// NUL separators keep `(configuration, options)` splits unambiguous.
-pub fn address_of_parts(configuration: &str, options: &str, flow: &str) -> String {
-    let mut bytes = Vec::with_capacity(configuration.len() + options.len() + flow.len() + 2);
+/// NUL separators keep `(configuration, options)` splits unambiguous; the
+/// solver revision follows as 8 little-endian bytes.
+pub fn address_of_parts(
+    configuration: &str,
+    options: &str,
+    flow: &str,
+    solver_revision: u64,
+) -> String {
+    let mut bytes = Vec::with_capacity(configuration.len() + options.len() + flow.len() + 11);
     bytes.extend_from_slice(configuration.as_bytes());
     bytes.push(0);
     bytes.extend_from_slice(options.as_bytes());
     bytes.push(0);
     bytes.extend_from_slice(flow.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(&solver_revision.to_le_bytes());
     format!("{:016x}", fnv1a(&bytes))
 }
 
@@ -815,17 +793,6 @@ pub fn is_entry_address(text: &str) -> bool {
         && text
             .bytes()
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-}
-
-/// Whether entries of this schema version are readable by this build.
-fn is_readable_schema(schema: u64) -> bool {
-    (OLDEST_READABLE_SCHEMA..=STORE_SCHEMA_VERSION).contains(&schema)
-}
-
-/// The address an entry file sits at: its stem, when it is one.
-fn entry_file_address(path: &Path) -> Option<String> {
-    let stem = path.file_stem()?.to_str()?;
-    is_entry_address(stem).then(|| stem.to_string())
 }
 
 /// Encodes one persistable result as an entry body (`None` for transient
@@ -840,6 +807,7 @@ fn encode_entry(key: &CanonicalKey, result: &Result<Mapping, MappingError>) -> O
     };
     let entry = StoredEntry {
         schema: STORE_SCHEMA_VERSION,
+        solver_revision: Some(key.solver_revision),
         fingerprint: key.fingerprint,
         configuration: key.configuration.clone(),
         options: key.options.clone(),
@@ -1043,12 +1011,12 @@ mod tests {
         (configuration, key, result)
     }
 
-    /// The v2 container path of `key` under `root` (test-side mirror of the
+    /// The container path of `key` under `root` (test-side mirror of the
     /// local backend's layout).
-    fn v2_path(root: &Path, key: &CanonicalKey) -> PathBuf {
+    fn entry_path(root: &Path, key: &CanonicalKey) -> PathBuf {
         LocalDirBackend::open_existing(root)
             .unwrap()
-            .v2_path(&entry_address(key))
+            .entry_path(&entry_address(key))
     }
 
     /// Reads a v2 container's body text back (decompressed).
@@ -1061,16 +1029,6 @@ mod tests {
     fn write_v2(path: &Path, text: &str) {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(path, minilz::compress(text.as_bytes())).unwrap();
-    }
-
-    /// Writes a pre-migration plain-JSON v1 container for `key`.
-    fn write_v1(root: &Path, key: &CanonicalKey, body: &str) -> PathBuf {
-        let path = LocalDirBackend::open_existing(root)
-            .unwrap()
-            .v1_path(&entry_address(key));
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, body).unwrap();
-        path
     }
 
     #[test]
@@ -1151,7 +1109,7 @@ mod tests {
         let store = SolveStore::open(directory.path()).unwrap();
         let (configuration, key, result) = solved();
         store.save(&key, &result);
-        let path = v2_path(directory.path(), &key);
+        let path = entry_path(directory.path(), &key);
 
         // Not a valid minilz frame at all: an unreadable container.
         fs::write(&path, "{truncated").unwrap();
@@ -1179,9 +1137,9 @@ mod tests {
         // can produce this synthetic canonical JSON.)
         let mut colliding = key.clone();
         colliding.configuration.push(' ');
-        let collision_path = v2_path(directory.path(), &colliding);
+        let collision_path = entry_path(directory.path(), &colliding);
         fs::create_dir_all(collision_path.parent().unwrap()).unwrap();
-        fs::copy(v2_path(directory.path(), &key), &collision_path).unwrap();
+        fs::copy(entry_path(directory.path(), &key), &collision_path).unwrap();
         assert!(
             store.try_load(&colliding, &configuration).is_none(),
             "collision must miss"
@@ -1195,7 +1153,7 @@ mod tests {
         let store = SolveStore::open(directory.path()).unwrap();
         let (configuration, key, result) = solved();
         store.save(&key, &result);
-        let path = v2_path(directory.path(), &key);
+        let path = entry_path(directory.path(), &key);
         let mut entry: StoredEntry = serde_json::from_str(&read_v2(&path)).unwrap();
         let stored = entry.feasible.as_mut().unwrap();
         // Point a budget at a task that does not exist in the configuration.
@@ -1257,7 +1215,6 @@ mod tests {
     fn synthetic_entry(name: &str, age: Duration, now: SystemTime, readable: bool) -> StoreEntry {
         StoreEntry {
             path: PathBuf::from(name),
-            version: STORE_SCHEMA_VERSION,
             modified: now.checked_sub(age).unwrap(),
             mtime_readable: readable,
             bytes: 1,
@@ -1520,8 +1477,7 @@ mod tests {
         assert_eq!(summary.feasible, 1);
         assert_eq!(summary.infeasible, 1);
         assert_eq!(summary.corrupt, 1);
-        assert_eq!(summary.v2_entries, 2);
-        assert_eq!(summary.v1_entries, 0);
+        assert_eq!(summary.stale, 0);
         assert!(summary.total_bytes > 0);
         assert!(
             summary.logical_bytes > summary.total_bytes - 11,
@@ -1529,70 +1485,43 @@ mod tests {
         );
     }
 
-    /// Produces the exact plain-JSON body a v1-era build would have written
-    /// for this key/result.
-    fn v1_body(key: &CanonicalKey, result: &Result<Mapping, MappingError>) -> String {
-        let mut body = encode_entry(key, result).unwrap();
-        // encode_entry stamps the current schema; a v1 build wrote 1.
-        body = body.replacen(
-            &format!("\"schema\":{STORE_SCHEMA_VERSION}"),
-            "\"schema\":1",
-            1,
+    #[test]
+    fn entries_of_another_solver_revision_are_never_served() {
+        let directory = TempDir::new("revision");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let (configuration, key, result) = solved();
+        // Bodies of revision 1 carry no revision; plant one at this key's
+        // address, as a collision or a stale peer could.
+        let mut stale: StoredEntry =
+            serde_json::from_str(&encode_entry(&key, &result).unwrap()).unwrap();
+        stale.solver_revision = None;
+        let stale = serde_json::to_string(&stale).unwrap();
+        write_v2(&entry_path(directory.path(), &key), &stale);
+
+        assert!(store.load(&key, &configuration).is_none());
+        let stats = store.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.rejected, stats.fresh_solves),
+            (0, 1, 1)
         );
-        body
-    }
-
-    #[test]
-    fn v1_entries_are_read_and_superseded_on_rewrite() {
-        let directory = TempDir::new("v1-compat");
-        let store = SolveStore::open(directory.path()).unwrap();
-        let (configuration, key, result) = solved();
-        let v1 = write_v1(directory.path(), &key, &v1_body(&key, &result));
-
-        // A v1 tree is fully visible: lookups, stats, per-version counts.
-        let loaded = store.load(&key, &configuration).expect("v1 entry readable");
-        assert_eq!(loaded.unwrap(), result.clone().unwrap());
-        assert_eq!(store.stats().disk_hits, 1);
         let summary = store.summary().unwrap();
-        assert_eq!(summary.entries, 1);
-        assert_eq!(summary.v1_entries, 1);
-        assert_eq!(summary.v2_entries, 0);
-        assert_eq!(summary.logical_bytes, summary.total_bytes);
+        assert_eq!((summary.entries, summary.stale, summary.corrupt), (0, 1, 0));
+        let refusal = store.peer_put(&stale).unwrap_err();
+        assert!(refusal.contains("solver revision 1"), "{refusal}");
+        // Another revision's key addresses another entry.
+        let other = CanonicalKey {
+            solver_revision: SOLVER_REVISION + 1,
+            ..key.clone()
+        };
+        assert_ne!(entry_address(&other), entry_address(&key));
+        assert!(store.load(&other, &configuration).is_none());
 
-        // A rewrite migrates the entry: the v2 container supersedes the v1
-        // file so scans see exactly one entry per key.
+        // The fresh solve's save replaces the stale body.
         store.save(&key, &result);
-        assert!(!v1.exists(), "v1 container must be superseded");
-        assert!(v2_path(directory.path(), &key).exists());
-        assert_eq!(store.summary().unwrap().v2_entries, 1);
-    }
-
-    #[test]
-    fn recompress_migrates_v1_bodies_verbatim() {
-        let directory = TempDir::new("recompress");
-        let store = SolveStore::open(directory.path()).unwrap();
-        let (configuration, key, result) = solved();
-        let body = v1_body(&key, &result);
-        let v1 = write_v1(directory.path(), &key, &body);
-        // One corrupt straggler stays in place.
-        let junk = directory.path().join("v1").join("zz");
-        fs::create_dir_all(&junk).unwrap();
-        fs::write(junk.join("0000000000000000.json"), "not json").unwrap();
-
-        let outcome = store.recompress().unwrap();
-        assert_eq!(outcome.migrated, 1);
-        assert_eq!(outcome.corrupt, 1);
-        assert_eq!(outcome.already_current, 0);
-        assert!(!v1.exists(), "migrated v1 container is removed");
-        // The body survives byte-for-byte (still schema 1 inside a v2
-        // container — containers and body schemas are independent).
-        assert_eq!(read_v2(&v2_path(directory.path(), &key)), body);
-        assert!(store.load(&key, &configuration).is_some());
-
-        // A second pass finds nothing left to migrate.
-        let again = store.recompress().unwrap();
-        assert_eq!(again.migrated, 0);
-        assert_eq!(again.already_current, 1);
+        let loaded = store.load(&key, &configuration).expect("current entry");
+        assert_eq!(loaded.unwrap(), result.unwrap());
+        let summary = store.summary().unwrap();
+        assert_eq!((summary.entries, summary.stale), (1, 0));
     }
 
     #[test]
@@ -1647,17 +1576,9 @@ mod tests {
         fn describe(&self) -> String {
             "in-memory test backend".to_string()
         }
-        fn get(&self, address: &str) -> io::Result<Option<RawEntry>> {
+        fn get(&self, address: &str) -> io::Result<Option<String>> {
             self.gets.fetch_add(1, Ordering::Relaxed);
-            Ok(self
-                .entries
-                .lock()
-                .unwrap()
-                .get(address)
-                .map(|body| RawEntry {
-                    version: STORE_SCHEMA_VERSION,
-                    body: body.clone(),
-                }))
+            Ok(self.entries.lock().unwrap().get(address).cloned())
         }
         fn put(&self, address: &str, body: &str) -> io::Result<u64> {
             self.puts.fetch_add(1, Ordering::Relaxed);
@@ -1670,7 +1591,7 @@ mod tests {
         fn list(&self) -> io::Result<Vec<StoreEntry>> {
             Err(io::Error::new(io::ErrorKind::Unsupported, "list"))
         }
-        fn read_body(&self, _entry: &StoreEntry) -> io::Result<RawEntry> {
+        fn read_body(&self, _entry: &StoreEntry) -> io::Result<String> {
             Err(io::Error::new(io::ErrorKind::Unsupported, "read_body"))
         }
         fn remove(&self, _entry: &StoreEntry) -> io::Result<bool> {

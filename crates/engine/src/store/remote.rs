@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use super::backend::{RawEntry, StoreBackend, StoreEntry, STORE_SCHEMA_VERSION};
+use super::backend::{StoreBackend, StoreEntry};
 use super::breaker::{BreakerConfig, CircuitBreaker, Gate, RemoteHealth};
 use crate::serve::protocol::{read_reply, send_request, Reply, Request, StoreReport};
 
@@ -341,13 +341,10 @@ impl StoreBackend for RemoteBackend {
         format!("remote peer {}", self.addr)
     }
 
-    fn get(&self, address: &str) -> io::Result<Option<RawEntry>> {
+    fn get(&self, address: &str) -> io::Result<Option<String>> {
         let reply = self.request(&Request::store_get(address))?;
         match reply.kind.as_str() {
-            "store_entry" => Ok(reply.entry.map(|body| RawEntry {
-                version: reply.entry_version.unwrap_or(STORE_SCHEMA_VERSION),
-                body,
-            })),
+            "store_entry" => Ok(reply.entry),
             _ => {
                 // A peer that answers but refuses (no store attached, bad
                 // address) will refuse every key; stop asking — permanently,
@@ -382,7 +379,7 @@ impl StoreBackend for RemoteBackend {
         Err(unsupported("list"))
     }
 
-    fn read_body(&self, _entry: &StoreEntry) -> io::Result<RawEntry> {
+    fn read_body(&self, _entry: &StoreEntry) -> io::Result<String> {
         Err(unsupported("read_body"))
     }
 

@@ -61,22 +61,23 @@ pub fn fig3_scenario() -> Scenario {
 /// Run-time scaling (E4): one scenario per random-DAG size, solved once
 /// each, no sweep.
 pub fn runtime_scenarios() -> Vec<Scenario> {
-    RUNTIME_SIZES
-        .iter()
-        .map(|&n| {
-            let random = RandomWorkload {
-                num_tasks: n,
-                num_processors: (n / 2).max(2),
-                extra_edge_probability: 0.2,
-                seed: 7 + n as u64,
-                ..RandomWorkload::default()
-            };
-            Scenario::new(
-                &format!("runtime-{n:02}"),
-                WorkloadSpec::preset(PresetSpec::named("random-dag").with_random(random)),
-            )
-        })
-        .collect()
+    RUNTIME_SIZES.iter().map(|&n| runtime_scenario(n)).collect()
+}
+
+/// The run-time recipe at `n` tasks: a random DAG on `n / 2` processors
+/// (at least 2), extra-edge probability 0.2, seed `7 + n`.
+pub fn runtime_scenario(n: usize) -> Scenario {
+    let random = RandomWorkload {
+        num_tasks: n,
+        num_processors: (n / 2).max(2),
+        extra_edge_probability: 0.2,
+        seed: 7 + n as u64,
+        ..RandomWorkload::default()
+    };
+    Scenario::new(
+        &format!("runtime-{n:02}"),
+        WorkloadSpec::preset(PresetSpec::named("random-dag").with_random(random)),
+    )
 }
 
 /// Ablation (E5): joint SOCP (both back-ends) versus the two-phase

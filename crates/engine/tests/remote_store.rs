@@ -91,7 +91,10 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
         .summary()
         .unwrap();
     assert_eq!(peer_summary.entries, 8, "write-behind reached the peer");
-    assert_eq!(peer_summary.v2_entries, 8);
+    assert_eq!(
+        peer_summary.stale, 0,
+        "every entry is of this solver revision"
+    );
 
     // Run 2: a brand-new local dir — every miss is served by the peer and
     // read through into the local tier; nothing is solved.
@@ -152,7 +155,7 @@ fn peer_stats_reports_the_daemon_store_and_a_dead_peer_degrades_gracefully() {
     let probe = RemoteBackend::connect(&addr).unwrap();
     let report = probe.peer_stats().unwrap();
     assert_eq!(report.entries, 8);
-    assert_eq!(report.v2_entries, 8);
+    assert_eq!(report.stale, 0);
     drop(probe);
 
     // Kill the peer. A tiered run against the dead address must still

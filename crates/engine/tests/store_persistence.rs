@@ -376,8 +376,8 @@ fn cache_stats_json_emits_the_shared_stats_snapshot() {
     // The output is the serve protocol's stats object — same serializer,
     // same schema — restricted to the store section an offline CLI has.
     let snapshot = StatsSnapshot::from_json(&text).expect("stats --json parses");
-    // Schema 3 added the session-reap and remote-breaker counters.
-    assert_eq!(snapshot.schema, 3);
+    // Schema 4 replaced the per-container entry counts with `stale`.
+    assert_eq!(snapshot.schema, 4);
     assert!(snapshot.queue.is_none());
     assert!(snapshot.engine.is_none());
     assert!(snapshot.cache.is_none());
@@ -389,10 +389,10 @@ fn cache_stats_json_emits_the_shared_stats_snapshot() {
     assert_eq!(store.corrupt, 0);
     assert!(store.total_bytes > 0);
     assert!(store.directory.ends_with("cache"));
-    // A freshly-written store is all-v2, and the logical (uncompressed)
-    // size is tracked separately from the on-disk size.
-    assert_eq!(store.v1_entries, 0);
-    assert_eq!(store.v2_entries, 8);
+    // A freshly-written store holds only this solver revision, and the
+    // logical (uncompressed) size is tracked separately from the on-disk
+    // size.
+    assert_eq!(store.stale, 0);
     assert!(store.logical_bytes > 0);
     // This invocation only scanned; it moved no traffic.
     assert_eq!(store.disk_hits, 0);

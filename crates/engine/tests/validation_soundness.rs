@@ -10,7 +10,7 @@
 //! stage. The engine layer runs the same suites through
 //! `RunSettings::validate_all` and asserts the attached verdicts agree.
 
-use bbs_engine::suites::{paper_plus_suite, paper_suite};
+use bbs_engine::suites::{paper_plus_suite, paper_suite, runtime_scenario};
 use bbs_engine::{run_suite, RunSettings, Suite, ValidationReport};
 use bbs_scheduler_sim::{measurement_tolerance, simulate_mapping, SimulationSettings};
 use std::collections::BTreeMap;
@@ -103,4 +103,11 @@ fn every_feasible_paper_point_replays_soundly() {
 #[test]
 fn every_feasible_paper_plus_point_replays_soundly() {
     assert_suite_is_sound(&paper_plus_suite());
+}
+
+#[test]
+fn the_48_task_runtime_recipe_solves_verifies_and_replays_soundly() {
+    // Twice the largest paper size: 24 processors, seed 55. The mapping is
+    // verified by the solve itself (`SolveOptions::verify`), then replayed.
+    assert_suite_is_sound(&Suite::new("runtime-48", vec![runtime_scenario(48)]));
 }

@@ -7,16 +7,14 @@
 //!   arithmetic and the least-squares starting point;
 //! * a compressed-row matrix ([`CsrMatrix`]) and a sparse LDLᵀ
 //!   factorisation ([`SparseLdlt`]), for the quasi-definite KKT system
-//!   factored in every iteration. Its symbolic analysis runs once; the
-//!   numeric factor is recomputed in place.
+//!   factored in every iteration. Its symbolic analysis, including an exact
+//!   minimum-degree order of the pattern, runs once; the numeric factor is
+//!   recomputed in place.
 //!
-//! The sparse kernels are bit-identical to their dense counterparts
-//! ([`DMatrix::matvec`], [`DMatrix::matvec_transpose`], [`Ldlt`]). They
-//! perform the same floating-point operations in the same order and skip
-//! only terms with a structurally zero factor. The dense [`Ldlt`] stays as
-//! the test oracle that checks this. The crate keeps a deliberately small,
-//! well-tested surface instead of pulling in a large external
-//! linear-algebra dependency.
+//! The order depends on the sparsity pattern alone, so a factorisation
+//! rounds the same way on every machine and for every caller. The crate
+//! keeps a deliberately small, well-tested surface instead of pulling in a
+//! large external linear-algebra dependency.
 //!
 //! # Example
 //!
@@ -40,17 +38,16 @@
 
 mod cholesky;
 mod csr;
-mod ldlt;
 mod matrix;
+mod ordering;
 mod sparse_ldlt;
 mod triangular;
 mod vector;
 
 pub use cholesky::{Cholesky, CholeskyError};
 pub use csr::CsrMatrix;
-pub use ldlt::{Ldlt, LdltError};
 pub use matrix::DMatrix;
-pub use sparse_ldlt::SparseLdlt;
+pub use sparse_ldlt::{LdltError, SparseLdlt};
 pub use triangular::{solve_lower, solve_lower_transpose};
 pub use vector::DVector;
 
