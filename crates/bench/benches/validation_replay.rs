@@ -15,9 +15,15 @@
 //! * `pooled_gen_smoke_warm` — a full pooled `run_suite` of the generated
 //!   `gen-smoke` suite on a warm shared cache: with every solve a memo hit,
 //!   the run is dominated by exactly the replay work `bbs validate` adds.
+//! * `gen_seed11_serial` — every feasible mapping of the 200-point
+//!   `generate_suite` of seed 11, replayed one after another by
+//!   `validate_mapping` on one thread: the simulator kernel alone, over
+//!   all four generated families (solved once, outside the timed loop).
 
 use bbs_engine::suites::{gen_smoke_suite, paper_suite};
-use bbs_engine::{run_suite, validate_outcome, Engine, RunSettings, SolveCache};
+use bbs_engine::{
+    generate_suite, run_suite, validate_outcome, Engine, GenParams, RunSettings, SolveCache,
+};
 use bbs_scheduler_sim::{validate_mapping, SimulationSettings};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
@@ -85,6 +91,42 @@ fn bench_validation_replay(c: &mut Criterion) {
                     .run_suite_with_cache(&suite, &validate(4), &cache)
                     .unwrap(),
             )
+        });
+    });
+
+    // Every feasible generated mapping, replayed serially.
+    let generated = run_suite(
+        &generate_suite(&GenParams {
+            seed: 11,
+            points: 200,
+        }),
+        &RunSettings::with_jobs(4),
+    )
+    .unwrap();
+    let replays: Vec<_> = generated
+        .scenarios
+        .iter()
+        .flat_map(|scenario| {
+            scenario.points.iter().filter_map(|point| {
+                let mapping = point.result.as_ref().ok()?;
+                Some((
+                    &scenario.configuration,
+                    mapping.budgets().collect::<BTreeMap<_, _>>(),
+                    mapping.capacities().collect::<BTreeMap<_, _>>(),
+                ))
+            })
+        })
+        .collect();
+    group.bench_function("gen_seed11_serial", |b| {
+        b.iter(|| {
+            for (configuration, budgets, capacities) in &replays {
+                black_box(validate_mapping(
+                    black_box(configuration),
+                    budgets,
+                    capacities,
+                    &settings,
+                ));
+            }
         });
     });
 

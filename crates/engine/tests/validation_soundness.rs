@@ -9,9 +9,14 @@
 //! capacity), so it cannot be fooled by a bug in the engine's validation
 //! stage. The engine layer runs the same suites through
 //! `RunSettings::validate_all` and asserts the attached verdicts agree.
+//!
+//! Besides the paper suites, the 200-point `bbs gen` suites of seeds 13
+//! and 14 (`certificates.rs` certifies the solver's decisions on 11 and
+//! 12) replay every generated family — producer/consumer pairs, chains,
+//! rings and random DAGs — with zero violations.
 
 use bbs_engine::suites::{paper_plus_suite, paper_suite, runtime_scenario};
-use bbs_engine::{run_suite, RunSettings, Suite, ValidationReport};
+use bbs_engine::{generate_suite, run_suite, GenParams, RunSettings, Suite, ValidationReport};
 use bbs_scheduler_sim::{measurement_tolerance, simulate_mapping, SimulationSettings};
 use std::collections::BTreeMap;
 
@@ -110,4 +115,20 @@ fn the_48_task_runtime_recipe_solves_verifies_and_replays_soundly() {
     // Twice the largest paper size: 24 processors, seed 55. The mapping is
     // verified by the solve itself (`SolveOptions::verify`), then replayed.
     assert_suite_is_sound(&Suite::new("runtime-48", vec![runtime_scenario(48)]));
+}
+
+#[test]
+fn every_feasible_generated_seed_13_point_replays_soundly() {
+    assert_suite_is_sound(&generate_suite(&GenParams {
+        seed: 13,
+        points: 200,
+    }));
+}
+
+#[test]
+fn every_feasible_generated_seed_14_point_replays_soundly() {
+    assert_suite_is_sound(&generate_suite(&GenParams {
+        seed: 14,
+        points: 200,
+    }));
 }

@@ -12,7 +12,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::sim::{simulate_mapping, SimulationError, SimulationResult, SimulationSettings};
+use crate::sim::{
+    simulate_mapping, SimulationError, SimulationResult, SimulationSettings, MIN_MEASURED_FIRINGS,
+};
 use bbs_taskgraph::{BufferRef, Configuration, TaskRef};
 
 /// One task's measured steady-state period against its graph's requirement.
@@ -118,10 +120,11 @@ pub fn measurement_tolerance(configuration: &Configuration, iterations: usize) -
 /// Replays a computed mapping and grades the result.
 ///
 /// The budgets and capacities are the values a solved mapping provides.
-/// A replay that cannot complete (missing mapping entries, budgets that do
-/// not fit a TDM wheel, deadlock, event-limit blow-up) yields a validation
-/// with [`error`](MappingValidation::error) set, an infinite measured
-/// period, and no checks — unconditionally unsound, never a panic.
+/// A replay that cannot complete or be measured (missing mapping entries,
+/// a zero budget, budgets that do not fit a TDM wheel, deadlock, event-limit
+/// blow-up, fewer than four iterations) yields a validation with
+/// [`error`](MappingValidation::error) set, an infinite measured period,
+/// and no checks — unconditionally unsound, never a panic.
 pub fn validate_mapping(
     configuration: &Configuration,
     budgets: &BTreeMap<TaskRef, u64>,
@@ -133,7 +136,14 @@ pub fn validate_mapping(
         .map(|(_, graph)| graph.period())
         .fold(0.0f64, f64::max);
     let tolerance = measurement_tolerance(configuration, settings.iterations);
-    match simulate_mapping(configuration, budgets, capacities, settings) {
+    let replay = if settings.iterations < MIN_MEASURED_FIRINGS {
+        Err(SimulationError::TooFewIterations {
+            iterations: settings.iterations,
+        })
+    } else {
+        simulate_mapping(configuration, budgets, capacities, settings)
+    };
+    match replay {
         Ok(result) => graded(
             configuration,
             capacities,
@@ -271,6 +281,40 @@ mod tests {
         assert!(validation.measured_period.is_infinite());
         assert!(!validation.is_sound());
         assert!(validation.period_checks.is_empty());
+    }
+
+    #[test]
+    fn a_zero_budget_is_an_unsound_validation_not_a_panic() {
+        let (configuration, mut budgets, capacities) = solved_producer_consumer();
+        *budgets.values_mut().next().unwrap() = 0;
+        let validation = validate_mapping(
+            &configuration,
+            &budgets,
+            &capacities,
+            &SimulationSettings::default(),
+        );
+        assert!(matches!(
+            validation.error,
+            Some(SimulationError::MissingMapping { .. })
+        ));
+        assert!(!validation.is_sound());
+    }
+
+    #[test]
+    fn too_few_iterations_are_an_unsound_validation_not_a_panic() {
+        let (configuration, budgets, capacities) = solved_producer_consumer();
+        for iterations in 0..MIN_MEASURED_FIRINGS {
+            let settings = SimulationSettings {
+                iterations,
+                ..SimulationSettings::default()
+            };
+            let validation = validate_mapping(&configuration, &budgets, &capacities, &settings);
+            assert_eq!(
+                validation.error,
+                Some(SimulationError::TooFewIterations { iterations })
+            );
+            assert!(!validation.is_sound());
+        }
     }
 
     #[test]
