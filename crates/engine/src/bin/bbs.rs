@@ -1,24 +1,10 @@
 //! `bbs` — run budget/buffer scenario suites from the command line.
 //!
-//! ```text
-//! bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache]
-//!         [--cache-dir DIR] [--cache-max-entries N]
-//!         [--cache-max-bytes N] [--remote-store HOST:PORT]
-//!         [--json PATH] [--csv PATH] [--markdown PATH] [--quiet]
-//! bbs validate [--suite NAME | --file PATH] [--jobs N] [--json PATH] [--quiet]
-//! bbs gen [--seed N] [--points M] [--out PATH]
-//! bbs expand [--suite NAME | --file PATH] [--jobs N]
-//! bbs list
-//! bbs check [REPORT.json | SUITE.json | -]
-//! bbs cache (stats [--json] | clear
-//!           | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N])
-//!           [--cache-dir DIR]
-//! bbs serve [--addr HOST:PORT] [--jobs N] [--queue-capacity N]
-//!           [--retry-after-ms MS] [--max-sessions N] [--idle-timeout-ms MS]
-//!           [--cache-dir DIR] [--cache-max-entries N] [--cache-max-bytes N]
-//!           [--remote-store HOST:PORT]
-//! bbs client (run | stats | shutdown | bench) --addr HOST:PORT [...]
-//! ```
+//! `bbs --help` lists every command with the flags it accepts. Each flag is
+//! declared once below (name, value, range, environment variable) and each
+//! command lists the flags it reads; the parser, the environment overlay
+//! and the help text all read that one table, so a command accepts exactly
+//! the flags it reads.
 //!
 //! `run` executes a built-in suite (default: `paper`) or a suite file,
 //! prints the result tables plus a timing summary, and optionally writes the
@@ -72,6 +58,7 @@ use bbs_engine::{
     ServeConfig, Server, SolveCache, SolveStore, StatsSnapshot, Suite, SuiteOutcome, SuiteReport,
     ValidationReport,
 };
+use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -79,30 +66,217 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-usage:
-  bbs run [--suite NAME | --file PATH] [--jobs N] [--no-cache]
-          [--cache-dir DIR] [--cache-max-entries N]
-          [--cache-max-bytes N] [--remote-store HOST:PORT]
-          [--json PATH] [--csv PATH] [--markdown PATH] [--quiet]
-  bbs validate [--suite NAME | --file PATH] [--jobs N] [--json PATH] [--quiet]
-  bbs gen [--seed N] [--points M] [--out PATH]
-  bbs expand [--suite NAME | --file PATH] [--jobs N]
-  bbs list
-  bbs check [REPORT.json | SUITE.json | -]
-  bbs cache (stats [--json] | clear
-            | gc [--max-entries N] [--max-age SECONDS] [--max-bytes N])
-            [--cache-dir DIR]
-  bbs serve [--addr HOST:PORT] [--jobs N] [--queue-capacity N]
-            [--retry-after-ms MS] [--max-sessions N] [--idle-timeout-ms MS]
-            [--cache-dir DIR] [--cache-max-entries N] [--cache-max-bytes N]
-            [--remote-store HOST:PORT]
-  bbs client run --addr HOST:PORT [--suite NAME | --file PATH] [--jobs N]
-            [--retries N] [--deadline-ms MS] [--json PATH] [--quiet]
-  bbs client (stats | shutdown) --addr HOST:PORT
-  bbs client bench --addr HOST:PORT [--clients N] [--requests N]
-            [--suite NAME] [--jobs N]
+/// What a flag's value must be. Every given value and every environment
+/// fallback is checked against it before the command runs.
+#[derive(PartialEq)]
+enum Kind {
+    /// Takes no value.
+    Switch,
+    /// A path, address or name; blank is refused.
+    Text,
+    /// An unsigned integer in `min..=max`.
+    Count { min: u64, max: u64 },
+}
 
+/// One command-line flag, declared once for every command that reads it.
+#[derive(PartialEq)]
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the synopsis; empty for a switch.
+    meta: &'static str,
+    kind: Kind,
+    /// Consulted when the flag is absent; a blank value means unset.
+    env: Option<&'static str>,
+    /// A command that lists the flag cannot run without it.
+    required: bool,
+}
+
+const fn flag(name: &'static str, meta: &'static str, kind: Kind) -> Flag {
+    Flag {
+        name,
+        meta,
+        kind,
+        env: None,
+        required: false,
+    }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    flag(name, "", Kind::Switch)
+}
+
+const fn text(name: &'static str, meta: &'static str) -> Flag {
+    flag(name, meta, Kind::Text)
+}
+
+const fn count(name: &'static str, meta: &'static str, min: u64, max: u64) -> Flag {
+    flag(name, meta, Kind::Count { min, max })
+}
+
+const SUITE: Flag = text("--suite", "NAME");
+const FILE: Flag = text("--file", "PATH");
+const JOBS: Flag = count("--jobs", "N", 1, 64);
+const NO_CACHE: Flag = switch("--no-cache");
+const CACHE_DIR: Flag = Flag {
+    env: Some("BBS_CACHE_DIR"),
+    ..text("--cache-dir", "DIR")
+};
+const CACHE_MAX_ENTRIES: Flag = Flag {
+    env: Some("BBS_CACHE_MAX_ENTRIES"),
+    ..count("--cache-max-entries", "N", 0, u64::MAX)
+};
+const CACHE_MAX_BYTES: Flag = Flag {
+    env: Some("BBS_CACHE_MAX_BYTES"),
+    ..count("--cache-max-bytes", "N", 0, u64::MAX)
+};
+const REMOTE_STORE: Flag = Flag {
+    env: Some("BBS_REMOTE_STORE"),
+    ..text("--remote-store", "HOST:PORT")
+};
+/// Where `run`, `validate` and `client run` write the JSON report.
+const JSON: Flag = text("--json", "PATH");
+const CSV: Flag = text("--csv", "PATH");
+const MARKDOWN: Flag = text("--markdown", "PATH");
+const QUIET: Flag = switch("--quiet");
+const SEED: Flag = count("--seed", "N", 0, u64::MAX);
+const POINTS: Flag = count("--points", "M", 1, 100_000);
+const OUT: Flag = text("--out", "PATH");
+/// `cache stats` prints the stats object as JSON.
+const STATS_JSON: Flag = switch("--json");
+const MAX_ENTRIES: Flag = count("--max-entries", "N", 0, u64::MAX);
+const MAX_AGE: Flag = count("--max-age", "SECONDS", 0, u64::MAX);
+const MAX_BYTES: Flag = count("--max-bytes", "N", 0, u64::MAX);
+/// The address `serve` listens on.
+const LISTEN_ADDR: Flag = text("--addr", "HOST:PORT");
+/// The daemon a `client` command talks to.
+const SERVER_ADDR: Flag = Flag {
+    required: true,
+    ..text("--addr", "HOST:PORT")
+};
+const QUEUE_CAPACITY: Flag = count("--queue-capacity", "N", 1, u64::MAX);
+const RETRY_AFTER_MS: Flag = count("--retry-after-ms", "MS", 0, u64::MAX);
+const MAX_SESSIONS: Flag = count("--max-sessions", "N", 1, u64::MAX);
+const IDLE_TIMEOUT_MS: Flag = count("--idle-timeout-ms", "MS", 1, u64::MAX);
+const RETRIES: Flag = count("--retries", "N", 0, u64::MAX);
+const DEADLINE_MS: Flag = count("--deadline-ms", "MS", 1, u64::MAX);
+/// `client bench` spawns one thread per client.
+const CLIENTS: Flag = count("--clients", "N", 1, 1024);
+const REQUESTS: Flag = count("--requests", "N", 1, u64::MAX);
+
+/// One command line: the words that pick it, the flags it reads, its
+/// positional operand, and its body.
+struct Command {
+    words: &'static [&'static str],
+    flags: &'static [&'static Flag],
+    operand: Option<&'static str>,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const fn command(
+    words: &'static [&'static str],
+    flags: &'static [&'static Flag],
+    run: fn(&Args) -> Result<(), String>,
+) -> Command {
+    Command {
+        words,
+        flags,
+        operand: None,
+        run,
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    command(
+        &["run"],
+        &[
+            &SUITE,
+            &FILE,
+            &JOBS,
+            &NO_CACHE,
+            &CACHE_DIR,
+            &CACHE_MAX_ENTRIES,
+            &CACHE_MAX_BYTES,
+            &REMOTE_STORE,
+            &JSON,
+            &CSV,
+            &MARKDOWN,
+            &QUIET,
+        ],
+        run,
+    ),
+    command(
+        &["validate"],
+        &[
+            &SUITE,
+            &FILE,
+            &JOBS,
+            &NO_CACHE,
+            &CACHE_DIR,
+            &CACHE_MAX_ENTRIES,
+            &CACHE_MAX_BYTES,
+            &REMOTE_STORE,
+            &JSON,
+            &QUIET,
+        ],
+        validate,
+    ),
+    command(&["gen"], &[&SEED, &POINTS, &OUT], gen),
+    command(&["expand"], &[&SUITE, &FILE, &JOBS], expand),
+    command(&["list"], &[], list),
+    Command {
+        operand: Some("[REPORT.json | SUITE.json | -]"),
+        ..command(&["check"], &[], check)
+    },
+    command(&["cache", "stats"], &[&STATS_JSON, &CACHE_DIR], cache_stats),
+    command(&["cache", "clear"], &[&CACHE_DIR], cache_clear),
+    command(
+        &["cache", "gc"],
+        &[&MAX_ENTRIES, &MAX_AGE, &MAX_BYTES, &CACHE_DIR],
+        cache_gc,
+    ),
+    command(
+        &["serve"],
+        &[
+            &LISTEN_ADDR,
+            &JOBS,
+            &QUEUE_CAPACITY,
+            &RETRY_AFTER_MS,
+            &MAX_SESSIONS,
+            &IDLE_TIMEOUT_MS,
+            &CACHE_DIR,
+            &CACHE_MAX_ENTRIES,
+            &CACHE_MAX_BYTES,
+            &REMOTE_STORE,
+        ],
+        serve,
+    ),
+    command(
+        &["client", "run"],
+        &[
+            &SERVER_ADDR,
+            &SUITE,
+            &FILE,
+            &JOBS,
+            &RETRIES,
+            &DEADLINE_MS,
+            &JSON,
+            &QUIET,
+        ],
+        client_run,
+    ),
+    command(&["client", "stats"], &[&SERVER_ADDR], client_stats),
+    command(&["client", "shutdown"], &[&SERVER_ADDR], client_shutdown),
+    command(
+        &["client", "bench"],
+        &[&SERVER_ADDR, &CLIENTS, &REQUESTS, &SUITE, &JOBS],
+        client_bench,
+    ),
+];
+
+/// What `bbs --help` says after the synopses.
+const NOTES: &str = "\
+`--suite` and `--file` exclude each other; without either, `client bench`
+submits `smoke` and every other command takes `paper`.
 `--json`/`--csv`/`--markdown` accept `-` for stdout. `--cache-dir` (or the
 BBS_CACHE_DIR environment variable) persists solve results across runs;
 `--cache-max-entries` (or BBS_CACHE_MAX_ENTRIES) and `--cache-max-bytes`
@@ -128,24 +302,15 @@ stdin, so `bbs gen --seed 7 | bbs check` verifies a generated suite.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => run(&args[1..]),
-        Some("validate") => validate(&args[1..]),
-        Some("gen") => gen(&args[1..]),
-        Some("expand") => expand(&args[1..]),
-        Some("list") => list(),
-        Some("check") => check(&args[1..]),
-        Some("cache") => cache(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("client") => client(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
-        None => Err(USAGE.to_string()),
-    };
-    match result {
+    if matches!(
+        args.first().map(String::as_str),
+        Some("--help" | "-h" | "help")
+    ) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let env = |name: &str| std::env::var(name).ok();
+    match parse(&args, &env).and_then(|args| (args.command.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("bbs: {message}");
@@ -154,98 +319,225 @@ fn main() -> ExitCode {
     }
 }
 
-struct RunArgs {
-    suite: Option<String>,
-    file: Option<String>,
-    jobs: usize,
-    use_cache: bool,
-    cache_dir: Option<String>,
-    cache_max_entries: Option<u64>,
-    cache_max_bytes: Option<u64>,
-    remote_store: Option<String>,
-    json: Option<String>,
-    csv: Option<String>,
-    markdown: Option<String>,
-    quiet: bool,
+/// One synopsis per command, from the table, then the notes.
+fn usage() -> String {
+    let synopses: Vec<String> = COMMANDS.iter().map(Command::synopsis).collect();
+    format!("usage:\n{}\n\n{NOTES}", synopses.join("\n"))
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut parsed = RunArgs {
-        suite: None,
-        file: None,
-        jobs: 1,
-        use_cache: true,
-        cache_dir: None,
-        cache_max_entries: None,
-        cache_max_bytes: None,
-        remote_store: None,
-        json: None,
-        csv: None,
-        markdown: None,
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--suite" => parsed.suite = Some(value("--suite")?),
-            "--file" => parsed.file = Some(value("--file")?),
-            "--jobs" => {
-                let raw = value("--jobs")?;
-                parsed.jobs = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=64).contains(&n))
-                    .ok_or_else(|| format!("--jobs must be 1..=64, got `{raw}`"))?;
+impl Command {
+    fn name(&self) -> String {
+        self.words.join(" ")
+    }
+
+    /// `  bbs WORDS OPERAND FLAGS…`, wrapped under the first flag; a
+    /// required flag has no brackets.
+    fn synopsis(&self) -> String {
+        let flags = self.flags.iter().map(|flag| {
+            let spelled = format!("{} {}", flag.name, flag.meta)
+                .trim_end()
+                .to_string();
+            if flag.required {
+                spelled
+            } else {
+                format!("[{spelled}]")
             }
-            "--no-cache" => parsed.use_cache = false,
-            "--cache-dir" => parsed.cache_dir = Some(non_empty_dir(value("--cache-dir")?)?),
-            "--cache-max-entries" => {
-                let raw = value("--cache-max-entries")?;
-                parsed.cache_max_entries =
-                    Some(raw.parse::<u64>().map_err(|_| {
-                        format!("--cache-max-entries must be a count, got `{raw}`")
-                    })?);
+        });
+        let mut synopsis = format!("  bbs {}", self.name());
+        let indent = synopsis.len();
+        let mut width = indent;
+        for item in self.operand.map(str::to_string).into_iter().chain(flags) {
+            if width > indent && width + 1 + item.len() > 78 {
+                synopsis.push('\n');
+                synopsis.push_str(&" ".repeat(indent));
+                width = indent;
             }
-            "--cache-max-bytes" => {
-                let raw = value("--cache-max-bytes")?;
-                parsed.cache_max_bytes =
-                    Some(raw.parse::<u64>().map_err(|_| {
-                        format!("--cache-max-bytes must be a byte count, got `{raw}`")
-                    })?);
-            }
-            "--remote-store" => parsed.remote_store = Some(value("--remote-store")?),
-            "--json" => parsed.json = Some(value("--json")?),
-            "--csv" => parsed.csv = Some(value("--csv")?),
-            "--markdown" => parsed.markdown = Some(value("--markdown")?),
-            "--quiet" => parsed.quiet = true,
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+            synopsis.push(' ');
+            synopsis.push_str(&item);
+            width += 1 + item.len();
+        }
+        synopsis
+    }
+}
+
+impl Flag {
+    /// Checks `raw`, given for this flag by `source` (the flag or its
+    /// environment variable), against the flag's kind.
+    fn check(&self, source: &str, raw: &str) -> Result<String, String> {
+        match self.kind {
+            Kind::Switch => Ok(String::new()),
+            Kind::Text if raw.trim().is_empty() => Err(format!("{source} needs a non-empty value")),
+            Kind::Text => Ok(raw.to_string()),
+            Kind::Count { min, max } => raw
+                .parse::<u64>()
+                .ok()
+                .filter(|n| (min..=max).contains(n))
+                .map(|n| n.to_string())
+                .ok_or_else(|| {
+                    let range = match (min, max) {
+                        (0, u64::MAX) => "an unsigned integer".to_string(),
+                        (min, u64::MAX) => format!("at least {min}"),
+                        (min, max) => format!("{min}..={max}"),
+                    };
+                    format!("{source} must be {range}, got `{raw}`")
+                }),
         }
     }
-    if parsed.suite.is_some() && parsed.file.is_some() {
-        return Err("use either --suite or --file, not both".to_string());
+}
+
+/// A checked command line: the command, each flag's value (the last of a
+/// repeated flag, else its environment fallback) and the operand.
+struct Args {
+    command: &'static Command,
+    values: HashMap<&'static str, String>,
+    operand: Option<String>,
+}
+
+impl Args {
+    fn text(&self, flag: &Flag) -> Option<&str> {
+        debug_assert!(
+            self.command.flags.contains(&flag),
+            "`{}` reads {} without listing it",
+            self.command.name(),
+            flag.name
+        );
+        self.values.get(flag.name).map(String::as_str)
+    }
+
+    fn switch(&self, flag: &Flag) -> bool {
+        self.text(flag).is_some()
+    }
+
+    fn count(&self, flag: &Flag) -> Option<u64> {
+        self.text(flag)
+            .map(|n| n.parse().expect("parse stores checked counts"))
+    }
+}
+
+/// Parses `args` (without the program name) against the table; `env` looks
+/// up the environment fallbacks (`main` passes the process environment).
+///
+/// # Errors
+///
+/// An unknown command or action, a flag the command does not list, a
+/// missing, blank or out-of-range value, a malformed environment fallback,
+/// or a missing required flag.
+fn parse(args: &[String], env: &dyn Fn(&str) -> Option<String>) -> Result<Args, String> {
+    let command = pick(args)?;
+    let mut parsed = Args {
+        command,
+        values: HashMap::new(),
+        operand: None,
+    };
+    let mut rest = args[command.words.len()..].iter();
+    while let Some(arg) = rest.next() {
+        let Some(flag) = command.flags.iter().find(|flag| flag.name == arg.as_str()) else {
+            if command.operand.is_none() || parsed.operand.is_some() {
+                return Err(format!(
+                    "unknown flag `{arg}` for `{}`\n{}",
+                    command.name(),
+                    usage()
+                ));
+            }
+            parsed.operand = Some(arg.clone());
+            continue;
+        };
+        let raw = match flag.kind {
+            Kind::Switch => "",
+            _ => rest
+                .next()
+                .ok_or_else(|| format!("{} needs a value", flag.name))?,
+        };
+        parsed.values.insert(flag.name, flag.check(flag.name, raw)?);
+    }
+    for flag in command.flags {
+        let Some(var) = flag.env else { continue };
+        if parsed.values.contains_key(flag.name) {
+            continue;
+        }
+        // A blank value (an unset or mistyped shell variable) means unset.
+        let Some(raw) = env(var).filter(|raw| !raw.trim().is_empty()) else {
+            continue;
+        };
+        let raw = match flag.kind {
+            Kind::Count { .. } => raw.trim(),
+            _ => raw.as_str(),
+        };
+        parsed.values.insert(flag.name, flag.check(var, raw)?);
+    }
+    let missing = command
+        .flags
+        .iter()
+        .find(|flag| flag.required && !parsed.values.contains_key(flag.name));
+    if let Some(flag) = missing {
+        return Err(format!(
+            "`{}` needs {} {}",
+            command.name(),
+            flag.name,
+            flag.meta
+        ));
     }
     Ok(parsed)
 }
 
-fn load_suite(args: &RunArgs) -> Result<Suite, String> {
-    if let Some(path) = &args.file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let suite: Suite =
-            serde_json::from_str(&text).map_err(|e| format!("{path} is not a suite file: {e}"))?;
+/// The command whose words `args` starts with.
+fn pick(args: &[String]) -> Result<&'static Command, String> {
+    let named = |command: &&Command| {
+        args.get(..command.words.len()).is_some_and(|head| {
+            head.iter()
+                .map(String::as_str)
+                .eq(command.words.iter().copied())
+        })
+    };
+    if let Some(command) = COMMANDS.iter().find(named) {
+        return Ok(command);
+    }
+    let Some(first) = args.first() else {
+        return Err(usage());
+    };
+    let actions: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|command| command.words.len() > 1 && command.words[0] == first.as_str())
+        .map(|command| command.words[1])
+        .collect();
+    let known = actions.join(", ");
+    let message = match args.get(1) {
+        _ if actions.is_empty() => format!("unknown command `{first}`"),
+        Some(action) => format!("unknown {first} action `{action}`; known: {known}"),
+        None => format!("`{first}` needs an action; known: {known}"),
+    };
+    Err(format!("{message}\n{}", usage()))
+}
+
+/// The suite file `--file` names, if any.
+fn suite_file(args: &Args) -> Result<Option<Suite>, String> {
+    if args.text(&SUITE).is_some() && args.text(&FILE).is_some() {
+        return Err("use either --suite or --file, not both".to_string());
+    }
+    let Some(path) = args.text(&FILE) else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text)
+        .map(Some)
+        .map_err(|e| format!("{path} is not a suite file: {e}"))
+}
+
+fn load_suite(args: &Args) -> Result<Suite, String> {
+    if let Some(suite) = suite_file(args)? {
         return Ok(suite);
     }
-    let name = args.suite.as_deref().unwrap_or("paper");
+    let name = args.text(&SUITE).unwrap_or("paper");
     builtin_suite(name).ok_or_else(|| {
         format!(
             "no built-in suite `{name}`; known: {}",
             builtin_suite_names().join(", ")
         )
     })
+}
+
+fn jobs(args: &Args) -> usize {
+    args.count(&JOBS).map_or(1, |n| n as usize)
 }
 
 /// Distinguishes concurrent writers' temp files (two `bbs client` threads,
@@ -271,26 +563,6 @@ fn write_output(path: &str, contents: &str, label: &str) -> Result<(), String> {
         let _ = std::fs::remove_file(&tmp);
         format!("cannot write {label} {path}: {e}")
     })
-}
-
-/// Rejects an empty or all-whitespace `--cache-dir` (e.g. an unset or
-/// mistyped shell variable), which would otherwise be taken as a real path
-/// and root the store in the current working directory.
-fn non_empty_dir(dir: String) -> Result<String, String> {
-    if dir.trim().is_empty() {
-        Err("--cache-dir needs a non-empty path".to_string())
-    } else {
-        Ok(dir)
-    }
-}
-
-/// The cache directory in effect: the flag wins over `BBS_CACHE_DIR`. An
-/// empty or all-whitespace environment value behaves exactly like an unset
-/// one — `BBS_CACHE_DIR="" bbs run` must not conjure a store out of `""`.
-fn effective_cache_dir(flag: Option<&str>) -> Option<String> {
-    flag.map(str::to_string)
-        .or_else(|| std::env::var("BBS_CACHE_DIR").ok())
-        .filter(|dir| !dir.trim().is_empty())
 }
 
 /// Fault injection from `BBS_TEST_INJECT_PANIC` (`<scenario>:<cap>`, with
@@ -331,123 +603,80 @@ fn parse_panic_spec(spec: &str) -> Result<PanicInjection, String> {
     })
 }
 
-fn open_store(dir: &str) -> Result<SolveStore, String> {
-    SolveStore::open(dir).map_err(|e| format!("cannot open cache directory {dir}: {e}"))
-}
-
-/// The automatic store size cap in effect: the flag wins over
-/// `BBS_CACHE_MAX_ENTRIES`. A malformed environment value is an error, not
-/// a silently unbounded store; an empty or all-whitespace one behaves like
-/// an unset one.
-fn effective_cache_max_entries(flag: Option<u64>) -> Result<Option<u64>, String> {
-    if flag.is_some() {
-        return Ok(flag);
-    }
-    match std::env::var("BBS_CACHE_MAX_ENTRIES") {
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("BBS_CACHE_MAX_ENTRIES must be a count, got `{raw}`")),
-        Err(_) => Ok(None),
-    }
-}
-
-/// The automatic store byte budget in effect: the flag wins over
-/// `BBS_CACHE_MAX_BYTES`, with the same malformed-is-an-error discipline
-/// as [`effective_cache_max_entries`].
-fn effective_cache_max_bytes(flag: Option<u64>) -> Result<Option<u64>, String> {
-    if flag.is_some() {
-        return Ok(flag);
-    }
-    match std::env::var("BBS_CACHE_MAX_BYTES") {
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("BBS_CACHE_MAX_BYTES must be a byte count, got `{raw}`")),
-        Err(_) => Ok(None),
-    }
-}
-
-/// The remote store peer in effect: the flag wins over `BBS_REMOTE_STORE`;
-/// an empty or all-whitespace value behaves like an unset one.
-fn effective_remote_store(flag: Option<&str>) -> Option<String> {
-    flag.map(str::to_string)
-        .or_else(|| std::env::var("BBS_REMOTE_STORE").ok())
-        .filter(|addr| !addr.trim().is_empty())
-}
-
-/// Builds the persistent store `run`/`validate` hang off the cache:
-/// directory tier, write-path caps, then the optional remote tier.
-fn configured_store(dir: &str, args: &RunArgs) -> Result<SolveStore, String> {
-    let mut store = open_store(dir)?;
-    if let Some(cap) = effective_cache_max_entries(args.cache_max_entries)? {
+/// The persistent store of `run`, `validate` and `serve`, if the flags or
+/// environment name a directory: directory tier, write-path caps, then the
+/// optional remote tier.
+fn configured_store(args: &Args) -> Result<Option<SolveStore>, String> {
+    let remote = args.text(&REMOTE_STORE);
+    let Some(dir) = args.text(&CACHE_DIR) else {
+        return match remote {
+            Some(_) => {
+                Err("--remote-store needs a local cache directory (--cache-dir)".to_string())
+            }
+            None => Ok(None),
+        };
+    };
+    let mut store =
+        SolveStore::open(dir).map_err(|e| format!("cannot open cache directory {dir}: {e}"))?;
+    if let Some(cap) = args.count(&CACHE_MAX_ENTRIES) {
         store = store.with_max_entries(cap);
     }
-    if let Some(budget) = effective_cache_max_bytes(args.cache_max_bytes)? {
+    if let Some(budget) = args.count(&CACHE_MAX_BYTES) {
         store = store.with_max_bytes(budget);
     }
-    if let Some(addr) = effective_remote_store(args.remote_store.as_deref()) {
-        let remote = RemoteBackend::connect(&addr)
+    if let Some(addr) = remote {
+        let remote = RemoteBackend::connect(addr)
             .map_err(|e| format!("cannot connect to remote store {addr}: {e}"))?;
         store = store.with_remote(Box::new(remote));
     }
-    Ok(store)
+    Ok(Some(store))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let args = parse_run_args(args)?;
-    let suite = load_suite(&args)?;
-    let settings = RunSettings {
-        jobs: args.jobs,
-        use_cache: args.use_cache,
-        inject_panic: injected_panic_from_env()?,
-        ..RunSettings::default()
-    };
-    let outcome = solve_suite(&args, &suite, &settings)?;
+fn run(args: &Args) -> Result<(), String> {
+    let outcome = solve_suite(args, false)?;
     let report = SuiteReport::from_outcome(&outcome);
     report.validate().map_err(|e| e.to_string())?;
 
-    if let Some(path) = &args.json {
+    if let Some(path) = args.text(&JSON) {
         write_output(path, &report.to_json(), "JSON report")?;
     }
-    if let Some(path) = &args.csv {
+    if let Some(path) = args.text(&CSV) {
         write_output(path, &report.to_csv(), "CSV report")?;
     }
-    if let Some(path) = &args.markdown {
+    if let Some(path) = args.text(&MARKDOWN) {
         write_output(path, &report.to_markdown(), "markdown report")?;
     }
-    if !args.quiet {
+    if !args.switch(&QUIET) {
         print!("{}", report.to_tables());
         print!("{}", render_timing_summary(&outcome));
     }
     check_failures(&outcome)
 }
 
-/// Solves `suite` for `run` and `validate` on an engine of `--jobs`
-/// workers, against the cache tiers the flags and environment configure.
-fn solve_suite(
-    args: &RunArgs,
-    suite: &Suite,
-    settings: &RunSettings,
-) -> Result<SuiteOutcome, String> {
+/// Solves the suite the flags name for `run` and `validate` (which forces
+/// replay validation on) on an engine of `--jobs` workers, against the
+/// cache tiers the flags and environment configure.
+fn solve_suite(args: &Args, validate_all: bool) -> Result<SuiteOutcome, String> {
+    let suite = load_suite(args)?;
+    let settings = RunSettings {
+        jobs: jobs(args),
+        use_cache: !args.switch(&NO_CACHE),
+        validate_all,
+        inject_panic: injected_panic_from_env()?,
+        ..RunSettings::default()
+    };
     // `--no-cache` bypasses both tiers: without the in-memory tier there is
     // no deterministic once-per-key funnel to hang the disk tier off.
-    let cache = match effective_cache_dir(args.cache_dir.as_deref()) {
-        Some(dir) if args.use_cache => SolveCache::with_store(configured_store(&dir, args)?),
-        _ if effective_remote_store(args.remote_store.as_deref()).is_some() => {
-            return Err(
-                "--remote-store needs a local cache directory (--cache-dir) and caching enabled"
-                    .to_string(),
-            );
-        }
-        _ => SolveCache::new(),
+    let store = if settings.use_cache {
+        configured_store(args)?
+    } else if args.text(&REMOTE_STORE).is_some() {
+        return Err("--remote-store needs caching enabled".to_string());
+    } else {
+        None
     };
+    let cache = store.map_or_else(SolveCache::new, SolveCache::with_store);
     Engine::new(settings.jobs)
-        .run_suite_with_cache(suite, settings, &Arc::new(cache))
+        .run_suite_with_cache(&suite, &settings, &Arc::new(cache))
         .map_err(|e| e.to_string())
 }
 
@@ -472,25 +701,16 @@ fn check_failures(outcome: &SuiteOutcome) -> Result<(), String> {
 /// pooled workers as the solves; the stdout summary carries no wall-clock
 /// data, so CI can `cmp` it across `--jobs` counts. Exit is nonzero on any
 /// measured violation or unexpected solve failure.
-fn validate(args: &[String]) -> Result<(), String> {
-    let args = parse_run_args(args)?;
-    let suite = load_suite(&args)?;
-    let settings = RunSettings {
-        jobs: args.jobs,
-        use_cache: args.use_cache,
-        validate_all: true,
-        inject_panic: injected_panic_from_env()?,
-        ..RunSettings::default()
-    };
-    let outcome = solve_suite(&args, &suite, &settings)?;
+fn validate(args: &Args) -> Result<(), String> {
+    let outcome = solve_suite(args, true)?;
     let report = ValidationReport::from_outcome(&outcome);
-    if let Some(path) = &args.json {
+    if let Some(path) = args.text(&JSON) {
         write_output(path, &report.to_json(), "JSON validation report")?;
     }
     // Summary on stdout (deterministic), timings on stderr (not): piping
     // stdout through `cmp` is the CI determinism gate.
     print!("{}", report.render_summary());
-    if !args.quiet {
+    if !args.switch(&QUIET) {
         eprint!("{}", render_timing_summary(&outcome));
     }
     check_failures(&outcome)?;
@@ -503,82 +723,57 @@ fn validate(args: &[String]) -> Result<(), String> {
 /// `bbs gen`: emit a schema-valid random suite from a seed. Byte-identical
 /// for equal seeds, so generated campaigns are reproducible; `--out -`
 /// (the default) writes to stdout for piping into `bbs check` or a file.
-fn gen(args: &[String]) -> Result<(), String> {
-    let mut params = GenParams::default();
-    let mut out = "-".to_string();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                let raw = value("--seed")?;
-                params.seed = raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed must be an unsigned integer, got `{raw}`"))?;
-            }
-            "--points" => {
-                let raw = value("--points")?;
-                params.points = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=100_000).contains(&n))
-                    .ok_or_else(|| format!("--points must be 1..=100000, got `{raw}`"))?;
-            }
-            "--out" => out = value("--out")?,
-            other => return Err(format!("unknown flag `{other}` for `gen`\n{USAGE}")),
-        }
-    }
+fn gen(args: &Args) -> Result<(), String> {
+    let defaults = GenParams::default();
+    let params = GenParams {
+        seed: args.count(&SEED).unwrap_or(defaults.seed),
+        points: args.count(&POINTS).map_or(defaults.points, |n| n as usize),
+    };
     let suite = generate_suite(&params);
     let mut json =
         serde_json::to_string_pretty(&suite).map_err(|e| format!("cannot serialise suite: {e}"))?;
     json.push('\n');
-    write_output(&out, &json, "suite file")
+    write_output(args.text(&OUT).unwrap_or("-"), &json, "suite file")
 }
 
 /// `bbs expand`: run only the resolve-and-expand pipeline stage — on the
 /// pooled workers, exactly as `run` would — and report the counts without
 /// solving anything. A dry run for suite files and a smoke test for the
 /// parallel expansion path.
-fn expand(args: &[String]) -> Result<(), String> {
-    let args = parse_run_args(args)?;
-    let suite = load_suite(&args)?;
-    let settings = RunSettings {
-        jobs: args.jobs,
-        ..RunSettings::default()
-    };
-    let summary = Engine::new(settings.jobs)
-        .expand_suite(&suite, &settings)
+fn expand(args: &Args) -> Result<(), String> {
+    let suite = load_suite(args)?;
+    let jobs = jobs(args);
+    let summary = Engine::new(jobs)
+        .expand_suite(&suite, &RunSettings::with_jobs(jobs))
         .map_err(|e| e.to_string())?;
     println!(
-        "suite `{}`: expanded {} work items across {} scenarios ({} jobs)",
-        suite.name,
-        summary.points,
-        summary.scenarios,
-        settings.jobs.max(1),
+        "suite `{}`: expanded {} work items across {} scenarios ({jobs} jobs)",
+        suite.name, summary.points, summary.scenarios,
     );
     Ok(())
 }
 
-fn list() -> Result<(), String> {
+/// Solve points of a suite: one per cap of a swept scenario, else one.
+fn solve_points(suite: &Suite) -> usize {
+    suite
+        .scenarios
+        .iter()
+        .map(|s| {
+            s.sweep
+                .as_ref()
+                .and_then(|sweep| sweep.caps().ok())
+                .map_or(1, |caps| caps.len())
+        })
+        .sum()
+}
+
+fn list(_: &Args) -> Result<(), String> {
     for name in builtin_suite_names() {
         let suite = builtin_suite(name).expect("listed suites exist");
-        let points: usize = suite
-            .scenarios
-            .iter()
-            .map(|s| {
-                s.sweep
-                    .as_ref()
-                    .and_then(|sweep| sweep.caps().ok())
-                    .map_or(1, |caps| caps.len())
-            })
-            .sum();
         println!(
-            "{name:<12} {:>2} scenarios, {points:>3} solve points",
-            suite.scenarios.len()
+            "{name:<12} {:>2} scenarios, {:>3} solve points",
+            suite.scenarios.len(),
+            solve_points(&suite)
         );
     }
     Ok(())
@@ -587,12 +782,8 @@ fn list() -> Result<(), String> {
 /// `bbs check`: parse and schema-validate a suite-report, validation-report
 /// or suite file. `-` (or no argument) reads stdin, so generated suites
 /// round-trip: `bbs gen --seed 7 | bbs check`.
-fn check(args: &[String]) -> Result<(), String> {
-    let path = match args {
-        [] => "-",
-        [path] => path.as_str(),
-        _ => return Err(format!("`check` needs at most one path\n{USAGE}")),
-    };
+fn check(args: &Args) -> Result<(), String> {
+    let path = args.operand.as_deref().unwrap_or("-");
     let text = if path == "-" {
         let mut text = String::new();
         std::io::stdin()
@@ -632,20 +823,11 @@ fn check(args: &[String]) -> Result<(), String> {
     match serde_json::from_str::<Suite>(&text) {
         Ok(suite) => {
             suite.validate().map_err(|e| e.to_string())?;
-            let points: usize = suite
-                .scenarios
-                .iter()
-                .map(|s| {
-                    s.sweep
-                        .as_ref()
-                        .and_then(|sweep| sweep.caps().ok())
-                        .map_or(1, |caps| caps.len())
-                })
-                .sum();
             println!(
-                "{shown}: valid suite `{}` ({} scenarios, {points} solve points)",
+                "{shown}: valid suite `{}` ({} scenarios, {} solve points)",
                 suite.name,
-                suite.scenarios.len()
+                suite.scenarios.len(),
+                solve_points(&suite)
             );
             Ok(())
         }
@@ -655,298 +837,133 @@ fn check(args: &[String]) -> Result<(), String> {
     }
 }
 
-struct CacheArgs {
-    action: String,
-    cache_dir: Option<String>,
-    max_entries: Option<u64>,
-    max_age: Option<Duration>,
-    max_bytes: Option<u64>,
-    json: bool,
-}
-
-fn parse_cache_args(args: &[String]) -> Result<CacheArgs, String> {
-    let [action, flags @ ..] = args else {
-        return Err(format!("`cache` needs an action\n{USAGE}"));
-    };
-    if !matches!(action.as_str(), "stats" | "clear" | "gc") {
-        return Err(format!(
-            "unknown cache action `{action}`; known: stats, clear, gc\n{USAGE}"
-        ));
-    }
-    let mut parsed = CacheArgs {
-        action: action.clone(),
-        cache_dir: None,
-        max_entries: None,
-        max_age: None,
-        max_bytes: None,
-        json: false,
-    };
-    let mut iter = flags.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cache-dir" => parsed.cache_dir = Some(non_empty_dir(value("--cache-dir")?)?),
-            "--max-entries" if action == "gc" => {
-                let raw = value("--max-entries")?;
-                parsed.max_entries = Some(
-                    raw.parse::<u64>()
-                        .map_err(|_| format!("--max-entries must be a count, got `{raw}`"))?,
-                );
-            }
-            "--json" if action == "stats" => parsed.json = true,
-            "--max-age" if action == "gc" => {
-                let raw = value("--max-age")?;
-                let seconds = raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("--max-age must be a number of seconds, got `{raw}`"))?;
-                parsed.max_age = Some(Duration::from_secs(seconds));
-            }
-            "--max-bytes" if action == "gc" => {
-                let raw = value("--max-bytes")?;
-                parsed.max_bytes = Some(
-                    raw.parse::<u64>()
-                        .map_err(|_| format!("--max-bytes must be a byte count, got `{raw}`"))?,
-                );
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` for `cache {action}`\n{USAGE}"
-                ))
-            }
-        }
-    }
-    if action == "gc"
-        && parsed.max_entries.is_none()
-        && parsed.max_age.is_none()
-        && parsed.max_bytes.is_none()
-    {
-        return Err("`cache gc` needs --max-entries, --max-age and/or --max-bytes".to_string());
-    }
-    Ok(parsed)
-}
-
-fn cache(args: &[String]) -> Result<(), String> {
-    let args = parse_cache_args(args)?;
-    let dir = effective_cache_dir(args.cache_dir.as_deref())
+/// The store `bbs cache` manages and its directory. Unlike `run` (which
+/// creates the directory to populate it), the management commands refuse
+/// to conjure one up — a typo'd path should error, not materialise an
+/// empty store tree.
+fn existing_store(args: &Args) -> Result<(SolveStore, &str), String> {
+    let dir = args
+        .text(&CACHE_DIR)
         .ok_or("no cache directory: pass --cache-dir or set BBS_CACHE_DIR")?;
-    // Unlike `run` (which creates the directory to populate it), the
-    // management commands refuse to conjure one up — a typo'd path should
-    // error, not materialise an empty store tree.
-    let store = SolveStore::open_existing(&dir)
+    let store = SolveStore::open_existing(dir)
         .map_err(|_| format!("cache directory {dir} does not exist"))?;
-    match args.action.as_str() {
-        "stats" => {
-            let summary = store
-                .summary()
-                .map_err(|e| format!("cannot scan {dir}: {e}"))?;
-            if args.json {
-                // The same serialized shape the serve protocol's `stats`
-                // request returns — one serializer, two transports. The
-                // store section is all an offline CLI has; a daemon adds
-                // queue/engine/cache sections.
-                let snapshot = StatsSnapshot {
-                    store: Some(StoreReport::from_parts(
-                        store.root(),
-                        summary,
-                        store.stats(),
-                    )),
-                    ..StatsSnapshot::new()
-                };
-                print!("{}", snapshot.to_json());
-                return Ok(());
-            }
-            println!("cache directory {dir}:");
-            println!(
-                "  {} entries ({} feasible, {} infeasible), {} bytes",
-                summary.entries, summary.feasible, summary.infeasible, summary.total_bytes
-            );
-            println!(
-                "  {} bytes logical (uncompressed), {} bytes on disk",
-                summary.logical_bytes, summary.total_bytes
-            );
-            if summary.stale > 0 {
-                println!(
-                    "  {} stale entries of another solver revision (never served; \
-                     `bbs cache gc` or `clear` removes them)",
-                    summary.stale
-                );
-            }
-            if summary.corrupt > 0 {
-                println!(
-                    "  {} corrupt or foreign-version files (ignored by lookups; `bbs cache gc` \
-                     or `clear` removes them)",
-                    summary.corrupt
-                );
-            }
-        }
-        "clear" => {
-            let removed = store
-                .clear()
-                .map_err(|e| format!("cannot clear {dir}: {e}"))?;
-            println!("cache directory {dir}: removed {removed} entries");
-        }
-        "gc" => {
-            let outcome = store
-                .gc(GcPolicy {
-                    max_entries: args.max_entries,
-                    max_age: args.max_age,
-                    max_bytes: args.max_bytes,
-                })
-                .map_err(|e| format!("cannot gc {dir}: {e}"))?;
-            println!(
-                "cache directory {dir}: removed {} entries, kept {} ({} bytes)",
-                outcome.removed, outcome.kept, outcome.kept_bytes
-            );
-            if outcome.unreadable_mtimes > 0 {
-                println!(
-                    "  {} entries had unreadable mtimes (treated as written now, \
-                     never age-evicted)",
-                    outcome.unreadable_mtimes
-                );
-            }
-        }
-        _ => unreachable!("validated by parse_cache_args"),
+    Ok((store, dir))
+}
+
+fn cache_stats(args: &Args) -> Result<(), String> {
+    let (store, dir) = existing_store(args)?;
+    let summary = store
+        .summary()
+        .map_err(|e| format!("cannot scan {dir}: {e}"))?;
+    if args.switch(&STATS_JSON) {
+        // The same serialized shape the serve protocol's `stats` request
+        // returns — one serializer, two transports. The store section is
+        // all an offline CLI has; a daemon adds queue/engine/cache sections.
+        let snapshot = StatsSnapshot {
+            store: Some(StoreReport::from_parts(
+                store.root(),
+                summary,
+                store.stats(),
+            )),
+            ..StatsSnapshot::new()
+        };
+        print!("{}", snapshot.to_json());
+        return Ok(());
+    }
+    println!("cache directory {dir}:");
+    println!(
+        "  {} entries ({} feasible, {} infeasible), {} bytes",
+        summary.entries, summary.feasible, summary.infeasible, summary.total_bytes
+    );
+    println!(
+        "  {} bytes logical (uncompressed), {} bytes on disk",
+        summary.logical_bytes, summary.total_bytes
+    );
+    if summary.stale > 0 {
+        println!(
+            "  {} stale entries of another solver revision (never served; \
+             `bbs cache gc` or `clear` removes them)",
+            summary.stale
+        );
+    }
+    if summary.corrupt > 0 {
+        println!(
+            "  {} corrupt or foreign-version files (ignored by lookups; `bbs cache gc` \
+             or `clear` removes them)",
+            summary.corrupt
+        );
     }
     Ok(())
 }
 
-struct ServeArgs {
-    addr: String,
-    jobs: usize,
-    queue_capacity: u64,
-    retry_after_ms: u64,
-    max_sessions: u64,
-    idle_timeout_ms: Option<u64>,
-    cache_dir: Option<String>,
-    cache_max_entries: Option<u64>,
-    cache_max_bytes: Option<u64>,
-    remote_store: Option<String>,
+fn cache_clear(args: &Args) -> Result<(), String> {
+    let (store, dir) = existing_store(args)?;
+    let removed = store
+        .clear()
+        .map_err(|e| format!("cannot clear {dir}: {e}"))?;
+    println!("cache directory {dir}: removed {removed} entries");
+    Ok(())
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut parsed = ServeArgs {
-        addr: "127.0.0.1:0".to_string(),
-        jobs: 4,
-        queue_capacity: 32,
-        retry_after_ms: 250,
-        max_sessions: ServeConfig::default().max_sessions,
-        idle_timeout_ms: None,
-        cache_dir: None,
-        cache_max_entries: None,
-        cache_max_bytes: None,
-        remote_store: None,
+fn cache_gc(args: &Args) -> Result<(), String> {
+    let policy = GcPolicy {
+        max_entries: args.count(&MAX_ENTRIES),
+        max_age: args.count(&MAX_AGE).map(Duration::from_secs),
+        max_bytes: args.count(&MAX_BYTES),
     };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => parsed.addr = value("--addr")?,
-            "--jobs" => {
-                let raw = value("--jobs")?;
-                parsed.jobs = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=64).contains(&n))
-                    .ok_or_else(|| format!("--jobs must be 1..=64, got `{raw}`"))?;
-            }
-            "--queue-capacity" => {
-                let raw = value("--queue-capacity")?;
-                parsed.queue_capacity =
-                    raw.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--queue-capacity must be at least 1, got `{raw}`")
-                    })?;
-            }
-            "--retry-after-ms" => {
-                let raw = value("--retry-after-ms")?;
-                parsed.retry_after_ms = raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("--retry-after-ms must be milliseconds, got `{raw}`"))?;
-            }
-            "--max-sessions" => {
-                let raw = value("--max-sessions")?;
-                parsed.max_sessions = raw
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--max-sessions must be at least 1, got `{raw}`"))?;
-            }
-            "--idle-timeout-ms" => {
-                let raw = value("--idle-timeout-ms")?;
-                parsed.idle_timeout_ms = Some(
-                    raw.parse::<u64>()
-                        .ok()
-                        .filter(|&ms| ms >= 1)
-                        .ok_or_else(|| {
-                            format!("--idle-timeout-ms must be at least 1, got `{raw}`")
-                        })?,
-                );
-            }
-            "--cache-dir" => parsed.cache_dir = Some(non_empty_dir(value("--cache-dir")?)?),
-            "--cache-max-entries" => {
-                let raw = value("--cache-max-entries")?;
-                parsed.cache_max_entries =
-                    Some(raw.parse::<u64>().map_err(|_| {
-                        format!("--cache-max-entries must be a count, got `{raw}`")
-                    })?);
-            }
-            "--cache-max-bytes" => {
-                let raw = value("--cache-max-bytes")?;
-                parsed.cache_max_bytes =
-                    Some(raw.parse::<u64>().map_err(|_| {
-                        format!("--cache-max-bytes must be a byte count, got `{raw}`")
-                    })?);
-            }
-            "--remote-store" => parsed.remote_store = Some(value("--remote-store")?),
-            other => return Err(format!("unknown flag `{other}` for `serve`\n{USAGE}")),
-        }
+    if policy == GcPolicy::default() {
+        return Err("`cache gc` needs --max-entries, --max-age and/or --max-bytes".to_string());
     }
-    Ok(parsed)
+    let (store, dir) = existing_store(args)?;
+    let outcome = store
+        .gc(policy)
+        .map_err(|e| format!("cannot gc {dir}: {e}"))?;
+    println!(
+        "cache directory {dir}: removed {} entries, kept {} ({} bytes)",
+        outcome.removed, outcome.kept, outcome.kept_bytes
+    );
+    if outcome.unreadable_mtimes > 0 {
+        println!(
+            "  {} entries had unreadable mtimes (treated as written now, \
+             never age-evicted)",
+            outcome.unreadable_mtimes
+        );
+    }
+    Ok(())
+}
+
+/// The daemon configuration the flags and environment ask for; an absent
+/// flag keeps `ServeConfig::default()`'s value.
+fn serve_config(args: &Args) -> Result<ServeConfig, String> {
+    let defaults = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: args
+            .text(&LISTEN_ADDR)
+            .map_or(defaults.addr, str::to_string),
+        workers: args.count(&JOBS).map_or(defaults.workers, |n| n as usize),
+        queue_capacity: args
+            .count(&QUEUE_CAPACITY)
+            .unwrap_or(defaults.queue_capacity),
+        retry_after_ms: args
+            .count(&RETRY_AFTER_MS)
+            .unwrap_or(defaults.retry_after_ms),
+        max_sessions: args.count(&MAX_SESSIONS).unwrap_or(defaults.max_sessions),
+        idle_timeout: args
+            .count(&IDLE_TIMEOUT_MS)
+            .map(Duration::from_millis)
+            .or(defaults.idle_timeout),
+        store: configured_store(args)?,
+        ..defaults
+    })
 }
 
 /// `bbs serve`: host the engine as a long-lived daemon (see
 /// `bbs_engine::serve`). Blocks until a client sends `shutdown`.
-fn serve(args: &[String]) -> Result<(), String> {
-    let args = parse_serve_args(args)?;
-    let remote_store = effective_remote_store(args.remote_store.as_deref());
-    let store = match effective_cache_dir(args.cache_dir.as_deref()) {
-        Some(dir) => {
-            let mut store = open_store(&dir)?;
-            if let Some(cap) = effective_cache_max_entries(args.cache_max_entries)? {
-                store = store.with_max_entries(cap);
-            }
-            if let Some(budget) = effective_cache_max_bytes(args.cache_max_bytes)? {
-                store = store.with_max_bytes(budget);
-            }
-            if let Some(addr) = &remote_store {
-                let remote = RemoteBackend::connect(addr)
-                    .map_err(|e| format!("cannot connect to remote store {addr}: {e}"))?;
-                store = store.with_remote(Box::new(remote));
-            }
-            Some(store)
-        }
-        None if remote_store.is_some() => {
-            return Err("--remote-store needs a local cache directory (--cache-dir)".to_string());
-        }
-        None => None,
-    };
+fn serve(args: &Args) -> Result<(), String> {
+    let config = serve_config(args)?;
     let server = Server::start(ServeConfig {
-        addr: args.addr,
-        workers: args.jobs,
-        queue_capacity: args.queue_capacity,
-        retry_after_ms: args.retry_after_ms,
-        max_sessions: args.max_sessions,
-        store,
-        idle_timeout: args.idle_timeout_ms.map(Duration::from_millis),
         faults: FaultPlan::from_env()?.unwrap_or_default(),
-        ..ServeConfig::default()
+        ..config
     })
     .map_err(|e| format!("cannot start server: {e}"))?;
     println!("bbs serve: listening on {}", server.addr());
@@ -960,26 +977,15 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn client(args: &[String]) -> Result<(), String> {
-    let [action, flags @ ..] = args else {
-        return Err(format!("`client` needs an action\n{USAGE}"));
-    };
-    match action.as_str() {
-        "run" => client_run(flags),
-        "stats" => client_stats(flags),
-        "shutdown" => client_shutdown(flags),
-        "bench" => client_bench(flags),
-        other => Err(format!(
-            "unknown client action `{other}`; known: run, stats, shutdown, bench\n{USAGE}"
-        )),
-    }
-}
-
-fn connect(addr: Option<&str>) -> Result<TcpStream, String> {
-    let addr = addr.ok_or("`client` needs --addr HOST:PORT")?;
+fn connect(addr: &str) -> Result<TcpStream, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
     Ok(stream)
+}
+
+fn client_addr(args: &Args) -> &str {
+    args.text(&SERVER_ADDR)
+        .expect("parse refuses a client command without --addr")
 }
 
 fn next_reply(stream: &mut TcpStream) -> Result<Reply, String> {
@@ -988,103 +994,40 @@ fn next_reply(stream: &mut TcpStream) -> Result<Reply, String> {
         .ok_or_else(|| "server closed the connection early".to_string())
 }
 
-struct ClientRunArgs {
-    addr: Option<String>,
-    suite: Option<String>,
-    file: Option<String>,
-    jobs: u64,
+fn server_error(reply: Reply) -> String {
+    reply
+        .message
+        .unwrap_or_else(|| "server reported an error".to_string())
+}
+
+/// What one submission came back with.
+struct Submitted {
+    /// The report text, byte-identical to a local `bbs run --json`.
+    report: String,
+    /// The server's summary of the suite's unexpected failures, if any.
+    failures: Option<String>,
+    points: u64,
+    rejections: u64,
+}
+
+/// Submits `request` and follows its replies to the report. A structured
+/// rejection sleeps the server's `retry_after_ms` hint and resubmits, at
+/// most `retries` times, so transient back-pressure does not fail scripts;
+/// a `cancelled` reply (deadline, explicit cancel) is an error carrying the
+/// server's reason. Unless `quiet`, progress goes to stdout.
+fn submit(
+    stream: &mut TcpStream,
+    request: &Request,
     retries: u64,
-    deadline_ms: Option<u64>,
-    json: Option<String>,
     quiet: bool,
-}
-
-fn parse_client_run_args(args: &[String]) -> Result<ClientRunArgs, String> {
-    let mut parsed = ClientRunArgs {
-        addr: None,
-        suite: None,
-        file: None,
-        jobs: 1,
-        retries: 3,
-        deadline_ms: None,
-        json: None,
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => parsed.addr = Some(value("--addr")?),
-            "--suite" => parsed.suite = Some(value("--suite")?),
-            "--file" => parsed.file = Some(value("--file")?),
-            "--jobs" => {
-                let raw = value("--jobs")?;
-                parsed.jobs = raw
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| (1..=64).contains(&n))
-                    .ok_or_else(|| format!("--jobs must be 1..=64, got `{raw}`"))?;
-            }
-            "--retries" => {
-                let raw = value("--retries")?;
-                parsed.retries = raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("--retries must be a count, got `{raw}`"))?;
-            }
-            "--deadline-ms" => {
-                let raw = value("--deadline-ms")?;
-                parsed.deadline_ms = Some(
-                    raw.parse::<u64>()
-                        .ok()
-                        .filter(|&ms| ms >= 1)
-                        .ok_or_else(|| format!("--deadline-ms must be at least 1, got `{raw}`"))?,
-                );
-            }
-            "--json" => parsed.json = Some(value("--json")?),
-            "--quiet" => parsed.quiet = true,
-            other => return Err(format!("unknown flag `{other}` for `client run`\n{USAGE}")),
-        }
-    }
-    if parsed.suite.is_some() && parsed.file.is_some() {
-        return Err("use either --suite or --file, not both".to_string());
-    }
-    Ok(parsed)
-}
-
-/// `bbs client run`: submit one suite, stream the progress, and write the
-/// returned report — byte-identical to a local `bbs run --json` of the
-/// same suite — with the same atomic write discipline. Structured
-/// rejections are retried automatically up to `--retries` times (each
-/// sleeping the server's `retry_after_ms` hint), so transient back-
-/// pressure does not fail scripts; a `cancelled` reply (deadline, explicit
-/// cancel) is a nonzero exit carrying the server's reason.
-fn client_run(args: &[String]) -> Result<(), String> {
-    let args = parse_client_run_args(args)?;
-    let request = if let Some(path) = &args.file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let suite: Suite =
-            serde_json::from_str(&text).map_err(|e| format!("{path} is not a suite file: {e}"))?;
-        Request::run_suite(suite, args.jobs)
-    } else {
-        Request::run_builtin(args.suite.as_deref().unwrap_or("paper"), args.jobs)
-    };
-    let request = match args.deadline_ms {
-        Some(ms) => request.with_deadline_ms(ms),
-        None => request,
-    };
-    let mut stream = connect(args.addr.as_deref())?;
-    send_request(&mut stream, &request).map_err(|e| format!("cannot submit: {e}"))?;
-    let mut points = 0u64;
-    let mut rejections = 0u64;
+) -> Result<Submitted, String> {
+    send_request(stream, request).map_err(|e| format!("cannot submit: {e}"))?;
+    let (mut points, mut rejections) = (0u64, 0u64);
     loop {
-        let reply = next_reply(&mut stream)?;
+        let reply = next_reply(stream)?;
         match reply.kind.as_str() {
             "accepted" => {
-                if !args.quiet {
+                if !quiet {
                     println!(
                         "accepted as ticket {} (queue depth {})",
                         reply.ticket.unwrap_or(0),
@@ -1093,27 +1036,20 @@ fn client_run(args: &[String]) -> Result<(), String> {
                 }
             }
             "rejected" => {
-                let reason = reply
-                    .message
-                    .as_deref()
-                    .unwrap_or("no reason given")
-                    .to_string();
+                let reason = reply.message.as_deref().unwrap_or("no reason given");
                 let wait = reply.retry_after_ms.unwrap_or(100);
-                if rejections >= args.retries {
+                if rejections >= retries {
                     return Err(format!(
                         "submission rejected: {reason} (retry after {wait} ms; gave up after \
                          {rejections} retries)"
                     ));
                 }
                 rejections += 1;
-                if !args.quiet {
-                    println!(
-                        "rejected ({reason}); retry {rejections}/{} in {wait} ms",
-                        args.retries
-                    );
+                if !quiet {
+                    println!("rejected ({reason}); retry {rejections}/{retries} in {wait} ms");
                 }
                 std::thread::sleep(Duration::from_millis(wait));
-                send_request(&mut stream, &request).map_err(|e| format!("cannot resubmit: {e}"))?;
+                send_request(stream, request).map_err(|e| format!("cannot resubmit: {e}"))?;
             }
             "cancelled" => {
                 return Err(format!(
@@ -1123,7 +1059,7 @@ fn client_run(args: &[String]) -> Result<(), String> {
             }
             "point" => {
                 points += 1;
-                if !args.quiet {
+                if !quiet {
                     let cap = reply
                         .capacity_cap
                         .map(|c| format!("cap {c}"))
@@ -1141,205 +1077,123 @@ fn client_run(args: &[String]) -> Result<(), String> {
                 }
             }
             "report" => {
-                let text = reply.report.ok_or("report reply carried no report text")?;
-                if let Some(path) = &args.json {
-                    write_output(path, &text, "JSON report")?;
-                }
-                if !args.quiet {
-                    println!("report complete: {points} points");
-                }
-                // A failure summary means the suite ran but some points
-                // failed unexpectedly — mirror `bbs run`'s nonzero exit.
-                return match reply.message {
-                    None => Ok(()),
-                    Some(message) => Err(message),
-                };
+                return Ok(Submitted {
+                    report: reply.report.ok_or("report reply carried no report text")?,
+                    failures: reply.message,
+                    points,
+                    rejections,
+                });
             }
-            "error" => {
-                return Err(reply
-                    .message
-                    .unwrap_or_else(|| "server reported an error".to_string()))
-            }
+            "error" => return Err(server_error(reply)),
             other => return Err(format!("unexpected reply kind `{other}`")),
         }
     }
 }
 
-fn parse_addr_only(args: &[String], action: &str) -> Result<Option<String>, String> {
-    let mut addr = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--addr" => {
-                addr = Some(
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| "--addr needs a value".to_string())?,
-                );
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` for `client {action}`\n{USAGE}"
-                ))
-            }
-        }
+/// `--retries` of `client run`, default 3.
+fn retry_limit(args: &Args) -> u64 {
+    args.count(&RETRIES).unwrap_or(3)
+}
+
+/// `bbs client run`: submit one suite, stream the progress, and write the
+/// returned report — byte-identical to a local `bbs run --json` of the
+/// same suite — with the same atomic write discipline.
+fn client_run(args: &Args) -> Result<(), String> {
+    let jobs = args.count(&JOBS).unwrap_or(1);
+    let request = match suite_file(args)? {
+        Some(suite) => Request::run_suite(suite, jobs),
+        None => Request::run_builtin(args.text(&SUITE).unwrap_or("paper"), jobs),
+    };
+    let request = match args.count(&DEADLINE_MS) {
+        Some(ms) => request.with_deadline_ms(ms),
+        None => request,
+    };
+    let mut stream = connect(client_addr(args))?;
+    let quiet = args.switch(&QUIET);
+    let submitted = submit(&mut stream, &request, retry_limit(args), quiet)?;
+    if let Some(path) = args.text(&JSON) {
+        write_output(path, &submitted.report, "JSON report")?;
     }
-    Ok(addr)
+    if !quiet {
+        println!("report complete: {} points", submitted.points);
+    }
+    // A failure summary means the suite ran but some points failed
+    // unexpectedly — mirror `bbs run`'s nonzero exit.
+    submitted.failures.map_or(Ok(()), Err)
+}
+
+/// Sends one request to the daemon and returns its reply; an `error` reply
+/// is an error.
+fn ask(args: &Args, request: &Request) -> Result<Reply, String> {
+    let mut stream = connect(client_addr(args))?;
+    send_request(&mut stream, request).map_err(|e| format!("cannot send request: {e}"))?;
+    let reply = next_reply(&mut stream)?;
+    match reply.kind.as_str() {
+        "error" => Err(server_error(reply)),
+        _ => Ok(reply),
+    }
 }
 
 /// `bbs client stats`: print the daemon's machine-readable counters — the
 /// same object `bbs cache stats --json` prints for an offline store.
-fn client_stats(args: &[String]) -> Result<(), String> {
-    let addr = parse_addr_only(args, "stats")?;
-    let mut stream = connect(addr.as_deref())?;
-    send_request(&mut stream, &Request::stats()).map_err(|e| format!("cannot query: {e}"))?;
-    let reply = next_reply(&mut stream)?;
+fn client_stats(args: &Args) -> Result<(), String> {
+    let reply = ask(args, &Request::stats())?;
     match (reply.kind.as_str(), reply.stats) {
         ("stats", Some(snapshot)) => {
             print!("{}", snapshot.to_json());
             Ok(())
         }
-        ("error", _) => Err(reply
-            .message
-            .unwrap_or_else(|| "server reported an error".to_string())),
         (other, _) => Err(format!("unexpected reply kind `{other}`")),
     }
 }
 
 /// `bbs client shutdown`: ask the daemon to drain in-flight work and exit.
-fn client_shutdown(args: &[String]) -> Result<(), String> {
-    let addr = parse_addr_only(args, "shutdown")?;
-    let mut stream = connect(addr.as_deref())?;
-    send_request(&mut stream, &Request::shutdown()).map_err(|e| format!("cannot request: {e}"))?;
-    let reply = next_reply(&mut stream)?;
+fn client_shutdown(args: &Args) -> Result<(), String> {
+    let reply = ask(args, &Request::shutdown())?;
     match reply.kind.as_str() {
         "bye" => {
             println!("server acknowledged shutdown");
             Ok(())
         }
-        "error" => Err(reply
-            .message
-            .unwrap_or_else(|| "server reported an error".to_string())),
         other => Err(format!("unexpected reply kind `{other}`")),
     }
 }
 
-struct ClientBenchArgs {
-    addr: Option<String>,
-    clients: u64,
-    requests: u64,
-    suite: String,
-    jobs: u64,
-}
-
-fn parse_client_bench_args(args: &[String]) -> Result<ClientBenchArgs, String> {
-    let mut parsed = ClientBenchArgs {
-        addr: None,
-        clients: 8,
-        requests: 4,
-        suite: "smoke".to_string(),
-        jobs: 1,
-    };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let count = |name: &str, raw: String| {
-            raw.parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| format!("{name} must be at least 1, got `{raw}`"))
-        };
-        match flag.as_str() {
-            "--addr" => parsed.addr = Some(value("--addr")?),
-            "--clients" => parsed.clients = count("--clients", value("--clients")?)?,
-            "--requests" => parsed.requests = count("--requests", value("--requests")?)?,
-            "--suite" => parsed.suite = value("--suite")?,
-            "--jobs" => parsed.jobs = count("--jobs", value("--jobs")?)?.min(64),
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` for `client bench`\n{USAGE}"
-                ))
-            }
-        }
-    }
-    Ok(parsed)
-}
-
-/// `bbs client bench`: the load generator — N concurrent client
-/// connections each submitting M suites through real sockets, retrying
-/// after structured rejections, reporting aggregate throughput.
-fn client_bench(args: &[String]) -> Result<(), String> {
-    let args = parse_client_bench_args(args)?;
-    let addr = args
-        .addr
-        .clone()
-        .ok_or("`client bench` needs --addr HOST:PORT")?;
+/// `bbs client bench`: the load generator — `--clients` concurrent
+/// connections each submitting `--requests` suites through real sockets,
+/// retrying every structured rejection, reporting aggregate throughput.
+fn client_bench(args: &Args) -> Result<(), String> {
+    let addr = client_addr(args);
+    let clients = args.count(&CLIENTS).unwrap_or(8);
+    let requests = args.count(&REQUESTS).unwrap_or(4);
+    let suite = args.text(&SUITE).unwrap_or("smoke");
+    let request = Request::run_builtin(suite, args.count(&JOBS).unwrap_or(1));
     let start = Instant::now();
-    let mut handles = Vec::new();
-    for _ in 0..args.clients {
-        let addr = addr.clone();
-        let suite = args.suite.clone();
-        let requests = args.requests;
-        let jobs = args.jobs;
-        handles.push(std::thread::spawn(
-            move || -> Result<(u64, u64, u64), String> {
-                let mut stream = connect(Some(&addr))?;
-                let request = Request::run_builtin(&suite, jobs);
-                let (mut completed, mut retries, mut points) = (0u64, 0u64, 0u64);
-                for _ in 0..requests {
-                    'submit: loop {
-                        send_request(&mut stream, &request)
-                            .map_err(|e| format!("cannot submit: {e}"))?;
-                        loop {
-                            let reply = next_reply(&mut stream)?;
-                            match reply.kind.as_str() {
-                                "accepted" => {}
-                                "point" => points += 1,
-                                "report" => {
-                                    completed += 1;
-                                    break 'submit;
-                                }
-                                "rejected" => {
-                                    // Structured back-pressure: honour the
-                                    // server's retry hint, then resubmit.
-                                    retries += 1;
-                                    std::thread::sleep(Duration::from_millis(
-                                        reply.retry_after_ms.unwrap_or(100),
-                                    ));
-                                    continue 'submit;
-                                }
-                                "error" => {
-                                    return Err(reply
-                                        .message
-                                        .unwrap_or_else(|| "server reported an error".to_string()))
-                                }
-                                other => return Err(format!("unexpected reply kind `{other}`")),
-                            }
-                        }
-                    }
-                }
-                Ok((completed, retries, points))
-            },
-        ));
-    }
-    let (mut completed, mut retries, mut points) = (0u64, 0u64, 0u64);
-    for handle in handles {
-        let (c, r, p) = handle
-            .join()
-            .map_err(|_| "bench client thread panicked".to_string())??;
-        completed += c;
-        retries += r;
-        points += p;
-    }
+    let client = || -> Result<(u64, u64), String> {
+        let mut stream = connect(addr)?;
+        let (mut retries, mut points) = (0, 0);
+        for _ in 0..requests {
+            let submitted = submit(&mut stream, &request, u64::MAX, true)?;
+            retries += submitted.rejections;
+            points += submitted.points;
+        }
+        Ok((retries, points))
+    };
+    let (mut retries, mut points) = (0u64, 0u64);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients).map(|_| scope.spawn(client)).collect();
+        for handle in handles {
+            let (r, p) = handle
+                .join()
+                .map_err(|_| "bench client thread panicked".to_string())??;
+            retries += r;
+            points += p;
+        }
+        Ok::<(), String>(())
+    })?;
     let elapsed = start.elapsed();
-    println!(
-        "bench: {} clients x {} submissions of `{}` against {addr}",
-        args.clients, args.requests, args.suite
-    );
+    let completed = clients * requests;
+    println!("bench: {clients} clients x {requests} submissions of `{suite}` against {addr}");
     println!(
         "  {completed} completed ({points} points), {retries} retries after rejection, {:.2?} total",
         elapsed
@@ -1359,76 +1213,222 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// Parses `args` against an environment holding only `vars`.
+    fn parse_in(args: &[&str], vars: &[(&str, &str)]) -> Result<Args, String> {
+        let env = |name: &str| {
+            vars.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| value.to_string())
+        };
+        parse(&strings(args), &env)
+    }
+
+    fn parse_error(args: &[&str], vars: &[(&str, &str)]) -> String {
+        parse_in(args, vars).err().expect("parse must fail")
+    }
+
     #[test]
     fn run_args_parse_the_scheduler_flag() {
         // One scheduler is left, so the old switch is an unknown flag.
-        assert_eq!(parse_run_args(&strings(&["--jobs", "8"])).unwrap().jobs, 8);
-        let error = parse_run_args(&strings(&["--jobs", "8", "--no-steal"]))
-            .err()
-            .unwrap();
+        let parsed = parse_in(&["run", "--jobs", "8"], &[]).unwrap();
+        assert_eq!(parsed.count(&JOBS), Some(8));
+        let error = parse_error(&["run", "--jobs", "8", "--no-steal"], &[]);
         assert!(error.starts_with("unknown flag `--no-steal`"), "{error}");
     }
 
     #[test]
     fn run_args_parse_the_executor_and_cap_flags() {
         // One executor is left, so the old switch is an unknown flag.
-        let error = parse_run_args(&strings(&["--fresh-executor"]))
-            .err()
-            .unwrap();
+        let error = parse_error(&["run", "--fresh-executor"], &[]);
         assert!(
             error.starts_with("unknown flag `--fresh-executor`"),
             "{error}"
         );
-        let parsed = parse_run_args(&strings(&["--cache-max-entries", "128"])).unwrap();
-        assert_eq!(parsed.cache_max_entries, Some(128));
-        let default = parse_run_args(&[]).unwrap();
-        assert_eq!(default.cache_max_entries, None);
-        assert!(parse_run_args(&strings(&["--cache-max-entries", "lots"])).is_err());
-        // The flag wins over the environment; parsing of the flag itself
-        // never consults the environment.
-        assert_eq!(
-            effective_cache_max_entries(Some(3)).unwrap(),
-            Some(3),
-            "explicit flag must win"
-        );
+        let parsed = parse_in(&["run", "--cache-max-entries", "128"], &[]).unwrap();
+        assert_eq!(parsed.count(&CACHE_MAX_ENTRIES), Some(128));
+        let default = parse_in(&["run"], &[]).unwrap();
+        assert_eq!(default.count(&CACHE_MAX_ENTRIES), None);
+        assert!(parse_in(&["run", "--cache-max-entries", "lots"], &[]).is_err());
+        for (flag, var) in [
+            (&CACHE_MAX_ENTRIES, "BBS_CACHE_MAX_ENTRIES"),
+            (&CACHE_MAX_BYTES, "BBS_CACHE_MAX_BYTES"),
+        ] {
+            // The flag wins over the environment, and a malformed
+            // environment value is then never consulted.
+            for env in ["7", "lots"] {
+                let parsed = parse_in(&["run", flag.name, "3"], &[(var, env)]).unwrap();
+                assert_eq!(
+                    parsed.count(flag),
+                    Some(3),
+                    "explicit {} must win",
+                    flag.name
+                );
+            }
+            let parsed = parse_in(&["run"], &[(var, " 7 ")]).unwrap();
+            assert_eq!(parsed.count(flag), Some(7));
+            for blank in ["", "  ", "\t"] {
+                assert_eq!(
+                    parse_in(&["run"], &[(var, blank)]).unwrap().count(flag),
+                    None
+                );
+            }
+            // Malformed is an error naming the variable, whether or not a
+            // store is configured to use it.
+            for args in [&["run"][..], &["run", "--cache-dir", "dir"][..]] {
+                let error = parse_error(args, &[(var, "lots")]);
+                assert!(error.contains(var), "{error}");
+            }
+        }
     }
 
     #[test]
     fn empty_or_whitespace_cache_dirs_are_rejected() {
-        assert!(non_empty_dir(String::new()).is_err());
-        assert!(non_empty_dir("   ".to_string()).is_err());
-        assert!(non_empty_dir("\t\n".to_string()).is_err());
-        assert_eq!(non_empty_dir("dir".to_string()).unwrap(), "dir");
+        for blank in ["", "   ", "\t\n"] {
+            assert!(parse_in(&["run", "--cache-dir", blank], &[]).is_err());
+        }
+        let parsed = parse_in(&["run", "--cache-dir", "dir"], &[]).unwrap();
+        assert_eq!(parsed.text(&CACHE_DIR), Some("dir"));
         // A path with inner whitespace is a real path.
-        assert!(non_empty_dir("my cache".to_string()).is_ok());
+        assert!(parse_in(&["run", "--cache-dir", "my cache"], &[]).is_ok());
+        // Every text flag of every command refuses a blank value.
+        for command in COMMANDS {
+            for flag in command.flags.iter().filter(|flag| flag.kind == Kind::Text) {
+                let mut args = command.words.to_vec();
+                args.extend([flag.name, " "]);
+                let error = parse_error(&args, &[]);
+                assert!(error.starts_with(flag.name), "{args:?}: {error}");
+            }
+        }
+        // The flag wins over the environment; a blank environment value
+        // means unset.
+        for (flag, var) in [
+            (&CACHE_DIR, "BBS_CACHE_DIR"),
+            (&REMOTE_STORE, "BBS_REMOTE_STORE"),
+        ] {
+            let parsed = parse_in(&["run", flag.name, "a"], &[(var, "b")]).unwrap();
+            assert_eq!(parsed.text(flag), Some("a"));
+            let parsed = parse_in(&["run"], &[(var, "b")]).unwrap();
+            assert_eq!(parsed.text(flag), Some("b"));
+            for blank in ["", "   ", "\t"] {
+                assert_eq!(
+                    parse_in(&["run"], &[(var, blank)]).unwrap().text(flag),
+                    None
+                );
+            }
+        }
     }
 
     #[test]
     fn client_run_args_parse_retry_and_deadline_flags() {
-        let parsed =
-            parse_client_run_args(&strings(&["--retries", "0", "--deadline-ms", "500"])).unwrap();
-        assert_eq!(parsed.retries, 0);
-        assert_eq!(parsed.deadline_ms, Some(500));
-        let default = parse_client_run_args(&[]).unwrap();
-        assert_eq!(default.retries, 3);
-        assert_eq!(default.deadline_ms, None);
-        assert!(parse_client_run_args(&strings(&["--deadline-ms", "0"])).is_err());
-        assert!(parse_client_run_args(&strings(&["--retries", "many"])).is_err());
+        let client_run = ["client", "run", "--addr", "127.0.0.1:9"];
+        let mut args = client_run.to_vec();
+        args.extend(["--retries", "0", "--deadline-ms", "500"]);
+        let parsed = parse_in(&args, &[]).unwrap();
+        assert_eq!(retry_limit(&parsed), 0);
+        assert_eq!(parsed.count(&DEADLINE_MS), Some(500));
+        let default = parse_in(&client_run, &[]).unwrap();
+        assert_eq!(retry_limit(&default), 3);
+        assert_eq!(default.count(&DEADLINE_MS), None);
+        for bad in [["--deadline-ms", "0"], ["--retries", "many"]] {
+            let mut args = client_run.to_vec();
+            args.extend(bad);
+            assert!(parse_in(&args, &[]).is_err(), "{args:?}");
+        }
+        let error = parse_error(&["client", "run"], &[]);
+        assert!(error.contains("needs --addr HOST:PORT"), "{error}");
     }
 
     #[test]
     fn serve_args_parse_the_robustness_flags() {
-        let parsed = parse_serve_args(&strings(&[
-            "--idle-timeout-ms",
-            "250",
-            "--remote-store",
-            "127.0.0.1:9",
-        ]))
+        let parsed = parse_in(
+            &[
+                "serve",
+                "--idle-timeout-ms",
+                "250",
+                "--remote-store",
+                "127.0.0.1:9",
+            ],
+            &[],
+        )
         .unwrap();
-        assert_eq!(parsed.idle_timeout_ms, Some(250));
-        assert_eq!(parsed.remote_store.as_deref(), Some("127.0.0.1:9"));
-        assert_eq!(parse_serve_args(&[]).unwrap().idle_timeout_ms, None);
-        assert!(parse_serve_args(&strings(&["--idle-timeout-ms", "0"])).is_err());
+        assert_eq!(parsed.count(&IDLE_TIMEOUT_MS), Some(250));
+        assert_eq!(parsed.text(&REMOTE_STORE), Some("127.0.0.1:9"));
+        let parsed = parse_in(&["serve", "--idle-timeout-ms", "250"], &[]).unwrap();
+        let config = serve_config(&parsed).unwrap();
+        assert_eq!(config.idle_timeout, Some(Duration::from_millis(250)));
+        assert!(parse_in(&["serve", "--idle-timeout-ms", "0"], &[]).is_err());
+        // Without flags, serve runs on `ServeConfig::default()`.
+        let config = serve_config(&parse_in(&["serve"], &[]).unwrap()).unwrap();
+        let defaults = ServeConfig::default();
+        assert_eq!(config.idle_timeout, None);
+        assert_eq!(config.addr, defaults.addr);
+        assert_eq!(config.workers, defaults.workers);
+        assert_eq!(config.queue_capacity, defaults.queue_capacity);
+        assert_eq!(config.retry_after_ms, defaults.retry_after_ms);
+        assert_eq!(config.max_sessions, defaults.max_sessions);
+        assert!(config.store.is_none());
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_never_read() {
+        let ignored: &[(&str, &[&str])] = &[
+            ("validate", &["--csv", "x"]),
+            ("validate", &["--markdown", "x"]),
+            ("expand", &["--no-cache"]),
+            ("expand", &["--cache-dir", "x"]),
+            ("expand", &["--cache-max-entries", "1"]),
+            ("expand", &["--cache-max-bytes", "1"]),
+            ("expand", &["--remote-store", "127.0.0.1:9"]),
+            ("expand", &["--json", "x"]),
+            ("expand", &["--csv", "x"]),
+            ("expand", &["--markdown", "x"]),
+            ("expand", &["--quiet"]),
+            ("list", &["x"]),
+            ("list", &["--quiet"]),
+        ];
+        for (command, flag) in ignored {
+            let mut args = vec![*command];
+            args.extend(*flag);
+            let error = parse_error(&args, &[]);
+            let expected = format!("unknown flag `{}` for `{command}`", flag[0]);
+            assert!(error.starts_with(&expected), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn client_bench_bounds_jobs_and_clients() {
+        let bench = ["client", "bench", "--addr", "127.0.0.1:9"];
+        for (flag, refused, accepted) in [("--jobs", "65", "64"), ("--clients", "1025", "1024")] {
+            for value in ["0", refused] {
+                let mut args = bench.to_vec();
+                args.extend([flag, value]);
+                let error = parse_error(&args, &[]);
+                assert!(error.starts_with(flag), "{error}");
+            }
+            let mut args = bench.to_vec();
+            args.extend([flag, accepted]);
+            assert!(parse_in(&args, &[]).is_ok(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn help_renders_every_command_from_the_table() {
+        let help = usage();
+        for command in COMMANDS {
+            let synopsis = command.synopsis();
+            assert!(help.contains(&synopsis), "{synopsis}");
+            for flag in command.flags {
+                assert!(
+                    synopsis.contains(flag.name),
+                    "{synopsis} lacks {}",
+                    flag.name
+                );
+            }
+        }
+        assert!(help.contains("  bbs client run --addr HOST:PORT [--suite NAME]"));
+        assert!(help.contains("  bbs serve [--addr HOST:PORT]"));
+        assert!(help.contains("  bbs check [REPORT.json | SUITE.json | -]"));
+        assert!(help.lines().all(|line| line.len() <= 78), "{help}");
     }
 
     #[test]

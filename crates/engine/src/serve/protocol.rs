@@ -197,28 +197,6 @@ pub fn read_frame_budgeted<R: Read>(
     Ok(FrameRead::Frame(payload))
 }
 
-/// Like [`read_frame`], but tolerates read timeouts while *idle* so the
-/// server can notice a shutdown flag between requests.
-///
-/// The stream should have a read timeout configured. While no header byte
-/// has arrived yet, a timeout just re-checks `shutdown`; returns
-/// `Ok(None)` if it was raised (or on clean EOF). Once any byte of a frame
-/// has arrived, the peer is mid-message and timeouts keep waiting for the
-/// rest — [`read_frame_budgeted`] is the variant that bounds that wait.
-pub fn read_frame_interruptible<R: Read>(
-    stream: &mut R,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    match read_frame_budgeted(stream, shutdown, None, None)? {
-        FrameRead::Frame(payload) => Ok(Some(payload)),
-        // Without budgets the timeout variants cannot occur; mapping them
-        // to a closed stream keeps the compat surface total.
-        FrameRead::Eof | FrameRead::Shutdown | FrameRead::IdleTimeout | FrameRead::Stalled => {
-            Ok(None)
-        }
-    }
-}
-
 enum HeaderRead {
     Full,
     Eof,

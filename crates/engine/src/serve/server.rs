@@ -90,10 +90,6 @@ pub(crate) struct Submission {
     /// request) — aborts the submission whether still queued or already
     /// running.
     pub(crate) cancel: CancelToken,
-    /// The ticket the client was told; lets the dispatcher be labelled in
-    /// future diagnostics and keeps the pair self-describing.
-    #[allow(dead_code)]
-    pub(crate) ticket: u64,
 }
 
 /// Everything the accept, dispatcher and session threads share.

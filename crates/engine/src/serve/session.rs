@@ -291,7 +291,6 @@ fn handle_run(
         jobs,
         reply: reply_tx,
         cancel: cancel.clone(),
-        ticket,
     };
     match state.queue.push(client_id, submission) {
         Err(Admission::Full) => {

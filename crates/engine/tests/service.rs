@@ -490,6 +490,19 @@ fn cli_serve_and_client_round_trip_byte_identical_reports() {
     let stats = bbs(&["client", "stats", "--addr", &addr]);
     let snapshot = StatsSnapshot::from_json(&stats).unwrap();
     assert_eq!(snapshot.queue.unwrap().completed, 2);
+    let bench = bbs(&[
+        "client",
+        "bench",
+        "--addr",
+        &addr,
+        "--clients",
+        "2",
+        "--requests",
+        "2",
+        "--suite",
+        "smoke",
+    ]);
+    assert!(bench.contains("4 completed"), "bench: {bench}");
 
     let shutdown = bbs(&["client", "shutdown", "--addr", &addr]);
     assert!(shutdown.contains("server acknowledged shutdown"));
