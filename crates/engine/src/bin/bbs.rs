@@ -627,7 +627,7 @@ fn configured_store(args: &Args) -> Result<Option<SolveStore>, String> {
     if let Some(addr) = remote {
         let remote = RemoteBackend::connect(addr)
             .map_err(|e| format!("cannot connect to remote store {addr}: {e}"))?;
-        store = store.with_remote(Box::new(remote));
+        store = store.with_remote(remote);
     }
     Ok(Some(store))
 }

@@ -105,9 +105,8 @@ pub use report::{PointReport, ScenarioReport, SuiteReport, SCHEMA_VERSION};
 pub use scenario::{Flow, Scenario, Suite, SweepSpec, ValidationMode, WorkloadSpec};
 pub use serve::{Reply, Request, ServeConfig, Server, StatsSnapshot};
 pub use store::{
-    BreakerConfig, CircuitBreaker, GcOutcome, GcPolicy, LocalDirBackend, RemoteBackend,
-    RemoteHealth, SolveStore, StoreBackend, StoreEntry, StoreStats, StoreSummary,
-    STORE_SCHEMA_VERSION,
+    BreakerConfig, CircuitBreaker, GcOutcome, GcPolicy, RemoteBackend, SolveStore, StoreEntry,
+    StoreStats, StoreSummary, STORE_SCHEMA_VERSION,
 };
 pub use validate::{validate_outcome, PointValidation, ValidationReport};
 

@@ -67,23 +67,16 @@ pub fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> io::Result<()> {
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
 /// the connection between messages). EOF in the middle of a frame is an
-/// `UnexpectedEof` error — the peer died mid-message.
+/// `UnexpectedEof` error — the peer died mid-message. A read timeout set
+/// on the stream is waited through, not reported; use
+/// [`read_frame_budgeted`] to bound the wait.
 pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    match read_exact_or_eof(stream, &mut header)? {
-        HeaderRead::Eof => return Ok(None),
-        HeaderRead::Full => {}
+    // Without budgets or a shutdown flag the budgeted reader ends only in a
+    // frame, a clean EOF or an error.
+    match read_frame_budgeted(stream, &AtomicBool::new(false), None, None)? {
+        FrameRead::Frame(payload) => Ok(Some(payload)),
+        _ => Ok(None),
     }
-    let len = u32::from_be_bytes(header);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame header claims {len} bytes, above the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// The outcome of one [`read_frame_budgeted`] call: either a frame, or one
@@ -195,32 +188,6 @@ pub fn read_frame_budgeted<R: Read>(
         }
     }
     Ok(FrameRead::Frame(payload))
-}
-
-enum HeaderRead {
-    Full,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(stream: &mut R, buf: &mut [u8]) -> io::Result<HeaderRead> {
-    let mut have = 0usize;
-    while have < buf.len() {
-        match stream.read(&mut buf[have..]) {
-            Ok(0) => {
-                if have == 0 {
-                    return Ok(HeaderRead::Eof);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => have += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(HeaderRead::Full)
 }
 
 /// Serializes a request and writes it as one frame.

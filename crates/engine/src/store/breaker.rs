@@ -176,24 +176,6 @@ impl CircuitBreaker {
     }
 }
 
-/// A remote tier's health counters, as merged into
-/// [`StoreStats`](crate::StoreStats) by the store and surfaced by
-/// `bbs client stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteHealth {
-    /// Whether the circuit breaker is open right now.
-    pub breaker_open: bool,
-    /// Times the breaker opened.
-    pub breaker_opens: u64,
-    /// Times a successful probe closed it again.
-    pub breaker_closes: u64,
-    /// Health probes attempted while open.
-    pub breaker_probes: u64,
-    /// Write-behind puts dropped (queue full, or breaker open when their
-    /// turn came).
-    pub dropped_puts: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

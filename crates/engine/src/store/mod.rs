@@ -9,21 +9,19 @@
 //! [`CanonicalKey`] — and later runs (of any process) read it back instead
 //! of solving again.
 //!
-//! # Backends and tiers
+//! # Tiers
 //!
-//! *Where* bodies live is behind the [`StoreBackend`] trait (see
-//! [`backend`]): the store owns a **primary** backend — by default a
-//! [`LocalDirBackend`] directory tree — plus an optional **remote** tier
-//! ([`RemoteBackend`], see [`remote`]) speaking the serve protocol to a
-//! peer `bbs serve` daemon. Lookups read the primary first, then fall
-//! through to the remote; a remote hit is validated like any local entry
-//! and written back into the primary (read-through). Fresh results are
-//! written to the primary synchronously and shipped to the remote
-//! asynchronously (write-behind). The store itself keeps all semantics —
-//! addressing, collision guards, validation, retention — so every backend
-//! shares one correctness story.
+//! The store owns a local **directory** tree plus an optional **remote**
+//! tier ([`RemoteBackend`], see [`remote`]) speaking the serve protocol to
+//! a peer `bbs serve` daemon. Lookups read the directory first, then fall
+//! through to the remote; a body from either tier passes the same
+//! validation, and a remote hit is written back into the directory
+//! (read-through). Fresh results are written to the directory
+//! synchronously and shipped to the remote asynchronously (write-behind).
+//! The store itself keeps all semantics — addressing, collision guards,
+//! validation, retention — so both tiers share one correctness story.
 //!
-//! # Layout (the local backend)
+//! # Layout (the directory tier)
 //!
 //! ```text
 //! <root>/v2/<hh>/<hhhhhhhhhhhhhhhh>.mlz   minilz-compressed JSON
@@ -96,13 +94,15 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-pub mod backend;
 pub mod breaker;
+mod dir;
 pub mod remote;
 
-pub use backend::{LocalDirBackend, StoreBackend, StoreEntry, STORE_SCHEMA_VERSION};
-pub use breaker::{BreakerConfig, CircuitBreaker, RemoteHealth};
+pub use breaker::{BreakerConfig, CircuitBreaker};
+pub use dir::{StoreEntry, STORE_SCHEMA_VERSION};
 pub use remote::RemoteBackend;
+
+use dir::LocalDir;
 
 use crate::cache::CanonicalKey;
 use bbs_conic::SOLVER_REVISION;
@@ -111,7 +111,7 @@ use budget_buffer::{Mapping, MappingError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, SystemTime};
@@ -121,14 +121,14 @@ use std::time::{Duration, SystemTime};
 /// to the persistent tiers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Lookups answered by the primary (local) tier.
+    /// Lookups answered by the local directory tier.
     pub disk_hits: u64,
-    /// Lookups the primary missed that the remote tier answered.
+    /// Lookups the directory missed that the remote tier answered.
     pub remote_hits: u64,
     /// Lookups that found no usable entry in any tier and had to solve.
     pub fresh_solves: u64,
-    /// Entries newly written to the primary tier: persistable fresh solves
-    /// plus read-through fills from the remote tier.
+    /// Entries newly written to the directory tier: persistable fresh
+    /// solves plus read-through fills from the remote tier.
     pub stored: u64,
     /// Entries ignored because they were corrupt, carried a foreign schema
     /// version or solver revision, or collided with a different key.
@@ -149,13 +149,13 @@ pub struct StoreStats {
     /// Whether the breaker is open *right now* — remote traffic is being
     /// fail-fasted while background probes look for recovery.
     pub breaker_open: bool,
-    /// Write-behind entries dropped because the breaker was open when
-    /// their turn came. They cost the peer warmth only; the local tier
-    /// already holds them.
+    /// Write-behind entries dropped because the queue was full, or the
+    /// breaker was open or the transport failed when their turn came. They
+    /// cost the peer warmth only; the local tier already holds them.
     pub dropped_puts: u64,
 }
 
-/// What `bbs cache stats` reports: a full scan of the primary tier.
+/// What `bbs cache stats` reports: a full scan of the directory tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreSummary {
     /// Valid entries of this build's solver revision: the ones lookups
@@ -280,9 +280,8 @@ struct TrackedSize {
 /// the format, the tiering and the safety story.
 #[derive(Debug)]
 pub struct SolveStore {
-    root: PathBuf,
-    primary: Box<dyn StoreBackend>,
-    remote: Option<Box<dyn StoreBackend>>,
+    dir: LocalDir,
+    remote: Option<RemoteBackend>,
     disk_hits: AtomicU64,
     remote_hits: AtomicU64,
     fresh_solves: AtomicU64,
@@ -302,17 +301,14 @@ pub struct SolveStore {
 }
 
 impl SolveStore {
-    /// Opens (creating if needed) a store rooted at `dir`, backed by a
-    /// [`LocalDirBackend`].
+    /// Opens (creating if needed) a store rooted at `dir`.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`io::Error`] when the directory cannot be
     /// created.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let root = dir.as_ref().to_path_buf();
-        let backend = LocalDirBackend::open(&root)?;
-        Ok(Self::with_backend(root, Box::new(backend)))
+        LocalDir::open(dir.as_ref()).map(Self::over)
     }
 
     /// Opens a store rooted at an *existing* directory, creating nothing —
@@ -323,19 +319,12 @@ impl SolveStore {
     ///
     /// Returns [`io::ErrorKind::NotFound`] when `dir` is not a directory.
     pub fn open_existing(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let root = dir.as_ref().to_path_buf();
-        let backend = LocalDirBackend::open_existing(&root)?;
-        Ok(Self::with_backend(root, Box::new(backend)))
+        LocalDir::open_existing(dir.as_ref()).map(Self::over)
     }
 
-    /// Builds a store over an arbitrary primary [`StoreBackend`]. `label`
-    /// is what [`root`](Self::root) reports — for the default constructors
-    /// it is the real directory; for custom backends it is a display
-    /// label.
-    pub fn with_backend(label: impl Into<PathBuf>, primary: Box<dyn StoreBackend>) -> Self {
+    fn over(dir: LocalDir) -> Self {
         Self {
-            root: label.into(),
-            primary,
+            dir,
             remote: None,
             disk_hits: AtomicU64::new(0),
             remote_hits: AtomicU64::new(0),
@@ -348,12 +337,12 @@ impl SolveStore {
         }
     }
 
-    /// Layers a remote tier under the primary backend: lookups fall
-    /// through to it on a primary miss (read-through — a remote hit is
-    /// validated and written back into the primary), and fresh results are
-    /// shipped to it best-effort after the primary write (write-behind).
+    /// Layers a remote tier under the directory: lookups fall through to
+    /// it on a directory miss (read-through — a remote hit is validated and
+    /// written back into the directory), and fresh results are shipped to
+    /// it best-effort after the directory write (write-behind).
     #[must_use]
-    pub fn with_remote(mut self, remote: Box<dyn StoreBackend>) -> Self {
+    pub fn with_remote(mut self, remote: RemoteBackend) -> Self {
         self.remote = Some(remote);
         self
     }
@@ -395,45 +384,39 @@ impl SolveStore {
         self.max_bytes
     }
 
-    /// The directory the store was opened at (a display label for custom
-    /// backends).
+    /// The directory the store was opened at.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Whether a remote tier is attached.
-    pub fn has_remote(&self) -> bool {
-        self.remote.is_some()
+        self.dir.root()
     }
 
     /// This run's counters, including the remote tier's circuit-breaker
     /// health when one is attached.
     pub fn stats(&self) -> StoreStats {
-        let health = self
-            .remote
-            .as_ref()
-            .and_then(|remote| remote.health())
-            .unwrap_or_default();
-        StoreStats {
+        let mut stats = StoreStats {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             remote_hits: self.remote_hits.load(Ordering::Relaxed),
             fresh_solves: self.fresh_solves.load(Ordering::Relaxed),
             stored: self.stored.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            remote_enabled: self.remote.is_some(),
-            breaker_opens: health.breaker_opens,
-            breaker_closes: health.breaker_closes,
-            breaker_probes: health.breaker_probes,
-            breaker_open: health.breaker_open,
-            dropped_puts: health.dropped_puts,
+            ..StoreStats::default()
+        };
+        if let Some(remote) = &self.remote {
+            let breaker = remote.breaker();
+            stats.remote_enabled = true;
+            stats.breaker_opens = breaker.opens();
+            stats.breaker_closes = breaker.closes();
+            stats.breaker_probes = breaker.probes();
+            stats.breaker_open = breaker.is_open();
+            stats.dropped_puts = remote.dropped_puts();
         }
+        stats
     }
 
     /// Looks `key` up in the persistent tiers; `configuration` must be the
     /// configuration the key was built from (it rebuilds the mapping
-    /// without re-parsing the key's canonical JSON). Reads the primary
-    /// tier first, then the remote; a remote hit is written back into the
-    /// primary. Returns `None` — after bumping the fresh-solve counter —
+    /// without re-parsing the key's canonical JSON). Reads the directory
+    /// first, then the remote; a remote hit is written back into the
+    /// directory. Returns `None` — after bumping the fresh-solve counter —
     /// when no tier holds a usable entry.
     pub fn load(
         &self,
@@ -449,27 +432,33 @@ impl SolveStore {
     }
 
     /// [`load`](Self::load) without the matching-configuration debug
-    /// assertion — the tier walk itself.
+    /// assertion — the tier walk itself. An unreadable local container
+    /// counts as rejected; a remote transport error does not (a broken
+    /// peer is expected degradation, not a corrupt entry).
     fn try_load(
         &self,
         key: &CanonicalKey,
         configuration: &Configuration,
     ) -> Option<Result<Mapping, MappingError>> {
         let address = entry_address(key);
-        if let Some((result, _)) =
-            self.lookup_tier(self.primary.as_ref(), &address, key, configuration, true)
-        {
+        let local = self.dir.get(&address).unwrap_or_else(|_| {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            None
+        });
+        if let Some(result) = local.and_then(|body| self.accept(&body, key, configuration)) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             return Some(result);
         }
-        if let Some(remote) = &self.remote {
-            if let Some((result, body)) =
-                self.lookup_tier(remote.as_ref(), &address, key, configuration, false)
-            {
+        let remote_body = self
+            .remote
+            .as_ref()
+            .and_then(|remote| remote.get(&address).ok().flatten());
+        if let Some(body) = remote_body {
+            if let Some(result) = self.accept(&body, key, configuration) {
                 self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                // Read-through: populate the primary tier so the next run
+                // Read-through: populate the directory so the next run
                 // (and the rest of this one) hits locally.
-                self.persist_primary(&address, &body);
+                self.persist(&address, &body);
                 return Some(result);
             }
         }
@@ -477,88 +466,61 @@ impl SolveStore {
         None
     }
 
-    /// One tier's lookup: fetch, parse, validate (schema, full-key
-    /// collision guard, outcome shape), decode. Validation failures bump
-    /// the `rejected` counter on any tier; plain *transport/read* errors
-    /// bump it only when `count_read_errors` is set (local tier — a
-    /// broken remote is expected degradation, not a corrupt entry).
-    fn lookup_tier(
+    /// Validates one tier's body for `key` — parse, schema and revision,
+    /// full-key collision guard, outcome shape — and decodes it. Any
+    /// failure bumps the `rejected` counter.
+    fn accept(
         &self,
-        tier: &dyn StoreBackend,
-        address: &str,
+        body: &str,
         key: &CanonicalKey,
         configuration: &Configuration,
-        count_read_errors: bool,
-    ) -> Option<(Result<Mapping, MappingError>, String)> {
-        let body = match tier.get(address) {
-            Ok(Some(body)) => body,
-            // A missing entry is the normal cold-cache case, not a rejection.
-            Ok(None) => return None,
-            Err(_) => {
-                if count_read_errors {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                return None;
-            }
-        };
-        let Ok(entry) = serde_json::from_str::<StoredEntry>(&body) else {
-            return self.reject();
-        };
-        if !entry.is_current() {
-            return self.reject();
+    ) -> Option<Result<Mapping, MappingError>> {
+        let decoded = serde_json::from_str::<StoredEntry>(body)
+            .ok()
+            // Full-key comparison: a 64-bit hash collision surfaces here and
+            // falls back to a fresh solve instead of returning a wrong answer.
+            .filter(|entry| {
+                entry.is_current()
+                    && entry.solver_revision == Some(key.solver_revision)
+                    && entry.fingerprint == key.fingerprint
+                    && entry.configuration == key.configuration
+                    && entry.options == key.options
+                    && entry.flow == key.flow
+            })
+            .and_then(|entry| match (entry.feasible, entry.infeasible) {
+                (Some(mapping), None) => decode_mapping(&mapping, configuration).map(Ok),
+                (None, Some(error)) => decode_infeasibility(&error).map(Err),
+                _ => None,
+            });
+        if decoded.is_none() {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
         }
-        // Full-key comparison: a 64-bit hash collision surfaces here and
-        // falls back to a fresh solve instead of returning a wrong answer.
-        if entry.solver_revision != Some(key.solver_revision)
-            || entry.fingerprint != key.fingerprint
-            || entry.configuration != key.configuration
-            || entry.options != key.options
-            || entry.flow != key.flow
-        {
-            return self.reject();
-        }
-        match (entry.feasible, entry.infeasible) {
-            (Some(mapping), None) => match decode_mapping(&mapping, configuration) {
-                Some(mapping) => Some((Ok(mapping), body)),
-                None => self.reject(),
-            },
-            (None, Some(error)) => match decode_infeasibility(&error) {
-                Some(error) => Some((Err(error), body)),
-                None => self.reject(),
-            },
-            _ => self.reject(),
-        }
-    }
-
-    fn reject(&self) -> Option<(Result<Mapping, MappingError>, String)> {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        None
+        decoded
     }
 
     /// Persists a solve result, best-effort: I/O failures and
     /// non-persistable errors (solver breakdowns, model errors,
     /// verification failures — see the [module docs](self)) are skipped
-    /// silently; the next run simply solves again. The primary write is
+    /// silently; the next run simply solves again. The directory write is
     /// synchronous; the remote tier (when attached) receives the body
     /// write-behind.
     pub fn save(&self, key: &CanonicalKey, result: &Result<Mapping, MappingError>) {
         let Some(body) = encode_entry(key, result) else {
             return;
         };
-        let address = entry_address(key);
-        if self.persist_primary(&address, &body) {
+        if self.persist(&entry_address(key), &body) {
             if let Some(remote) = &self.remote {
                 // Write-behind, best-effort: a full queue or broken peer
                 // costs the peer warmth, never local correctness.
-                let _ = remote.put(&address, &body);
+                remote.put(&body);
             }
         }
     }
 
-    /// Writes one body into the primary tier, counting it and enforcing
-    /// the automatic caps. Returns whether the write landed.
-    fn persist_primary(&self, address: &str, body: &str) -> bool {
-        match self.primary.put(address, body) {
+    /// Writes one body into the directory, counting it and enforcing the
+    /// automatic caps. Returns whether the write landed.
+    fn persist(&self, address: &str, body: &str) -> bool {
+        match self.dir.put(address, body) {
             Ok(bytes) => {
                 self.stored.fetch_add(1, Ordering::Relaxed);
                 self.enforce_caps(bytes);
@@ -586,7 +548,7 @@ impl SolveStore {
             // enforcement failed): resynchronise from a real scan. The
             // entry just written is already on disk, so the scan includes
             // it.
-            None => match self.primary.list() {
+            None => match self.dir.list() {
                 Ok(scan) => TrackedSize {
                     entries: scan.len() as u64,
                     bytes: scan.iter().map(|entry| entry.bytes).sum(),
@@ -617,15 +579,15 @@ impl SolveStore {
         }
     }
 
-    /// Serves one `store_get` request from a peer: the primary tier's raw
-    /// body at `address`, *without* touching the solve counters — a peer's
+    /// Serves one `store_get` request from a peer: the directory's raw body
+    /// at `address`, *without* touching the solve counters — a peer's
     /// lookup is not one of this process's solves.
     ///
     /// # Errors
     ///
-    /// The primary backend's read error.
+    /// The directory's read error.
     pub fn peer_get(&self, address: &str) -> io::Result<Option<String>> {
-        self.primary.get(address)
+        self.dir.get(address)
     }
 
     /// Serves one `store_put` request from a peer: validates the body
@@ -662,37 +624,38 @@ impl SolveStore {
             &entry.flow,
             SOLVER_REVISION,
         );
-        if self.persist_primary(&address, body) {
+        if self.persist(&address, body) {
             Ok(())
         } else {
             Err("store write failed".to_string())
         }
     }
 
-    /// Every entry file of the primary tier, sorted oldest-first (ties
-    /// broken by path so GC is deterministic regardless of readdir order).
-    /// Entries whose mtime the filesystem cannot report are stamped with
-    /// the scan time — i.e. as the newest files present — so retention
-    /// policies never mistake them for infinitely old. Files that vanish mid-scan — a concurrent
-    /// `gc`/`clear` — are skipped, not errors.
+    /// Every entry file of the directory, sorted oldest-first (ties broken
+    /// by path so GC is deterministic regardless of readdir order). Each
+    /// write stamps its file with a fine-grained mtime, so this is write
+    /// order. Entries whose mtime the filesystem cannot report are stamped
+    /// with the scan time — i.e. as the newest files present — so retention
+    /// policies never mistake them for infinitely old. Files that vanish
+    /// mid-scan — a concurrent `gc`/`clear` — are skipped, not errors.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`io::Error`] when the tree cannot be read.
     pub fn entries(&self) -> io::Result<Vec<StoreEntry>> {
-        self.primary.list()
+        self.dir.list()
     }
 
-    /// Scans the whole primary tier for `bbs cache stats`.
+    /// Scans the whole directory for `bbs cache stats`.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`io::Error`] when the tree cannot be read.
     pub fn summary(&self) -> io::Result<StoreSummary> {
         let mut summary = StoreSummary::default();
-        for entry in self.primary.list()? {
+        for entry in self.dir.list()? {
             summary.total_bytes += entry.bytes;
-            let body = self.primary.read_body(&entry).ok();
+            let body = self.dir.read_body(&entry).ok();
             if let Some(body) = &body {
                 summary.logical_bytes += body.len() as u64;
             }
@@ -720,18 +683,18 @@ impl SolveStore {
         Ok(summary)
     }
 
-    /// Removes every entry of the primary tier (all schema versions and
-    /// solver revisions). Returns the number of files removed.
+    /// Removes every entry of the directory (all schema versions and solver
+    /// revisions). Returns the number of files removed.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`io::Error`] when the tree cannot be
     /// removed.
     pub fn clear(&self) -> io::Result<u64> {
-        self.primary.clear()
+        self.dir.clear()
     }
 
-    /// Applies a retention policy to the primary tier: first drops entries
+    /// Applies a retention policy to the directory: first drops entries
     /// older than `max_age` (entries with unreadable mtimes are exempt —
     /// they count as written now), then — oldest first — drops entries
     /// beyond `max_entries`, then beyond `max_bytes`.
@@ -742,10 +705,10 @@ impl SolveStore {
     /// (individual failed removals are skipped, not errors: a concurrent
     /// run may have removed or replaced the file already).
     pub fn gc(&self, policy: GcPolicy) -> io::Result<GcOutcome> {
-        let entries = self.primary.list()?;
+        let entries = self.dir.list()?;
         let (remove, mut outcome) = plan_gc(&entries, policy, SystemTime::now());
         for entry in remove {
-            if self.primary.remove(entry).unwrap_or(false) {
+            if self.dir.remove(entry).unwrap_or(false) {
                 outcome.removed += 1;
             }
         }
@@ -754,8 +717,8 @@ impl SolveStore {
 }
 
 /// The content address of a key: the 16-hex-digit FNV-1a hash over the
-/// full canonical identity — the file stem every backend stores the entry
-/// under.
+/// full canonical identity — the file stem the entry is stored under, on
+/// this store and on its peers.
 pub fn entry_address(key: &CanonicalKey) -> String {
     address_of_parts(
         &key.configuration,
@@ -1001,6 +964,7 @@ mod tests {
     use bbs_taskgraph::{BufferId, TaskGraphId, TaskId};
     use budget_buffer::{compute_mapping, with_capacity_cap, SolveOptions};
     use std::fs;
+    use std::path::PathBuf;
 
     fn solved() -> (Configuration, CanonicalKey, Result<Mapping, MappingError>) {
         let configuration =
@@ -1011,10 +975,9 @@ mod tests {
         (configuration, key, result)
     }
 
-    /// The container path of `key` under `root` (test-side mirror of the
-    /// local backend's layout).
+    /// The container path of `key` under `root`.
     fn entry_path(root: &Path, key: &CanonicalKey) -> PathBuf {
-        LocalDirBackend::open_existing(root)
+        LocalDir::open_existing(root)
             .unwrap()
             .entry_path(&entry_address(key))
     }
@@ -1563,70 +1526,51 @@ mod tests {
         assert_eq!(store.stats().stored, 1, "rejected bodies are not stored");
     }
 
-    /// A shareable in-memory backend standing in for the remote tier, so
-    /// the tiering logic is testable without a network.
-    #[derive(Debug, Clone, Default)]
-    struct MemBackend {
-        entries: std::sync::Arc<Mutex<std::collections::BTreeMap<String, String>>>,
-        gets: std::sync::Arc<AtomicU64>,
-        puts: std::sync::Arc<AtomicU64>,
-    }
-
-    impl StoreBackend for MemBackend {
-        fn describe(&self) -> String {
-            "in-memory test backend".to_string()
-        }
-        fn get(&self, address: &str) -> io::Result<Option<String>> {
-            self.gets.fetch_add(1, Ordering::Relaxed);
-            Ok(self.entries.lock().unwrap().get(address).cloned())
-        }
-        fn put(&self, address: &str, body: &str) -> io::Result<u64> {
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            self.entries
-                .lock()
-                .unwrap()
-                .insert(address.to_string(), body.to_string());
-            Ok(body.len() as u64)
-        }
-        fn list(&self) -> io::Result<Vec<StoreEntry>> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "list"))
-        }
-        fn read_body(&self, _entry: &StoreEntry) -> io::Result<String> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "read_body"))
-        }
-        fn remove(&self, _entry: &StoreEntry) -> io::Result<bool> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "remove"))
-        }
-        fn clear(&self) -> io::Result<u64> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "clear"))
-        }
-    }
-
     #[test]
     fn remote_tier_reads_through_and_writes_behind() {
-        let shared = MemBackend::default();
+        use crate::serve::{ServeConfig, Server};
+        let directory = TempDir::new("tier");
+        let server = Server::start(ServeConfig {
+            store: Some(SolveStore::open(directory.path().join("peer")).unwrap()),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr().to_string();
+        // Threshold 1 with an hour of backoff: one transport failure opens
+        // the breaker for the rest of the test.
+        let tiered = |name: &str| {
+            let remote = RemoteBackend::connect_with(
+                &addr,
+                BreakerConfig {
+                    threshold: 1,
+                    probe_backoff: Duration::from_secs(3600),
+                    backoff_cap: Duration::from_secs(3600),
+                },
+            )
+            .unwrap();
+            SolveStore::open(directory.path().join(name))
+                .unwrap()
+                .with_remote(remote)
+        };
+        let peer_stored = || server.stats().store.expect("peer has a store").stored;
         let (configuration, key, result) = solved();
 
-        // Process 1: fresh solve; the save lands locally and on the remote.
-        let dir_a = TempDir::new("tier-a");
-        let store_a = SolveStore::open(dir_a.path())
-            .unwrap()
-            .with_remote(Box::new(shared.clone()));
-        assert!(store_a.has_remote());
+        // Process 1: fresh solve; the save lands locally and, once the
+        // store is dropped (flushing write-behind), on the peer.
+        let store_a = tiered("a");
         assert!(store_a.load(&key, &configuration).is_none());
         store_a.save(&key, &result);
-        assert_eq!(shared.puts.load(Ordering::Relaxed), 1);
         let stats = store_a.stats();
         assert_eq!(stats.fresh_solves, 1);
         assert_eq!(stats.remote_hits, 0);
         assert!(stats.remote_enabled);
+        drop(store_a);
+        assert_eq!(peer_stored(), 1, "write-behind reached the peer");
 
-        // Process 2, cold local dir: the remote answers, and read-through
+        // Process 2, cold local dir: the peer answers, and read-through
         // populates the local tier.
-        let dir_b = TempDir::new("tier-b");
-        let store_b = SolveStore::open(dir_b.path())
-            .unwrap()
-            .with_remote(Box::new(shared.clone()));
+        let store_b = tiered("b");
         let loaded = store_b.load(&key, &configuration).expect("remote hit");
         assert_eq!(loaded.unwrap(), result.clone().unwrap());
         let stats = store_b.stats();
@@ -1634,13 +1578,59 @@ mod tests {
         assert_eq!(stats.disk_hits, 0);
         assert_eq!(stats.fresh_solves, 0);
         assert_eq!(stats.stored, 1, "read-through fill counts as stored");
+        drop(store_b);
+        assert_eq!(peer_stored(), 1, "read-through fills are not echoed back");
 
-        // The next lookup hits locally without touching the remote again.
-        let gets_before = shared.gets.load(Ordering::Relaxed);
-        assert!(store_b.load(&key, &configuration).is_some());
-        assert_eq!(store_b.stats().disk_hits, 1);
-        assert_eq!(shared.gets.load(Ordering::Relaxed), gets_before);
-        // Read-through fills are not echoed back to the remote.
-        assert_eq!(shared.puts.load(Ordering::Relaxed), 1);
+        // Process 3 on the filled dir: a local hit never asks the peer, so
+        // a stopped peer leaves the breaker untouched.
+        let store_c = tiered("b");
+        server.shutdown();
+        server.wait();
+        assert!(store_c.load(&key, &configuration).is_some());
+        let stats = store_c.stats();
+        assert_eq!(stats.disk_hits, 1);
+        assert_eq!(stats.breaker_opens, 0);
+    }
+
+    #[test]
+    fn gc_evicts_in_write_order_within_one_mtime_tick() {
+        let directory = TempDir::new("gc-write-order");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let base = producer_consumer(PaperParameters::default(), None);
+        let options = SolveOptions::default().prefer_budget_minimisation();
+        // Solve first, so the saves run back to back, well within one tick
+        // of a coarse filesystem clock.
+        let mut solved: Vec<(CanonicalKey, Result<Mapping, MappingError>)> = (1..=6u64)
+            .map(|cap| {
+                let configuration = with_capacity_cap(&base, cap);
+                let key = CanonicalKey::from_parts(&configuration, &options, "joint");
+                let result = compute_mapping(&configuration, &options);
+                (key, result)
+            })
+            .collect();
+        // Descending address order: a path tie-break would keep the first
+        // two saved, not the last two.
+        solved.sort_by_key(|(key, _)| std::cmp::Reverse(entry_address(key)));
+        for (key, result) in &solved {
+            store.save(key, result);
+        }
+        let outcome = store
+            .gc(GcPolicy {
+                max_entries: Some(2),
+                ..GcPolicy::default()
+            })
+            .unwrap();
+        assert_eq!((outcome.removed, outcome.kept), (4, 2));
+        let survivors: Vec<PathBuf> = store
+            .entries()
+            .unwrap()
+            .into_iter()
+            .map(|entry| entry.path)
+            .collect();
+        let saved_last: Vec<PathBuf> = solved[4..]
+            .iter()
+            .map(|(key, _)| entry_path(directory.path(), key))
+            .collect();
+        assert_eq!(survivors, saved_last);
     }
 }

@@ -1,13 +1,13 @@
 //! [`RemoteBackend`]: a store tier that speaks the serve protocol to a
 //! peer `bbs serve` daemon.
 //!
-//! The backend layers *under* the local directory tier as a read-through /
+//! The tier sits *under* the local directory as a read-through /
 //! write-behind cache of last resort:
 //!
 //! * **read-through** — a local miss asks the peer with a `store_get`
 //!   request; on a hit the body is validated exactly like a local entry
-//!   (full-key comparison included) and written back into the local tier,
-//!   so the next run hits locally.
+//!   (full-key comparison included) and written back into the local
+//!   directory, so the next run hits locally.
 //! * **write-behind** — fresh solves return as soon as the local write
 //!   lands; a background writer thread ships `store_put` requests to the
 //!   peer afterwards, each acknowledged, over its own connection. Dropping
@@ -15,25 +15,24 @@
 //!   durably handed everything to the peer.
 //!
 //! Failure policy: the remote tier is strictly best-effort, and failures
-//! heal. Transport errors feed a [`CircuitBreaker`]: enough consecutive
-//! failures open it, after which every operation — reads and write-behind
-//! puts alike — fails fast without touching the network. Once the current
-//! backoff elapses, the next operation doubles as a `store_stats` health
-//! probe; a successful probe closes the breaker and traffic (including the
-//! write-behind queue) resumes, all without restarting the process. A
-//! broken or absent peer can cost fresh solves, never wrong answers — and
-//! because remote lookups happen only on the in-memory tier's claimer
-//! path, the report byte-identity invariants hold with or without the
-//! tier.
+//! heal. Both the synchronous requests and the writer thread go through
+//! one breaker-guarded round trip, which feeds a shared [`CircuitBreaker`]:
+//! enough consecutive transport failures open it, after which every
+//! operation — reads and write-behind puts alike — fails fast without
+//! touching the network. Once the current backoff elapses, the next
+//! operation doubles as a `store_stats` health probe; a successful probe
+//! closes the breaker and traffic (including the write-behind queue)
+//! resumes, all without restarting the process. A broken or absent peer
+//! can cost fresh solves, never wrong answers — and because remote
+//! lookups happen only on the in-memory tier's claimer path, the report
+//! byte-identity invariants hold with or without the tier.
 //!
 //! One failure is still permanent: a peer that *answers* but refuses store
 //! requests (e.g. it serves without a store attached) will refuse every
 //! key, so the first semantic refusal latches the backend off — probing a
 //! healthy-but-unwilling peer cannot help.
 //!
-//! Management scans ([`list`](StoreBackend::list), [`clear`](StoreBackend::clear),
-//! …) are [`io::ErrorKind::Unsupported`]: retention runs where the data
-//! lives, on the peer.
+//! Retention and `clear` run where the data lives, on the peer.
 
 use std::io;
 use std::net::TcpStream;
@@ -41,12 +40,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use super::backend::{StoreBackend, StoreEntry};
-use super::breaker::{BreakerConfig, CircuitBreaker, Gate, RemoteHealth};
+use super::breaker::{BreakerConfig, CircuitBreaker, Gate};
 use crate::serve::protocol::{read_reply, send_request, Reply, Request, StoreReport};
 
 /// Queued-but-unsent `store_put` bodies the writer thread will buffer
-/// before [`StoreBackend::put`] starts dropping (best-effort, counted).
+/// before [`RemoteBackend::put`] starts dropping (best-effort, counted).
 const WRITE_BEHIND_CAPACITY: usize = 1024;
 
 /// A solve-store tier backed by a peer `bbs serve` daemon.
@@ -74,7 +72,7 @@ pub struct RemoteBackend {
 
 #[derive(Debug)]
 struct WriteBehind {
-    sender: mpsc::SyncSender<(String, String)>,
+    sender: mpsc::SyncSender<String>,
     handle: JoinHandle<()>,
 }
 
@@ -112,21 +110,53 @@ impl RemoteBackend {
         })
     }
 
-    /// The peer address this backend talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// The transport circuit breaker, for inspection.
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
     }
 
-    /// How many write-behind puts were dropped because the queue was full
-    /// or the breaker was open. Diagnostic only — drops cost the *peer*
-    /// warmth, never local correctness.
+    /// How many write-behind puts were dropped because the queue was full,
+    /// the breaker was open or the transport failed. Diagnostic only —
+    /// drops cost the *peer* warmth, never local correctness.
     pub fn dropped_puts(&self) -> u64 {
         self.dropped_puts.load(Ordering::Relaxed)
+    }
+
+    /// Fetches the body the peer stores at `address` (16 lowercase hex
+    /// digits) with a `store_get` request; `Ok(None)` is a plain miss.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, an open breaker, or a refusal — after which the
+    /// backend stops asking for good (see the [module docs](self)).
+    pub fn get(&self, address: &str) -> io::Result<Option<String>> {
+        let reply = self.request(&Request::store_get(address))?;
+        match reply.kind.as_str() {
+            "store_entry" => Ok(reply.entry),
+            _ => {
+                // A peer that answers but refuses (no store attached, bad
+                // address) will refuse every key; stop asking — permanently,
+                // the breaker cannot heal unwillingness.
+                self.refused.store(true, Ordering::Release);
+                Err(reply_error(&reply))
+            }
+        }
+    }
+
+    /// Queues `body` for the write-behind thread, best-effort: a full
+    /// queue drops it (counted in [`dropped_puts`](Self::dropped_puts)),
+    /// and after a refusal nothing is queued at all. The peer derives the
+    /// address from the body itself.
+    pub fn put(&self, body: &str) {
+        if self.refused.load(Ordering::Acquire) {
+            return;
+        }
+        let Ok(sender) = self.writer_sender() else {
+            return;
+        };
+        if sender.try_send(body.to_string()).is_err() {
+            self.dropped_puts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Asks the peer for its store view via a `store_stats` request.
@@ -163,10 +193,8 @@ impl RemoteBackend {
         }
     }
 
-    /// One request/reply round trip on the synchronous connection, behind
-    /// the breaker: fail fast while open, probe with `store_stats` when
-    /// the backoff has elapsed, and record the transport outcome either
-    /// way.
+    /// One breaker-guarded round trip on the synchronous connection,
+    /// unless the peer has refused store requests before.
     fn request(&self, request: &Request) -> io::Result<Reply> {
         if self.refused.load(Ordering::Acquire) {
             return Err(io::Error::new(
@@ -174,40 +202,12 @@ impl RemoteBackend {
                 format!("remote store {} refused store requests", self.addr),
             ));
         }
-        let mut guard = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
-        match self.breaker.gate() {
-            Gate::Open => {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    format!("remote store {}: circuit breaker open", self.addr),
-                ));
-            }
-            Gate::Probe => {
-                self.breaker.record_probe();
-                match attempt_round_trip(&self.addr, &mut guard, &Request::store_stats()) {
-                    Ok(_) => self.breaker.record_success(),
-                    Err(e) => {
-                        self.breaker.record_failure();
-                        return Err(e);
-                    }
-                }
-            }
-            Gate::Closed => {}
-        }
-        match attempt_round_trip(&self.addr, &mut guard, request) {
-            Ok(reply) => {
-                self.breaker.record_success();
-                Ok(reply)
-            }
-            Err(e) => {
-                self.breaker.record_failure();
-                Err(e)
-            }
-        }
+        let mut conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
+        guarded_round_trip(&self.addr, &mut conn, &self.breaker, request)
     }
 
     /// The writer-thread sender, spawning the thread on first use.
-    fn writer_sender(&self) -> io::Result<mpsc::SyncSender<(String, String)>> {
+    fn writer_sender(&self) -> io::Result<mpsc::SyncSender<String>> {
         let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
             let (sender, receiver) = mpsc::sync_channel(WRITE_BEHIND_CAPACITY);
@@ -230,49 +230,58 @@ impl Drop for RemoteBackend {
 }
 
 /// The write-behind thread: its own connection, one acknowledged
-/// `store_put` per queued body, behind the shared breaker. A put whose
-/// turn comes while the breaker is open is dropped (counted); once a
-/// probe closes the breaker the remaining queue ships normally — the
-/// re-attach half of self-healing.
+/// `store_put` per queued body, behind the shared breaker. A put the
+/// breaker fails fast, or whose round trip fails, is dropped (counted);
+/// once a probe closes the breaker the remaining queue ships normally —
+/// the re-attach half of self-healing.
 fn write_behind_loop(
     addr: &str,
-    receiver: mpsc::Receiver<(String, String)>,
+    receiver: mpsc::Receiver<String>,
     breaker: &CircuitBreaker,
     dropped: &AtomicU64,
 ) {
     let mut conn: Option<TcpStream> = None;
-    for (_address, body) in receiver {
-        match breaker.gate() {
-            Gate::Open => {
-                dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Gate::Probe => {
-                breaker.record_probe();
-                match attempt_round_trip(addr, &mut conn, &Request::store_stats()) {
-                    Ok(_) => breaker.record_success(),
-                    Err(_) => {
-                        breaker.record_failure();
-                        dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            Gate::Closed => {}
-        }
-        let request = Request::store_put(body);
-        match attempt_round_trip(addr, &mut conn, &request) {
-            // Any decoded reply is an acknowledgement; an `"error"` reply
-            // means the peer refused this body (e.g. it failed validation)
-            // — retrying cannot help, move on.
-            Ok(_) => breaker.record_success(),
-            Err(_) => {
-                breaker.record_failure();
-                dropped.fetch_add(1, Ordering::Relaxed);
-                conn = None;
-            }
+    for body in receiver {
+        // Any decoded reply is an acknowledgement; an `"error"` reply means
+        // the peer refused this body (e.g. it failed validation) —
+        // retrying cannot help, move on.
+        if guarded_round_trip(addr, &mut conn, breaker, &Request::store_put(body)).is_err() {
+            dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// One request/reply round trip behind the breaker: fail fast while open,
+/// probe with `store_stats` once the backoff has elapsed, and record the
+/// transport outcome either way.
+fn guarded_round_trip(
+    addr: &str,
+    conn: &mut Option<TcpStream>,
+    breaker: &CircuitBreaker,
+    request: &Request,
+) -> io::Result<Reply> {
+    match breaker.gate() {
+        Gate::Open => {
+            return Err(io::Error::new(
+                io::ErrorKind::NotConnected,
+                format!("remote store {addr}: circuit breaker open"),
+            ));
+        }
+        Gate::Probe => {
+            breaker.record_probe();
+            attempt_round_trip(addr, conn, &Request::store_stats())
+                .inspect_err(|_| breaker.record_failure())?;
+            breaker.record_success();
+        }
+        Gate::Closed => {}
+    }
+    let reply = attempt_round_trip(addr, conn, request);
+    if reply.is_ok() {
+        breaker.record_success();
+    } else {
+        breaker.record_failure();
+    }
+    reply
 }
 
 /// One round trip over a reusable connection slot, with a single reconnect
@@ -285,13 +294,9 @@ fn attempt_round_trip(
 ) -> io::Result<Reply> {
     for attempt in 0..2 {
         if conn.is_none() {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    *conn = Some(stream);
-                }
-                Err(e) => return Err(e),
-            }
+            let stream = TcpStream::connect(addr)?;
+            let _ = stream.set_nodelay(true);
+            *conn = Some(stream);
         }
         let stream = conn.as_mut().expect("connection just ensured");
         match round_trip(stream, request) {
@@ -327,77 +332,4 @@ fn reply_error(reply: &Reply) -> io::Error {
             None => format!("unexpected {:?} reply to a store request", reply.kind),
         },
     )
-}
-
-fn unsupported(operation: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Unsupported,
-        format!("remote store tier does not support {operation}; manage the store on the peer"),
-    )
-}
-
-impl StoreBackend for RemoteBackend {
-    fn describe(&self) -> String {
-        format!("remote peer {}", self.addr)
-    }
-
-    fn get(&self, address: &str) -> io::Result<Option<String>> {
-        let reply = self.request(&Request::store_get(address))?;
-        match reply.kind.as_str() {
-            "store_entry" => Ok(reply.entry),
-            _ => {
-                // A peer that answers but refuses (no store attached, bad
-                // address) will refuse every key; stop asking — permanently,
-                // the breaker cannot heal unwillingness.
-                self.refused.store(true, Ordering::Release);
-                Err(reply_error(&reply))
-            }
-        }
-    }
-
-    fn put(&self, address: &str, body: &str) -> io::Result<u64> {
-        if self.refused.load(Ordering::Acquire) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                format!("remote store {} refused store requests", self.addr),
-            ));
-        }
-        let sender = self.writer_sender()?;
-        match sender.try_send((address.to_string(), body.to_string())) {
-            Ok(()) => Ok(body.len() as u64),
-            Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.dropped_puts.fetch_add(1, Ordering::Relaxed);
-                Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "write-behind queue full; put dropped",
-                ))
-            }
-        }
-    }
-
-    fn list(&self) -> io::Result<Vec<StoreEntry>> {
-        Err(unsupported("list"))
-    }
-
-    fn read_body(&self, _entry: &StoreEntry) -> io::Result<String> {
-        Err(unsupported("read_body"))
-    }
-
-    fn remove(&self, _entry: &StoreEntry) -> io::Result<bool> {
-        Err(unsupported("remove"))
-    }
-
-    fn clear(&self) -> io::Result<u64> {
-        Err(unsupported("clear"))
-    }
-
-    fn health(&self) -> Option<RemoteHealth> {
-        Some(RemoteHealth {
-            breaker_open: self.breaker.is_open(),
-            breaker_opens: self.breaker.opens(),
-            breaker_closes: self.breaker.closes(),
-            breaker_probes: self.breaker.probes(),
-            dropped_puts: self.dropped_puts.load(Ordering::Relaxed),
-        })
-    }
 }

@@ -59,7 +59,7 @@ fn start_peer(store_dir: &Path) -> Server {
 fn tiered_cache(dir: &Path, addr: &str) -> Arc<SolveCache> {
     let remote = RemoteBackend::connect(addr).unwrap();
     Arc::new(SolveCache::with_store(
-        SolveStore::open(dir).unwrap().with_remote(Box::new(remote)),
+        SolveStore::open(dir).unwrap().with_remote(remote),
     ))
 }
 
@@ -168,7 +168,7 @@ fn peer_stats_reports_the_daemon_store_and_a_dead_peer_degrades_gracefully() {
     let remote = RemoteBackend::connect(&addr).ok();
     let store = SolveStore::open(directory.path().join("c")).unwrap();
     let store = match remote {
-        Some(remote) => store.with_remote(Box::new(remote)),
+        Some(remote) => store.with_remote(remote),
         None => store,
     };
     let cache = Arc::new(SolveCache::with_store(store));
@@ -235,7 +235,7 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
     let cache = Arc::new(SolveCache::with_store(
         SolveStore::open(directory.path().join("b"))
             .unwrap()
-            .with_remote(Box::new(remote)),
+            .with_remote(remote),
     ));
     let outcome = run_cached(&suite, &settings, &cache);
     assert!(outcome.unexpected_failures().is_empty());
@@ -272,4 +272,55 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
 
     server.shutdown();
     server.wait();
+}
+
+#[test]
+fn a_peer_without_a_store_turns_the_tier_off_for_good() {
+    let directory = TempDir::new("refusal");
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let settings = RunSettings::default();
+    // Threshold 1: a single transport failure would open the breaker.
+    let remote = RemoteBackend::connect_with(
+        &addr,
+        BreakerConfig {
+            threshold: 1,
+            probe_backoff: Duration::ZERO,
+            backoff_cap: Duration::ZERO,
+        },
+    )
+    .unwrap();
+    let cache = Arc::new(SolveCache::with_store(
+        SolveStore::open(directory.path().join("local"))
+            .unwrap()
+            .with_remote(remote),
+    ));
+
+    // The peer answers but refuses: every point solves locally, and the
+    // refusal is neither a rejected entry nor a transport failure.
+    let outcome = run_cached(&smoke_suite(), &settings, &cache);
+    assert!(outcome.unexpected_failures().is_empty());
+    let stats = cache.store().unwrap().stats();
+    assert_eq!(stats.fresh_solves, 8);
+    assert_eq!(stats.remote_hits, 0);
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.breaker_opens, 0);
+
+    // With the peer gone, a latched tier never touches the network again:
+    // no lookup or put fails, so the breaker neither opens nor probes.
+    server.shutdown();
+    server.wait();
+    let extra = generate_suite(&GenParams {
+        seed: 11,
+        points: 4,
+    });
+    run_cached(&extra, &settings, &cache);
+    let stats = cache.store().unwrap().stats();
+    assert!(stats.fresh_solves > 8, "the generated suite solves fresh");
+    assert_eq!(stats.breaker_opens, 0);
+    assert_eq!(stats.breaker_probes, 0);
 }
