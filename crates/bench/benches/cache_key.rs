@@ -2,8 +2,8 @@
 //!
 //! PR 4's contention bench showed per-item cost in memo-hit-heavy sweeps is
 //! dominated by building the cache key, not by queue locks: the old key
-//! serialised the full configuration to a canonical-JSON `String` (via an
-//! owned `Value` tree) plus the options JSON for *every* point. This bench
+//! serialised the full configuration to a canonical-JSON `String` plus the
+//! options JSON for *every* point. This bench
 //! pins the three generations of that cost:
 //!
 //! * `canonical_key_strings` — the old scheme: materialise the full

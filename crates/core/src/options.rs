@@ -30,15 +30,8 @@ impl SolverKind {
 // The vendored serde_derive shim does not handle enums, so the string form
 // is implemented by hand: `"interior-point"` / `"cutting-plane"`.
 impl Serialize for SolverKind {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
-    }
-
     fn serialize_canonical(&self, out: &mut dyn serde::Serializer) {
-        // Both names are escape-free, so the quoted literal is canonical.
-        out.write_bytes(b"\"");
-        out.write_bytes(self.as_str().as_bytes());
-        out.write_bytes(b"\"");
+        serde::canonical::write_json_string(out, self.as_str());
     }
 }
 

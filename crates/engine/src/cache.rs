@@ -14,8 +14,9 @@
 //!   [`CanonicalDigest`] of
 //!   `solver revision ‖ options ‖ flow ‖ configuration`, computed by
 //!   *streaming* the canonical JSON bytes into the digest lanes
-//!   ([`serde::Serialize::serialize_canonical`]) — no JSON string, no
-//!   `Value` tree, zero heap allocation. This is the `HashMap` key of the
+//!   ([`serde::Serialize::serialize_canonical`], the same stream every
+//!   written report and store body comes from) — no JSON string, zero
+//!   heap allocation. This is the `HashMap` key of the
 //!   in-memory tier, so the per-lookup cost on the hot path is one digest
 //!   pass plus a 16-byte hash.
 //! * [`CanonicalKey`] — the materialised form: the full canonical JSON of

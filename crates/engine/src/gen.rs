@@ -162,6 +162,26 @@ mod tests {
     }
 
     #[test]
+    fn the_seed_11_suite_serialises_to_pinned_bytes() {
+        // Pins the JSON writers on a realistic document. The generator
+        // depends on no solver, so only a writer change can move these
+        // lengths and FNV-1a digests.
+        let suite = generate_suite(&GenParams {
+            seed: 11,
+            points: 1000,
+        });
+        let pin = |text: String| (text.len(), bbs_taskgraph::fnv1a(text.as_bytes()));
+        assert_eq!(
+            pin(serde_json::to_string_pretty(&suite).unwrap()),
+            (156_260, 0x00d1_2475_0d96_af3b)
+        );
+        assert_eq!(
+            pin(serde_json::to_string(&suite).unwrap()),
+            (89_620, 0x09ab_904a_63c0_9ee9)
+        );
+    }
+
+    #[test]
     fn a_zero_point_budget_still_yields_one_scenario() {
         let suite = generate_suite(&GenParams { seed: 3, points: 0 });
         assert!(!suite.scenarios.is_empty());

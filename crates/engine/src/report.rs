@@ -9,6 +9,7 @@
 
 use crate::error::EngineError;
 use crate::executor::{ScenarioOutcome, SuiteOutcome};
+use crate::validate::PointValidation;
 use budget_buffer::explore::budget_reduction_from_totals;
 use budget_buffer::report::{format_table, mapping_report};
 use budget_buffer::MappingReport;
@@ -45,7 +46,8 @@ pub struct PointReport {
     /// Total storage, in container-size units.
     pub total_storage: Option<u64>,
     /// Worst steady-state period measured by the validation replay, when
-    /// requested.
+    /// requested and the replay completed (`null` for a failed replay,
+    /// whose `guarantee_ok` is `false`).
     pub measured_period: Option<f64>,
     /// Whether the measured period met the requirement (plus transient
     /// tolerance).
@@ -340,7 +342,10 @@ fn scenario_report(outcome: &ScenarioOutcome) -> ScenarioReport {
                 mapping: Some(mapping_report(&outcome.configuration, mapping)),
                 total_budget: Some(mapping.total_budget()),
                 total_storage: Some(mapping.total_storage(&outcome.configuration)),
-                measured_period: point.validation.as_ref().map(|v| v.measured_period),
+                measured_period: point
+                    .validation
+                    .as_ref()
+                    .and_then(PointValidation::reported_period),
                 guarantee_ok: point.validation.as_ref().map(|v| v.period_ok),
                 buffers_checked: point.validation.as_ref().map(|v| v.buffers_checked),
                 buffer_violations: point.validation.as_ref().map(|v| v.buffer_violations),
@@ -398,7 +403,7 @@ fn scenario_report(outcome: &ScenarioOutcome) -> ScenarioReport {
 /// budgets are listed individually for small graphs and summarised for
 /// large ones.
 fn scenario_table(scenario: &ScenarioReport) -> (Vec<String>, Vec<Vec<String>>) {
-    let simulated = scenario.points.iter().any(|p| p.measured_period.is_some());
+    let simulated = scenario.points.iter().any(|p| p.guarantee_ok.is_some());
     let mut header = vec![
         "cap".to_string(),
         "budgets (cycles)".to_string(),
@@ -618,6 +623,40 @@ mod tests {
         report.validate().unwrap();
         let back = SuiteReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn a_failed_replay_writes_a_null_period_in_both_reports() {
+        let mut outcome = run_suite(&smoke_suite(), &RunSettings::default()).unwrap();
+        let point = &mut outcome.scenarios[0].points[0];
+        assert!(point.result.is_ok(), "the first smoke point is feasible");
+        point.validation = Some(PointValidation {
+            measured_period: f64::INFINITY,
+            required_period: 0.0,
+            tolerance: 0.0,
+            period_ok: false,
+            buffers_checked: 0,
+            buffer_violations: 0,
+            detail: Some("replay panicked".to_string()),
+        });
+
+        let report =
+            SuiteReport::from_json(&SuiteReport::from_outcome(&outcome).to_json()).unwrap();
+        let failed = &report.scenarios[0].points[0];
+        assert_eq!(failed.measured_period, None);
+        assert_eq!(failed.guarantee_ok, Some(false));
+        assert!(report.to_markdown().contains("VIOLATED"));
+
+        let validation = crate::ValidationReport::from_outcome(&outcome);
+        let json = validation.to_json();
+        assert!(json.contains("\"measured_period\": null"));
+        let failed = &crate::ValidationReport::from_json(&json).unwrap().scenarios[0].points[0];
+        assert_eq!(failed.measured_period, None);
+        assert_eq!(failed.period_ok, Some(false));
+        assert_eq!(failed.detail.as_deref(), Some("replay panicked"));
+        assert!(validation
+            .render_summary()
+            .contains("replay failed: replay panicked"));
     }
 
     #[test]

@@ -570,7 +570,7 @@ pub struct StoreReport {
     pub breaker_opens: u64,
     /// Times a health probe closed the breaker again this process.
     pub breaker_closes: u64,
-    /// Health probes (`store_stats` round trips) attempted while the
+    /// Health probes (`store_get` round trips) attempted while the
     /// breaker was open this process.
     pub breaker_probes: u64,
     /// Whether the breaker is open right now (the remote tier is being

@@ -19,10 +19,14 @@
 //! one breaker-guarded round trip, which feeds a shared [`CircuitBreaker`]:
 //! enough consecutive transport failures open it, after which every
 //! operation — reads and write-behind puts alike — fails fast without
-//! touching the network. Once the current backoff elapses, the next
-//! operation doubles as a `store_stats` health probe; a successful probe
-//! closes the breaker and traffic (including the write-behind queue)
-//! resumes, all without restarting the process. A broken or absent peer
+//! touching the network. Every reply is awaited for at most
+//! [`REPLY_DEADLINE`], so a peer that accepts requests but never answers
+//! is a transport failure too, not a wedged caller, writer thread or
+//! process exit. Once the current backoff elapses, the next operation
+//! doubles as a health probe — a `store_get`, which the peer answers with
+//! one file lookup however large its store is; a successful probe closes
+//! the breaker and traffic (including the write-behind queue) resumes,
+//! all without restarting the process. A broken or absent peer
 //! can cost fresh solves, never wrong answers — and because remote
 //! lookups happen only on the in-memory tier's claimer path, the report
 //! byte-identity invariants hold with or without the tier.
@@ -39,9 +43,25 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use super::breaker::{BreakerConfig, CircuitBreaker, Gate};
-use crate::serve::protocol::{read_reply, send_request, Reply, Request, StoreReport};
+use crate::serve::protocol::{
+    read_frame_budgeted, send_request, FrameRead, Reply, Request, StoreReport,
+};
+
+/// How long a store request waits on the peer: its reply must start
+/// within this deadline and then arrive whole within it, and each request
+/// write must finish within it. A peer that misses it has failed the
+/// round trip, exactly like one that closed the connection.
+pub const REPLY_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The read-timeout tick on which a pending reply checks the deadline.
+const READ_TICK: Duration = Duration::from_millis(50);
+
+/// The well-formed address the breaker's health probe asks for. Any
+/// address will do: the answer, hit or miss, proves the peer is back.
+const PROBE_ADDRESS: &str = "0000000000000000";
 
 /// Queued-but-unsent `store_put` bodies the writer thread will buffer
 /// before [`RemoteBackend::put`] starts dropping (best-effort, counted).
@@ -98,8 +118,7 @@ impl RemoteBackend {
     ///
     /// Returns the underlying connection error.
     pub fn connect_with(addr: &str, breaker: BreakerConfig) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
+        let stream = open(addr)?;
         Ok(Self {
             addr: addr.to_string(),
             conn: Mutex::new(Some(stream)),
@@ -252,7 +271,7 @@ fn write_behind_loop(
 }
 
 /// One request/reply round trip behind the breaker: fail fast while open,
-/// probe with `store_stats` once the backoff has elapsed, and record the
+/// probe with a `store_get` once the backoff has elapsed, and record the
 /// transport outcome either way.
 fn guarded_round_trip(
     addr: &str,
@@ -269,7 +288,7 @@ fn guarded_round_trip(
         }
         Gate::Probe => {
             breaker.record_probe();
-            attempt_round_trip(addr, conn, &Request::store_stats())
+            attempt_round_trip(addr, conn, &Request::store_get(PROBE_ADDRESS))
                 .inspect_err(|_| breaker.record_failure())?;
             breaker.record_success();
         }
@@ -294,9 +313,7 @@ fn attempt_round_trip(
 ) -> io::Result<Reply> {
     for attempt in 0..2 {
         if conn.is_none() {
-            let stream = TcpStream::connect(addr)?;
-            let _ = stream.set_nodelay(true);
-            *conn = Some(stream);
+            *conn = Some(open(addr)?);
         }
         let stream = conn.as_mut().expect("connection just ensured");
         match round_trip(stream, request) {
@@ -312,16 +329,33 @@ fn attempt_round_trip(
     unreachable!("the second attempt returned")
 }
 
-/// Sends one request and reads one reply; a clean EOF is an error here —
-/// the peer must answer every store request.
+/// Opens a connection whose reads tick every [`READ_TICK`] and whose
+/// writes give up after [`REPLY_DEADLINE`].
+fn open(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(REPLY_DEADLINE))?;
+    Ok(stream)
+}
+
+/// Sends one request and reads one reply within [`REPLY_DEADLINE`]; a
+/// clean EOF is an error here — the peer must answer every store request.
 fn round_trip(stream: &mut TcpStream, request: &Request) -> io::Result<Reply> {
     send_request(stream, request)?;
-    read_reply(stream)?.ok_or_else(|| {
-        io::Error::new(
+    let never = AtomicBool::new(false);
+    match read_frame_budgeted(stream, &never, Some(REPLY_DEADLINE), Some(REPLY_DEADLINE))? {
+        FrameRead::Frame(payload) => serde_json::from_slice(&payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        FrameRead::Eof | FrameRead::Shutdown => Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "peer closed the connection before replying",
-        )
-    })
+        )),
+        FrameRead::IdleTimeout | FrameRead::Stalled => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("peer's reply missed the {REPLY_DEADLINE:?} deadline"),
+        )),
+    }
 }
 
 fn reply_error(reply: &Reply) -> io::Error {

@@ -51,6 +51,12 @@ impl PointValidation {
     pub fn is_sound(&self) -> bool {
         self.period_ok && self.buffer_violations == 0
     }
+
+    /// The measured period as reports write it: `None` when the replay
+    /// failed, because an infinite period has no JSON form.
+    pub(crate) fn reported_period(&self) -> Option<f64> {
+        Some(self.measured_period).filter(|period| period.is_finite())
+    }
 }
 
 /// One replay to perform: the scenario's shared base configuration plus
@@ -183,7 +189,8 @@ pub struct PointValidationReport {
     /// Whether the solve was feasible (infeasible points have nothing to
     /// replay).
     pub feasible: bool,
-    /// Worst measured period, when the point was replayed.
+    /// Worst measured period, when the point was replayed and the replay
+    /// completed (a failed replay writes `null` and keeps its `detail`).
     pub measured_period: Option<f64>,
     /// The period requirement the measurement is graded against.
     pub required_period: Option<f64>,
@@ -227,7 +234,7 @@ impl ValidationReport {
                         PointValidationReport {
                             capacity_cap: point.capacity_cap,
                             feasible: point.result.is_ok(),
-                            measured_period: validation.map(|v| v.measured_period),
+                            measured_period: validation.and_then(PointValidation::reported_period),
                             required_period: validation.map(|v| v.required_period),
                             period_ok: validation.map(|v| v.period_ok),
                             buffers_checked: validation.map(|v| v.buffers_checked),

@@ -5,8 +5,8 @@
 //! sweep point's [`CacheKey`] from the scenario's hoisted
 //! [`ScenarioKeySeed`] — the exact operation the executor performs per
 //! point, and the *only* key work a cache hit ever does — must not allocate
-//! at all. The old scheme built a `serde::Value` tree plus two `String`s
-//! per point.
+//! at all. The old scheme serialised the configuration and the options
+//! into two `String`s per point.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a lone test keeps the harness from running anything

@@ -2,14 +2,18 @@
 //! as a store peer for local runs via the `store_get`/`store_put` protocol
 //! requests, with read-through fills and write-behind population.
 
+use bbs_engine::serve::FaultPlan;
+use bbs_engine::store::remote::REPLY_DEADLINE;
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{
     generate_suite, BreakerConfig, Engine, GenParams, RemoteBackend, RunSettings, ServeConfig,
     Server, SolveCache, SolveStore, Suite, SuiteOutcome, SuiteReport,
 };
 use std::fs;
+use std::io;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// A unique, self-cleaning scratch directory.
@@ -272,6 +276,72 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
 
     server.shutdown();
     server.wait();
+}
+
+#[test]
+fn a_peer_that_swallows_a_reply_costs_one_deadline_not_a_wedged_get() {
+    let directory = TempDir::new("silent");
+    let server = Server::start(ServeConfig {
+        store: Some(SolveStore::open(directory.path().join("peer")).unwrap()),
+        workers: 1,
+        faults: FaultPlan::parse("drop-reply:1").unwrap(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let remote = RemoteBackend::connect(&server.addr().to_string()).unwrap();
+
+    // The peer never answers the first `store_get`. The wait for that
+    // reply gives up at the deadline, and the retry on a fresh connection
+    // gets the peer's answer: a plain miss.
+    let (done, answer) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let _ = done.send(remote.get("00ff00ff00ff00ff").map_err(|e| e.kind()));
+    });
+    let answer = answer
+        .recv_timeout(2 * REPLY_DEADLINE)
+        .expect("a swallowed reply must cost at most twice the reply deadline");
+    caller.join().unwrap();
+    assert_eq!(answer, Ok(None));
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_peer_that_never_answers_is_a_transport_failure_the_breaker_records() {
+    // The kernel completes every handshake, but nothing ever reads a
+    // request or writes a reply.
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    let remote = RemoteBackend::connect_with(
+        &silent.local_addr().unwrap().to_string(),
+        BreakerConfig {
+            threshold: 1,
+            probe_backoff: Duration::from_secs(3600),
+            backoff_cap: Duration::from_secs(3600),
+        },
+    )
+    .unwrap();
+
+    let (done, outcome) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        // Both attempts time out, and the failure opens the breaker ...
+        let first = remote.get("00ff00ff00ff00ff").map_err(|e| e.kind());
+        let opens = remote.breaker().opens();
+        // ... after which reads and write-behind puts fail fast, so the
+        // flush behind process exit returns at once.
+        let second = remote.get("00ff00ff00ff00ff").map_err(|e| e.kind());
+        remote.put("{}");
+        remote.flush();
+        let _ = done.send((first, opens, second, remote.dropped_puts()));
+    });
+    let (first, opens, second, dropped) = outcome
+        .recv_timeout(3 * REPLY_DEADLINE)
+        .expect("a silent peer must not wedge the backend");
+    caller.join().unwrap();
+    assert_eq!(first, Err(io::ErrorKind::TimedOut));
+    assert_eq!(opens, 1);
+    assert_eq!(second, Err(io::ErrorKind::NotConnected));
+    assert_eq!(dropped, 1);
 }
 
 #[test]

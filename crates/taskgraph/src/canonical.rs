@@ -2,11 +2,12 @@
 //!
 //! The batch engine keys every solve by the canonical JSON of its inputs.
 //! Serialising a full [`Configuration`](crate::Configuration) to a `String`
-//! just to hash it costs a `Value` tree plus a heap-allocated string per
-//! lookup — on memo-hit-heavy sweeps that *is* the per-item cost. The
+//! just to hash it costs a heap-allocated string per lookup — on
+//! memo-hit-heavy sweeps that *is* the per-item cost. The
 //! [`CanonicalHasher`] removes it: it implements [`serde::Serializer`], so
-//! [`serde::Serialize::serialize_canonical`] feeds the canonical bytes
-//! straight into two FNV-1a-style lanes with zero allocation.
+//! [`serde::Serialize::serialize_canonical`] — the stream `serde_json`
+//! writes its text from — feeds the canonical bytes straight into two
+//! FNV-1a-style lanes with zero allocation.
 //!
 //! The low lane is *defined* to equal
 //! [`fnv1a`](crate::fnv1a)`(canonical_json.as_bytes())` — property-tested —
@@ -129,7 +130,7 @@ impl Serializer for CanonicalHasher {
 }
 
 /// The [`CanonicalDigest`] of any canonically-serialisable value, computed
-/// by streaming — no `Value` tree, no string, no allocation.
+/// by streaming — no string, no allocation.
 pub fn canonical_digest_of<T: Serialize + ?Sized>(value: &T) -> CanonicalDigest {
     let mut hasher = CanonicalHasher::new();
     value.serialize_canonical(&mut hasher);

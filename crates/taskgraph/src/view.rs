@@ -158,10 +158,6 @@ pub fn apply_capacity_cap(base: &Configuration, cap: u64) -> Configuration {
 }
 
 impl Serialize for ConfigView {
-    fn serialize(&self) -> serde::Value {
-        self.config().serialize()
-    }
-
     // The capped arm re-emits the derived layout of `Configuration` /
     // `TaskGraph` / `Buffer` (fields in declaration order) with the cap
     // substituted for each buffer's `max_capacity`; the byte-identity with a
