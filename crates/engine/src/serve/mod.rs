@@ -52,9 +52,9 @@ pub mod session;
 
 pub use fault::{FaultPlan, ReplyAction, FAULT_PLAN_ENV};
 pub use protocol::{
-    read_frame, read_frame_budgeted, read_reply, send_reply, send_request, write_frame,
-    EngineStats, FrameRead, QueueStats, Reply, Request, SessionStats, StatsSnapshot, StoreReport,
-    MAX_FRAME_BYTES, STATS_SCHEMA_VERSION,
+    read_frame, read_frame_budgeted, read_reply, read_reply_within, send_reply, send_request,
+    write_frame, EngineStats, FrameRead, QueueStats, Reply, Request, SessionStats, StatsSnapshot,
+    StoreReport, MAX_FRAME_BYTES, STATS_SCHEMA_VERSION,
 };
 pub use queue::{Admission, SubmissionQueue};
 pub use server::{ServeConfig, Server};

@@ -209,12 +209,32 @@ pub fn send_reply<W: Write>(stream: &mut W, reply: &Reply) -> io::Result<()> {
 /// Returns `Ok(None)` on clean EOF; a frame that is not valid reply JSON
 /// is an `InvalidData` error.
 pub fn read_reply<R: Read>(stream: &mut R) -> io::Result<Option<Reply>> {
-    match read_frame(stream)? {
-        None => Ok(None),
-        Some(payload) => serde_json::from_slice(&payload)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+    read_frame(stream)?
+        .map(|payload| decode_reply(&payload))
+        .transpose()
+}
+
+/// Like [`read_reply`], but the reply must start within `deadline` and
+/// then arrive whole within it; a reply that misses the deadline is a
+/// `TimedOut` error.
+///
+/// The stream must have a read timeout configured: it is the tick on
+/// which the deadline is checked (see [`read_frame_budgeted`]).
+pub fn read_reply_within<R: Read>(stream: &mut R, deadline: Duration) -> io::Result<Option<Reply>> {
+    let never = AtomicBool::new(false);
+    match read_frame_budgeted(stream, &never, Some(deadline), Some(deadline))? {
+        FrameRead::Frame(payload) => decode_reply(&payload).map(Some),
+        FrameRead::Eof | FrameRead::Shutdown => Ok(None),
+        FrameRead::IdleTimeout | FrameRead::Stalled => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("the reply missed its {deadline:?} deadline"),
+        )),
     }
+}
+
+fn decode_reply(payload: &[u8]) -> io::Result<Reply> {
+    serde_json::from_slice(payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// A client-to-server message.
@@ -961,5 +981,31 @@ mod tests {
         let mut cursor = Cursor::new(buffer);
         let err = read_reply(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        cursor.set_position(0);
+        let err = read_reply_within(&mut cursor, Duration::from_secs(60)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_reply_read_within_a_deadline_times_out_or_decodes() {
+        // Silence, or a reply that starts and then stops: both miss the
+        // (zero) deadline.
+        let mut silent = ScriptedReader::new(vec![None, None]);
+        let err = read_reply_within(&mut silent, Duration::ZERO).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let mut stalled = ScriptedReader::new(vec![Some(&[0u8][..]), None, None]);
+        let err = read_reply_within(&mut stalled, Duration::ZERO).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+
+        // A whole reply within the deadline decodes, and a clean EOF is
+        // `None`, as for `read_reply`.
+        let mut buffer = Vec::new();
+        send_reply(&mut buffer, &Reply::store_ok()).unwrap();
+        let mut cursor = Cursor::new(buffer);
+        let reply = read_reply_within(&mut cursor, Duration::from_secs(60)).unwrap();
+        assert_eq!(reply.map(|r| r.kind), Some("store_ok".to_string()));
+        assert!(read_reply_within(&mut cursor, Duration::from_secs(60))
+            .unwrap()
+            .is_none());
     }
 }

@@ -22,14 +22,18 @@
 //! touching the network. Every reply is awaited for at most
 //! [`REPLY_DEADLINE`], so a peer that accepts requests but never answers
 //! is a transport failure too, not a wedged caller, writer thread or
-//! process exit. Once the current backoff elapses, the next operation
-//! doubles as a health probe — a `store_get`, which the peer answers with
-//! one file lookup however large its store is; a successful probe closes
-//! the breaker and traffic (including the write-behind queue) resumes,
-//! all without restarting the process. A broken or absent peer
-//! can cost fresh solves, never wrong answers — and because remote
-//! lookups happen only on the in-memory tier's claimer path, the report
-//! byte-identity invariants hold with or without the tier.
+//! process exit. A missed deadline is not retried: each operation against
+//! a silent peer, health probes included, costs one deadline, and since
+//! the synchronous connection is held for the whole round trip, lookups
+//! queued behind it wait that deadline out too. Once the current backoff
+//! elapses, the next operation doubles as a health probe — a `store_get`,
+//! which the peer answers with one file lookup however large its store
+//! is; a successful probe closes the breaker and traffic (including the
+//! write-behind queue) resumes, all without restarting the process. A
+//! broken or absent peer can cost fresh solves, never wrong answers — and
+//! because remote lookups happen only on the in-memory tier's claimer
+//! path, the report byte-identity invariants hold with or without the
+//! tier.
 //!
 //! One failure is still permanent: a peer that *answers* but refuses store
 //! requests (e.g. it serves without a store attached) will refuse every
@@ -46,14 +50,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use super::breaker::{BreakerConfig, CircuitBreaker, Gate};
-use crate::serve::protocol::{
-    read_frame_budgeted, send_request, FrameRead, Reply, Request, StoreReport,
-};
+use crate::serve::protocol::{read_reply_within, send_request, Reply, Request, StoreReport};
 
 /// How long a store request waits on the peer: its reply must start
 /// within this deadline and then arrive whole within it, and each request
 /// write must finish within it. A peer that misses it has failed the
-/// round trip, exactly like one that closed the connection.
+/// round trip, like one that closed the connection, but a missed reply is
+/// not asked for again.
 pub const REPLY_DEADLINE: Duration = Duration::from_secs(2);
 
 /// The read-timeout tick on which a pending reply checks the deadline.
@@ -180,6 +183,10 @@ impl RemoteBackend {
 
     /// Asks the peer for its store view via a `store_stats` request.
     ///
+    /// The peer reads every entry of its store to answer, and the reply is
+    /// bound by [`REPLY_DEADLINE`] like any other: a large enough peer
+    /// store makes this a timed-out transport failure.
+    ///
     /// # Errors
     ///
     /// Transport failures, or an `"error"` reply (e.g. the peer serves
@@ -303,9 +310,10 @@ fn guarded_round_trip(
     reply
 }
 
-/// One round trip over a reusable connection slot, with a single reconnect
-/// attempt on transport failure. Leaves the slot empty when both attempts
-/// fail.
+/// One round trip over a reusable connection slot. A connection the peer
+/// closed or reset gets a single reconnect attempt; a reply that missed
+/// [`REPLY_DEADLINE`] does not, since a second wait on a silent peer would
+/// only double the cost. Leaves the slot empty on failure.
 fn attempt_round_trip(
     addr: &str,
     conn: &mut Option<TcpStream>,
@@ -320,7 +328,7 @@ fn attempt_round_trip(
             Ok(reply) => return Ok(reply),
             Err(e) => {
                 *conn = None;
-                if attempt == 1 {
+                if attempt == 1 || e.kind() == io::ErrorKind::TimedOut {
                     return Err(e);
                 }
             }
@@ -339,23 +347,17 @@ fn open(addr: &str) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// Sends one request and reads one reply within [`REPLY_DEADLINE`]; a
-/// clean EOF is an error here — the peer must answer every store request.
+/// Sends one request and reads its reply within [`REPLY_DEADLINE`] (a
+/// `TimedOut` error when it misses); a clean EOF is an error here — the
+/// peer must answer every store request.
 fn round_trip(stream: &mut TcpStream, request: &Request) -> io::Result<Reply> {
     send_request(stream, request)?;
-    let never = AtomicBool::new(false);
-    match read_frame_budgeted(stream, &never, Some(REPLY_DEADLINE), Some(REPLY_DEADLINE))? {
-        FrameRead::Frame(payload) => serde_json::from_slice(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-        FrameRead::Eof | FrameRead::Shutdown => Err(io::Error::new(
+    read_reply_within(stream, REPLY_DEADLINE)?.ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "peer closed the connection before replying",
-        )),
-        FrameRead::IdleTimeout | FrameRead::Stalled => Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("peer's reply missed the {REPLY_DEADLINE:?} deadline"),
-        )),
-    }
+        )
+    })
 }
 
 fn reply_error(reply: &Reply) -> io::Error {
