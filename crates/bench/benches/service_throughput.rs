@@ -2,8 +2,8 @@
 //! in-process server.
 //!
 //! Each iteration is one complete client interaction over a persistent
-//! connection — request frame out, streamed point replies and the final
-//! report frame back — so the measurement covers JSON framing, the
+//! connection — request frame out, the `accepted` and final report
+//! frames back — so the measurement covers JSON framing, the
 //! bounded queue, the dispatcher hand-off, and the shared engine/cache,
 //! not just the solve.
 //!
@@ -15,7 +15,7 @@
 //! * `stats_round_trip` — the cheapest possible request/reply pair: a
 //!   protocol floor independent of any solving.
 //! * `burst_4_clients` — four connections each submitting `smoke` once,
-//!   concurrently: queue admission, fairness rotation and reply streaming
+//!   concurrently: queue admission, fairness rotation and reply writes
 //!   under real contention.
 
 use bbs_engine::serve::{read_reply, send_request, Request, ServeConfig, Server};
@@ -29,7 +29,7 @@ fn round_trip(stream: &mut TcpStream, request: &Request) -> usize {
     loop {
         let reply = read_reply(stream).unwrap().expect("server stays up");
         match reply.kind.as_str() {
-            "accepted" | "point" => {}
+            "accepted" => {}
             "report" => return reply.report.expect("report text").len(),
             other => panic!("unexpected reply kind `{other}`"),
         }

@@ -48,10 +48,14 @@
 //! time), `stats` fetches the machine-readable counters (the same object
 //! `bbs cache stats --json` prints), `shutdown` asks the daemon to drain
 //! and exit, and `bench` is a load generator driving many concurrent
-//! submissions.
+//! submissions. A client gives up on a reply after 5 s, except on a run's
+//! result: that waits as long as the run takes, or with `--deadline-ms D`
+//! until D ms plus 5 s after the submission was accepted.
 
 use bbs_engine::report::render_timing_summary;
-use bbs_engine::serve::{read_reply, send_request, FaultPlan, Reply, Request, StoreReport};
+use bbs_engine::serve::{
+    read_reply, read_reply_within, send_request, FaultPlan, Reply, Request, StoreReport,
+};
 use bbs_engine::suites::{builtin_suite, builtin_suite_names};
 use bbs_engine::{
     generate_suite, Engine, GcPolicy, GenParams, PanicInjection, RemoteBackend, RunSettings,
@@ -290,9 +294,10 @@ out.
 `serve` hosts the engine for many concurrent clients; `client run` fetches
 a report byte-identical to a local `bbs run` of the same suite, retrying
 up to `--retries` times (default 3) after structured rejections and
-optionally carrying a server-enforced `--deadline-ms`. `serve
---idle-timeout-ms` reaps sessions whose client goes silent between
-requests.
+optionally carrying a server-enforced `--deadline-ms`. A client gives up
+on a reply after 5 s; a run's result may take as long as the run, or
+`--deadline-ms` plus 5 s. `serve --idle-timeout-ms` reaps sessions whose
+client goes silent between requests.
 `validate` replays every solved mapping on the scheduler simulator and
 exits nonzero on measured throughput or capacity violations; its stdout
 summary is byte-identical across --jobs counts. `gen` emits
@@ -977,9 +982,20 @@ fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// How long a `client` command waits for any reply but a run's result.
+/// The daemon sends them at once; the slowest, `stats`, scans the store
+/// (about 0.6 s for 10,000 entries), so a reply this late was lost.
+const REPLY_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The read-timeout tick on which a pending reply checks its deadline.
+const READ_TICK: Duration = Duration::from_millis(50);
+
 fn connect(addr: &str) -> Result<TcpStream, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
+    stream
+        .set_read_timeout(Some(READ_TICK))
+        .map_err(|e| format!("cannot set a read timeout on {addr}: {e}"))?;
     Ok(stream)
 }
 
@@ -988,10 +1004,14 @@ fn client_addr(args: &Args) -> &str {
         .expect("parse refuses a client command without --addr")
 }
 
-fn next_reply(stream: &mut TcpStream) -> Result<Reply, String> {
-    read_reply(stream)
-        .map_err(|e| format!("connection failed: {e}"))?
-        .ok_or_else(|| "server closed the connection early".to_string())
+/// The next reply, which must arrive within `deadline` when one is given.
+fn next_reply(stream: &mut TcpStream, deadline: Option<Duration>) -> Result<Reply, String> {
+    match deadline {
+        Some(deadline) => read_reply_within(stream, deadline),
+        None => read_reply(stream),
+    }
+    .map_err(|e| format!("connection failed: {e}"))?
+    .ok_or_else(|| "server closed the connection early".to_string())
 }
 
 fn server_error(reply: Reply) -> String {
@@ -1010,21 +1030,24 @@ struct Submitted {
     rejections: u64,
 }
 
-/// Submits `request` and follows its replies to the report. A structured
-/// rejection sleeps the server's `retry_after_ms` hint and resubmits, at
-/// most `retries` times, so transient back-pressure does not fail scripts;
-/// a `cancelled` reply (deadline, explicit cancel) is an error carrying the
-/// server's reason. Unless `quiet`, progress goes to stdout.
+/// Submits `request` and waits for its report. A structured rejection
+/// sleeps the server's `retry_after_ms` hint and resubmits, at most
+/// `retries` times, so transient back-pressure does not fail scripts; a
+/// `cancelled` reply (deadline, explicit cancel) is an error carrying the
+/// server's reason. Admission is answered within [`REPLY_DEADLINE`]; the
+/// run's result may take as long as the run, or its `deadline_ms` plus
+/// [`REPLY_DEADLINE`]. Unless `quiet`, progress and each point of the
+/// report go to stdout.
 fn submit(
     stream: &mut TcpStream,
     request: &Request,
     retries: u64,
     quiet: bool,
 ) -> Result<Submitted, String> {
-    send_request(stream, request).map_err(|e| format!("cannot submit: {e}"))?;
-    let (mut points, mut rejections) = (0u64, 0u64);
+    let mut rejections = 0u64;
     loop {
-        let reply = next_reply(stream)?;
+        send_request(stream, request).map_err(|e| format!("cannot submit: {e}"))?;
+        let reply = next_reply(stream, Some(REPLY_DEADLINE))?;
         match reply.kind.as_str() {
             "accepted" => {
                 if !quiet {
@@ -1034,6 +1057,7 @@ fn submit(
                         reply.queue_depth.unwrap_or(0)
                     );
                 }
+                break;
             }
             "rejected" => {
                 let reason = reply.message.as_deref().unwrap_or("no reason given");
@@ -1049,45 +1073,52 @@ fn submit(
                     println!("rejected ({reason}); retry {rejections}/{retries} in {wait} ms");
                 }
                 std::thread::sleep(Duration::from_millis(wait));
-                send_request(stream, request).map_err(|e| format!("cannot resubmit: {e}"))?;
-            }
-            "cancelled" => {
-                return Err(format!(
-                    "submission cancelled: {}",
-                    reply.message.as_deref().unwrap_or("no reason given")
-                ));
-            }
-            "point" => {
-                points += 1;
-                if !quiet {
-                    let cap = reply
-                        .capacity_cap
-                        .map(|c| format!("cap {c}"))
-                        .unwrap_or_else(|| "uncapped".to_string());
-                    println!(
-                        "  {} {}: {}",
-                        reply.scenario.as_deref().unwrap_or("?"),
-                        cap,
-                        if reply.feasible == Some(true) {
-                            "feasible"
-                        } else {
-                            "infeasible"
-                        }
-                    );
-                }
-            }
-            "report" => {
-                return Ok(Submitted {
-                    report: reply.report.ok_or("report reply carried no report text")?,
-                    failures: reply.message,
-                    points,
-                    rejections,
-                });
             }
             "error" => return Err(server_error(reply)),
             other => return Err(format!("unexpected reply kind `{other}`")),
         }
     }
+    let wait = request
+        .deadline_ms
+        .map(|ms| Duration::from_millis(ms) + REPLY_DEADLINE);
+    let reply = next_reply(stream, wait)?;
+    match reply.kind.as_str() {
+        "report" => {}
+        "cancelled" => {
+            return Err(format!(
+                "submission cancelled: {}",
+                reply.message.as_deref().unwrap_or("no reason given")
+            ));
+        }
+        "error" => return Err(server_error(reply)),
+        other => return Err(format!("unexpected reply kind `{other}`")),
+    }
+    let text = reply.report.ok_or("report reply carried no report text")?;
+    let report =
+        SuiteReport::from_json(&text).map_err(|e| format!("server sent a bad report: {e}"))?;
+    let mut points = 0u64;
+    for scenario in &report.scenarios {
+        for point in &scenario.points {
+            points += 1;
+            if !quiet {
+                let cap = point
+                    .capacity_cap
+                    .map_or_else(|| "uncapped".to_string(), |c| format!("cap {c}"));
+                let verdict = if point.feasible {
+                    "feasible"
+                } else {
+                    "infeasible"
+                };
+                println!("  {} {cap}: {verdict}", scenario.scenario);
+            }
+        }
+    }
+    Ok(Submitted {
+        report: text,
+        failures: reply.message,
+        points,
+        rejections,
+    })
 }
 
 /// `--retries` of `client run`, default 3.
@@ -1127,7 +1158,7 @@ fn client_run(args: &Args) -> Result<(), String> {
 fn ask(args: &Args, request: &Request) -> Result<Reply, String> {
     let mut stream = connect(client_addr(args))?;
     send_request(&mut stream, request).map_err(|e| format!("cannot send request: {e}"))?;
-    let reply = next_reply(&mut stream)?;
+    let reply = next_reply(&mut stream, Some(REPLY_DEADLINE))?;
     match reply.kind.as_str() {
         "error" => Err(server_error(reply)),
         _ => Ok(reply),

@@ -15,8 +15,8 @@
 //!   (reject-with-retry-after when full, never a silent drop) and
 //!   round-robin per-client fairness when draining.
 //! * [`session`] — one reader thread per connection: frames in, requests
-//!   dispatched, per-point replies streamed back in deterministic suite
-//!   order.
+//!   dispatched, replies out; an admitted run is answered with
+//!   `"accepted"`, then its whole report in one `"report"` reply.
 //! * [`server`] — the accept loop, the single dispatcher thread feeding
 //!   the shared engine, and graceful shutdown (drain in-flight, refuse
 //!   new).
@@ -33,13 +33,17 @@
 //! queued submissions abort before touching the engine, running ones
 //! within one work item. Sessions themselves are bounded: an optional
 //! idle timeout reaps silent clients, a per-frame read budget reaps
-//! byte-trickling ones, and every reply write carries a timeout.
+//! byte-trickling ones, and every reply write carries a timeout. The
+//! `bbs client` bounds its own waits in turn: every reply but a run's
+//! result must arrive within a fixed 5 s deadline, so a daemon that
+//! swallows one fails the command instead of hanging it. A run's result
+//! may take as long as the run; with `deadline_ms` the client waits that
+//! long plus the fixed deadline.
 //!
 //! # Determinism carve-out
 //!
-//! Each submission's response stream — its per-point replies and its final
-//! report — is deterministic and byte-identical to `bbs run` of the same
-//! suite, regardless of cache warmth (see
+//! Each submission's report is deterministic and byte-identical to
+//! `bbs run` of the same suite, regardless of cache warmth (see
 //! [`Engine::submit`](crate::Engine::submit)). The *interleaving* of
 //! frames across different connections is scheduling-dependent and is
 //! deliberately kept out of every report.

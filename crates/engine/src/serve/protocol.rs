@@ -260,8 +260,6 @@ fn decode_reply(payload: &[u8]) -> io::Result<Reply> {
 /// * `"store_put"` — offer one store entry body (`entry`) for the peer's
 ///   store; the peer validates it and derives the address itself. Answered
 ///   with `"store_ok"` or `"error"`.
-/// * `"store_stats"` — request the peer's store view alone (a
-///   [`StoreReport`]), cheaper than a full `"stats"` snapshot.
 /// * `"shutdown"` — ask the server to drain and exit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
@@ -353,11 +351,6 @@ impl Request {
         }
     }
 
-    /// A `"store_stats"` request.
-    pub fn store_stats() -> Self {
-        Self::blank("store_stats")
-    }
-
     /// A `"shutdown"` request.
     pub fn shutdown() -> Self {
         Self::blank("shutdown")
@@ -369,15 +362,16 @@ impl Request {
 /// `kind` is the discriminant:
 ///
 /// * `"accepted"` — the submission was admitted; `ticket` identifies it,
-///   `queue_depth` is the depth observed at admission.
+///   `queue_depth` is the depth observed at admission. The submission's
+///   only other reply follows once it ends: `"report"`, `"cancelled"` or
+///   `"error"`.
 /// * `"rejected"` — admission control refused the submission; `message`
 ///   says why and `retry_after_ms` is the suggested back-off. Never sent
 ///   silently — every refused submission gets one.
-/// * `"point"` — one solved sweep point, streamed in deterministic suite
-///   order: `scenario`, `capacity_cap` and `feasible` describe it.
 /// * `"report"` — the submission is complete; `report` holds the exact
-///   `SuiteReport::to_json()` text, and `message` carries a failure
-///   summary when any point failed unexpectedly.
+///   `SuiteReport::to_json()` text, every point's outcome included, and
+///   `message` carries a failure summary when any point failed
+///   unexpectedly.
 /// * `"cancelled"` — the submission identified by `ticket` was aborted
 ///   (client disconnect, `"cancel"` request, or deadline); `message` names
 ///   the reason. Sent in place of the `"report"` the submission will never
@@ -386,7 +380,6 @@ impl Request {
 /// * `"store_entry"` — answer to a `"store_get"`: `entry` holds the body
 ///   (absent on a miss — a miss is a normal reply, not an error).
 /// * `"store_ok"` — acknowledgement of an accepted `"store_put"`.
-/// * `"store_stats"` — answer to a `"store_stats"` request, in `store`.
 /// * `"bye"` — acknowledgement of a `"shutdown"` request.
 /// * `"error"` — the request could not be handled; `message` explains.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -401,20 +394,12 @@ pub struct Reply {
     pub retry_after_ms: Option<u64>,
     /// Human-readable detail, on `"rejected"`, `"report"` and `"error"`.
     pub message: Option<String>,
-    /// Scenario name, on `"point"`.
-    pub scenario: Option<String>,
-    /// Sweep capacity cap, on `"point"`.
-    pub capacity_cap: Option<u64>,
-    /// Whether the point's solve was feasible, on `"point"`.
-    pub feasible: Option<bool>,
     /// The full report JSON text, on `"report"`.
     pub report: Option<String>,
     /// The stats payload, on `"stats"`.
     pub stats: Option<StatsSnapshot>,
     /// The entry body, on a `"store_entry"` hit.
     pub entry: Option<String>,
-    /// The store view, on `"store_stats"`.
-    pub store: Option<StoreReport>,
 }
 
 impl Reply {
@@ -425,13 +410,9 @@ impl Reply {
             queue_depth: None,
             retry_after_ms: None,
             message: None,
-            scenario: None,
-            capacity_cap: None,
-            feasible: None,
             report: None,
             stats: None,
             entry: None,
-            store: None,
         }
     }
 
@@ -450,17 +431,6 @@ impl Reply {
             message: Some(message.to_string()),
             retry_after_ms: Some(retry_after_ms),
             ..Self::blank("rejected")
-        }
-    }
-
-    /// A `"point"` reply for one solved sweep point (`capacity_cap` is
-    /// `None` for single, unswept solves).
-    pub fn point(scenario: &str, capacity_cap: Option<u64>, feasible: bool) -> Self {
-        Self {
-            scenario: Some(scenario.to_string()),
-            capacity_cap,
-            feasible: Some(feasible),
-            ..Self::blank("point")
         }
     }
 
@@ -503,14 +473,6 @@ impl Reply {
     /// A `"store_ok"` reply acknowledging an accepted `"store_put"`.
     pub fn store_ok() -> Self {
         Self::blank("store_ok")
-    }
-
-    /// A `"store_stats"` reply.
-    pub fn store_stats(report: StoreReport) -> Self {
-        Self {
-            store: Some(report),
-            ..Self::blank("store_stats")
-        }
     }
 
     /// A `"bye"` reply acknowledging shutdown.
@@ -779,7 +741,6 @@ mod tests {
             Request::stats(),
             Request::store_get("00ff00ff00ff00ff"),
             Request::store_put("{\"schema\":2}\n".to_string()),
-            Request::store_stats(),
             Request::shutdown(),
         ];
         let mut buffer = Vec::new();
@@ -800,8 +761,6 @@ mod tests {
         let replies = vec![
             Reply::accepted(7, 3),
             Reply::rejected("queue full", 250),
-            Reply::point("pc", Some(4), true),
-            Reply::point("single", None, false),
             Reply::report(report_text.to_string(), Some("1 failure".to_string())),
             Reply::cancelled(7, "client disconnected"),
             Reply::stats(StatsSnapshot::new()),

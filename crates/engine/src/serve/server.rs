@@ -55,9 +55,6 @@ pub struct ServeConfig {
     /// to its last. A peer trickling bytes (slow loris) is reaped when the
     /// budget runs out instead of pinning a session thread forever.
     pub frame_timeout: Duration,
-    /// Per-write timeout on every session reply, so one stalled reader
-    /// cannot wedge a session thread mid-write.
-    pub write_timeout: Duration,
     /// Test-only fault injection (see [`FaultPlan`]); the default plan
     /// injects nothing.
     pub faults: FaultPlan,
@@ -74,7 +71,6 @@ impl Default for ServeConfig {
             store: None,
             idle_timeout: None,
             frame_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             faults: FaultPlan::default(),
         }
     }
@@ -116,7 +112,6 @@ pub(crate) struct ServiceState {
     pub(crate) running: Mutex<HashMap<u64, CancelToken>>,
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) frame_timeout: Duration,
-    pub(crate) write_timeout: Duration,
     pub(crate) faults: FaultPlan,
     local_addr: SocketAddr,
 }
@@ -223,7 +218,6 @@ impl Server {
             running: Mutex::new(HashMap::new()),
             idle_timeout: config.idle_timeout,
             frame_timeout: config.frame_timeout,
-            write_timeout: config.write_timeout,
             faults: config.faults,
             local_addr,
         });

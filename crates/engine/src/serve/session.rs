@@ -1,12 +1,13 @@
 //! One connection, one thread: reads request frames, dispatches them,
-//! streams replies.
+//! writes replies.
 //!
 //! A session owns its socket for its whole lifetime. Requests on one
-//! connection are handled strictly in order; a `"run"` request blocks the
-//! session (not the server) until the dispatcher returns its outcome,
-//! then the per-point replies and the final report are streamed back in
-//! deterministic suite order. A short read timeout lets an *idle* session
-//! notice graceful shutdown without a dedicated control channel.
+//! connection are handled strictly in order; a `"run"` request is answered
+//! with `"accepted"` at admission, then blocks the session (not the
+//! server) until the dispatcher returns its outcome, which goes back as
+//! one `"report"` reply carrying every point in deterministic suite order
+//! (or as `"cancelled"` or `"error"`). A short read timeout lets an *idle*
+//! session notice graceful shutdown without a dedicated control channel.
 //!
 //! While a run is in flight the session keeps watching its socket: a
 //! client that disconnects, exceeds its requested deadline, or sends a
@@ -23,7 +24,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use super::fault::ReplyAction;
-use super::protocol::{read_frame_budgeted, send_reply, FrameRead, Reply, Request, StoreReport};
+use super::protocol::{read_frame_budgeted, send_reply, FrameRead, Reply, Request};
 use super::queue::Admission;
 use super::server::{ServiceState, Submission};
 use crate::cancel::CancelToken;
@@ -43,12 +44,16 @@ const RUN_POLL: Duration = Duration::from_millis(50);
 /// Ceiling on per-submission worker parallelism a client may request.
 const MAX_JOBS: u64 = 64;
 
+/// Per-write timeout on every session reply, so one stalled reader cannot
+/// wedge a session thread mid-write.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Runs one connection to completion. Never panics outward; any I/O
 /// failure simply ends the session (and fires the cancel token of a run
 /// in flight, if any).
 pub(crate) fn handle_connection(mut stream: TcpStream, state: Arc<ServiceState>) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_write_timeout(Some(state.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let client_id = state.clients.fetch_add(1, Ordering::Relaxed) + 1;
     loop {
@@ -105,13 +110,6 @@ pub(crate) fn handle_connection(mut stream: TcpStream, state: Arc<ServiceState>)
             "store_put" => {
                 send_reply_faulted(&mut stream, &state, &handle_store_put(&state, &request)).is_ok()
             }
-            "store_stats" => {
-                let reply = match state.cache.store() {
-                    Some(store) => Reply::store_stats(StoreReport::for_store(store)),
-                    None => Reply::error("server has no persistent store attached"),
-                };
-                send_reply_faulted(&mut stream, &state, &reply).is_ok()
-            }
             "shutdown" => {
                 let _ = send_reply_faulted(&mut stream, &state, &Reply::bye());
                 state.initiate_shutdown();
@@ -120,7 +118,7 @@ pub(crate) fn handle_connection(mut stream: TcpStream, state: Arc<ServiceState>)
             other => {
                 let reply = Reply::error(&format!(
                     "unknown request kind {other:?} (expected run, cancel, stats, store_get, \
-                     store_put, store_stats or shutdown)"
+                     store_put or shutdown)"
                 ));
                 send_reply_faulted(&mut stream, &state, &reply).is_ok()
             }
@@ -363,23 +361,10 @@ fn handle_run(
             return send_reply_faulted(stream, state, &reply).is_ok();
         }
         // A token that fired too late to matter changes nothing: the
-        // completed outcome streams back normally, byte-identical.
+        // completed outcome goes back normally, byte-identical.
         Some(Ok(outcome)) => outcome,
     };
-    // Stream per-point results in deterministic suite order, then the
-    // byte-exact report — the same JSON `bbs run --json` would write.
-    for scenario in &outcome.scenarios {
-        for point in &scenario.points {
-            let reply = Reply::point(
-                &scenario.scenario.name,
-                point.capacity_cap,
-                point.result.is_ok(),
-            );
-            if send_reply_faulted(stream, state, &reply).is_err() {
-                return false;
-            }
-        }
-    }
+    // The byte-exact report — the same JSON `bbs run --json` would write.
     let failures = outcome.unexpected_failures();
     let message = if failures.is_empty() {
         None

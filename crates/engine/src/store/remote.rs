@@ -1,5 +1,6 @@
 //! [`RemoteBackend`]: a store tier that speaks the serve protocol to a
-//! peer `bbs serve` daemon.
+//! peer `bbs serve` daemon. It sends two request kinds, `store_get` and
+//! `store_put`; the peer's own store counters are in its `stats` reply.
 //!
 //! The tier sits *under* the local directory as a read-through /
 //! write-behind cache of last resort:
@@ -50,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use super::breaker::{BreakerConfig, CircuitBreaker, Gate};
-use crate::serve::protocol::{read_reply_within, send_request, Reply, Request, StoreReport};
+use crate::serve::protocol::{read_reply_within, send_request, Reply, Request};
 
 /// How long a store request waits on the peer: its reply must start
 /// within this deadline and then arrive whole within it, and each request
@@ -78,7 +79,7 @@ const WRITE_BEHIND_CAPACITY: usize = 1024;
 #[derive(Debug)]
 pub struct RemoteBackend {
     addr: String,
-    /// The synchronous request connection (`store_get`, `store_stats`).
+    /// The synchronous request connection (`store_get`).
     /// `None` between a transport error and the reconnect attempt.
     conn: Mutex<Option<TcpStream>>,
     /// Raised on the first *semantic* refusal (the peer answered but
@@ -178,29 +179,6 @@ impl RemoteBackend {
         };
         if sender.try_send(body.to_string()).is_err() {
             self.dropped_puts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Asks the peer for its store view via a `store_stats` request.
-    ///
-    /// The peer reads every entry of its store to answer, and the reply is
-    /// bound by [`REPLY_DEADLINE`] like any other: a large enough peer
-    /// store makes this a timed-out transport failure.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or an `"error"` reply (e.g. the peer serves
-    /// without a store).
-    pub fn peer_stats(&self) -> io::Result<StoreReport> {
-        let reply = self.request(&Request::store_stats())?;
-        match reply.kind.as_str() {
-            "store_stats" => reply.store.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "store_stats reply carried no store section",
-                )
-            }),
-            _ => Err(reply_error(&reply)),
         }
     }
 

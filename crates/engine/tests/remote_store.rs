@@ -151,16 +151,14 @@ fn peer_stats_reports_the_daemon_store_and_a_dead_peer_degrades_gracefully() {
     let settings = RunSettings::default();
     let suite = smoke_suite();
 
-    // Populate the peer, then ask it for its own store report.
+    // Populate the peer, then read its own store report.
     {
         let cache = tiered_cache(&directory.path().join("a"), &addr);
         run_cached(&suite, &settings, &cache);
     }
-    let probe = RemoteBackend::connect(&addr).unwrap();
-    let report = probe.peer_stats().unwrap();
+    let report = server.stats().store.expect("the peer has a store");
     assert_eq!(report.entries, 8);
     assert_eq!(report.stale, 0);
-    drop(probe);
 
     // Kill the peer. A tiered run against the dead address must still
     // succeed — remote errors are degradation, not failures — with every
@@ -210,14 +208,15 @@ fn a_peer_blip_opens_the_breaker_and_a_probe_heals_it_in_process() {
         },
     )
     .unwrap();
-    assert_eq!(remote.peer_stats().unwrap().entries, 8);
+    // Health check: the live peer answers, with a plain miss.
+    assert_eq!(remote.get("00ff00ff00ff00ff").unwrap(), None);
 
     // Blip: the peer dies. Two consecutive transport failures open the
     // breaker; the backend is degraded, not broken.
     server.shutdown();
     server.wait();
-    assert!(remote.peer_stats().is_err());
-    assert!(remote.peer_stats().is_err());
+    assert!(remote.get("00ff00ff00ff00ff").is_err());
+    assert!(remote.get("00ff00ff00ff00ff").is_err());
     let breaker = remote.breaker();
     assert!(breaker.is_open(), "two failures at threshold 2 must open");
     assert_eq!(breaker.opens(), 1);

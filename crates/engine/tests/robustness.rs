@@ -161,18 +161,12 @@ fn a_disconnect_mid_solve_cancels_the_run_and_the_next_client_is_byte_identical(
     let mut healthy = TcpStream::connect(addr).unwrap();
     send_request(&mut healthy, &Request::run_builtin("smoke", 1)).unwrap();
     assert_eq!(read_reply(&mut healthy).unwrap().unwrap().kind, "accepted");
-    let mut points = 0;
-    loop {
-        let reply = read_reply(&mut healthy).unwrap().unwrap();
-        match reply.kind.as_str() {
-            "point" => points += 1,
-            "report" => {
-                assert_eq!(reply.report.as_deref(), Some(local_smoke_report().as_str()));
-                break;
-            }
-            other => panic!("unexpected reply kind `{other}`"),
-        }
-    }
+    let reply = read_reply(&mut healthy).unwrap().unwrap();
+    assert_eq!(reply.kind, "report", "unexpected reply: {reply:?}");
+    let text = reply.report.expect("report text");
+    assert_eq!(text, local_smoke_report());
+    let report = SuiteReport::from_json(&text).unwrap();
+    let points: usize = report.scenarios.iter().map(|s| s.points.len()).sum();
     assert_eq!(points, 8);
     let queue = server.stats().queue.unwrap();
     assert_eq!(queue.completed, 2);
@@ -209,7 +203,7 @@ fn an_expired_deadline_returns_a_structured_cancelled_reply() {
     loop {
         let reply = read_reply(&mut stream).unwrap().unwrap();
         match reply.kind.as_str() {
-            "accepted" | "point" => {}
+            "accepted" => {}
             "report" => break,
             other => panic!("unexpected reply kind `{other}`"),
         }

@@ -7,7 +7,7 @@
 //! cold cache, warm shared cache, or many concurrent clients.
 
 use bbs_engine::serve::{
-    read_reply, send_request, Reply, Request, ServeConfig, Server, StatsSnapshot,
+    read_reply, send_request, FaultPlan, Reply, Request, ServeConfig, Server, StatsSnapshot,
 };
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{run_suite, RunSettings, SolveStore, SuiteReport};
@@ -15,8 +15,9 @@ use std::fs;
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitStatus, Stdio};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// A unique, self-cleaning scratch directory.
 struct TempDir(PathBuf);
@@ -49,22 +50,44 @@ fn local_smoke_report() -> String {
     SuiteReport::from_outcome(&outcome).to_json()
 }
 
-/// Submits one `"run"` over an open connection and collects the streamed
-/// replies up to the report. Panics on rejection — callers that expect
-/// back-pressure drive the protocol by hand.
-fn submit_and_collect(stream: &mut TcpStream, request: &Request) -> (u64, Reply) {
+/// The number of points in the report a `"report"` reply carries.
+fn report_points(reply: &Reply) -> usize {
+    let report = SuiteReport::from_json(reply.report.as_deref().expect("report text")).unwrap();
+    report.scenarios.iter().map(|s| s.points.len()).sum()
+}
+
+/// Submits one `"run"` over an open connection and returns its report
+/// reply with the number of points the report holds. Panics on rejection
+/// — callers that expect back-pressure drive the protocol by hand.
+fn submit_and_collect(stream: &mut TcpStream, request: &Request) -> (usize, Reply) {
     send_request(stream, request).unwrap();
     let accepted = read_reply(stream).unwrap().unwrap();
     assert_eq!(accepted.kind, "accepted", "unexpected reply: {accepted:?}");
-    let mut points = 0;
-    loop {
-        let reply = read_reply(stream).unwrap().unwrap();
-        match reply.kind.as_str() {
-            "point" => points += 1,
-            "report" => return (points, reply),
-            other => panic!("unexpected reply kind `{other}`"),
-        }
-    }
+    let reply = read_reply(stream).unwrap().unwrap();
+    assert_eq!(reply.kind, "report", "unexpected reply: {reply:?}");
+    (report_points(&reply), reply)
+}
+
+#[test]
+fn an_admitted_run_is_answered_by_accepted_then_its_report_alone() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    send_request(&mut stream, &Request::run_builtin("smoke", 2)).unwrap();
+    let kinds: Vec<String> = (0..2)
+        .map(|_| read_reply(&mut stream).unwrap().unwrap().kind)
+        .collect();
+    assert_eq!(kinds, ["accepted", "report"]);
+    // The session writes a run's replies before it reads the next request,
+    // so the answer to this one is the first frame after the report.
+    send_request(&mut stream, &Request::stats()).unwrap();
+    let next = read_reply(&mut stream).unwrap().unwrap();
+    assert_eq!(next.kind, "stats", "a frame followed the report: {next:?}");
+    server.shutdown();
+    server.wait();
 }
 
 #[test]
@@ -165,7 +188,7 @@ fn a_full_queue_rejects_with_retry_and_the_retry_succeeds() {
                         loop {
                             let reply = read_reply(&mut stream).unwrap().unwrap();
                             match reply.kind.as_str() {
-                                "accepted" | "point" => {}
+                                "accepted" => {}
                                 "report" => {
                                     assert_eq!(
                                         reply.report.as_deref(),
@@ -262,18 +285,10 @@ fn graceful_shutdown_drains_admitted_work_and_refuses_new() {
     assert_eq!(read_reply(&mut controller).unwrap().unwrap().kind, "bye");
 
     // The admitted submission still completes in full.
-    let mut points = 0;
-    loop {
-        let reply = read_reply(&mut worker).unwrap().unwrap();
-        match reply.kind.as_str() {
-            "point" => points += 1,
-            "report" => {
-                assert_eq!(reply.report.as_deref(), Some(reference.as_str()));
-                break;
-            }
-            other => panic!("unexpected reply kind `{other}`"),
-        }
-    }
+    let reply = read_reply(&mut worker).unwrap().unwrap();
+    assert_eq!(reply.kind, "report", "unexpected reply: {reply:?}");
+    assert_eq!(reply.report.as_deref(), Some(reference.as_str()));
+    let points = report_points(&reply);
     assert_eq!(points, 8);
     // And the whole server winds down without hanging.
     server.wait();
@@ -502,7 +517,7 @@ fn cli_serve_and_client_round_trip_byte_identical_reports() {
         "--suite",
         "smoke",
     ]);
-    assert!(bench.contains("4 completed"), "bench: {bench}");
+    assert!(bench.contains("4 completed (32 points)"), "bench: {bench}");
 
     let shutdown = bbs(&["client", "shutdown", "--addr", &addr]);
     assert!(shutdown.contains("server acknowledged shutdown"));
@@ -515,4 +530,117 @@ fn cli_serve_and_client_round_trip_byte_identical_reports() {
     let baseline_text = fs::read_to_string(&baseline).unwrap();
     assert_eq!(baseline_text, fs::read_to_string(&served).unwrap());
     assert_eq!(baseline_text, fs::read_to_string(&served_warm).unwrap());
+}
+
+#[test]
+fn cli_client_run_prints_every_point_of_the_report_in_suite_order() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let stdout = bbs(&["client", "run", "--addr", &addr, "--suite", "smoke"]);
+    let lines: Vec<&str> = stdout.lines().collect();
+    // The queue depth at admission depends on scheduling.
+    assert!(
+        lines[0].starts_with("accepted as ticket 1 (queue depth "),
+        "stdout: {stdout}"
+    );
+    assert_eq!(
+        lines[1..],
+        [
+            "  smoke-pc cap 1: feasible",
+            "  smoke-pc cap 2: feasible",
+            "  smoke-pc cap 3: feasible",
+            "  smoke-pc cap 4: feasible",
+            "  smoke-chain cap 2: feasible",
+            "  smoke-chain cap 6: feasible",
+            "  smoke-ring cap 2: feasible",
+            "  smoke-ring cap 4: feasible",
+            "report complete: 8 points",
+        ]
+    );
+    server.shutdown();
+    server.wait();
+}
+
+/// Runs the real `bbs` binary for at most `bound`, killing it if it is
+/// still running then. Returns its exit status (`None` if it was killed)
+/// and its stderr.
+fn bbs_within(args: &[&str], bound: Duration) -> (Option<ExitStatus>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bbs"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("bbs binary runs");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if started.elapsed() >= bound {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    (status, stderr)
+}
+
+/// A daemon whose fault plan swallows the given reply frame.
+fn start_dropping(directive: &str) -> Server {
+    Server::start(ServeConfig {
+        workers: 2,
+        faults: FaultPlan::parse(directive).unwrap(),
+        ..ServeConfig::default()
+    })
+    .unwrap()
+}
+
+#[test]
+fn client_stats_gives_up_on_a_swallowed_reply_at_its_deadline() {
+    let server = start_dropping("drop-reply:1");
+    let addr = server.addr().to_string();
+    let (status, stderr) = bbs_within(
+        &["client", "stats", "--addr", &addr],
+        Duration::from_secs(8),
+    );
+    let status = status.expect("client stats must give up on its own within 8 s");
+    assert!(!status.success());
+    assert!(stderr.contains("deadline"), "stderr: {stderr}");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn client_run_with_a_deadline_gives_up_on_a_swallowed_report() {
+    // Reply 1 is `accepted`, reply 2 the run's result.
+    let server = start_dropping("drop-reply:2");
+    let addr = server.addr().to_string();
+    let args = [
+        "client",
+        "run",
+        "--addr",
+        &addr,
+        "--suite",
+        "smoke",
+        "--deadline-ms",
+        "500",
+    ];
+    let (status, stderr) = bbs_within(&args, Duration::from_secs(8));
+    let status = status.expect("client run --deadline-ms 500 must give up on its own within 8 s");
+    assert!(!status.success());
+    assert!(stderr.contains("deadline"), "stderr: {stderr}");
+    server.shutdown();
+    server.wait();
 }
