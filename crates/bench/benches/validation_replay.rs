@@ -11,7 +11,9 @@
 //! * `paper_stage_serial` / `paper_stage_j4` — the whole stage
 //!   (`validate_outcome` with `validate_all`, which builds a temporary
 //!   engine) over the pre-solved 47-point `paper` outcome, at one and at
-//!   four workers: stage overhead plus the cursor's scaling.
+//!   four workers: stage overhead plus the cursor's scaling. The stage
+//!   replays each distinct (configuration, budgets, capacities) once, so
+//!   the 46 feasible points take 27 replays: fig2a and fig2b share theirs.
 //! * `pooled_gen_smoke_warm` — a full pooled `run_suite` of the generated
 //!   `gen-smoke` suite on a warm shared cache: with every solve a memo hit,
 //!   the run is dominated by exactly the replay work `bbs validate` adds.
@@ -19,6 +21,10 @@
 //!   `generate_suite` of seed 11, replayed one after another by
 //!   `validate_mapping` on one thread: the simulator kernel alone, over
 //!   all four generated families (solved once, outside the timed loop).
+//! * `gen_seed11_stage_j2` — the whole stage (`validate_outcome` at two
+//!   workers) over the same pre-solved outcome: generated scenarios of one
+//!   family and size share a configuration, so the stage replays 38
+//!   distinct mappings where the kernel-only id above replays all 153.
 
 use bbs_engine::suites::{gen_smoke_suite, paper_suite};
 use bbs_engine::{
@@ -127,6 +133,13 @@ fn bench_validation_replay(c: &mut Criterion) {
                     &settings,
                 ));
             }
+        });
+    });
+    group.bench_function("gen_seed11_stage_j2", |b| {
+        b.iter(|| {
+            let mut outcome = generated.clone();
+            validate_outcome(&mut outcome, &validate(2));
+            black_box(outcome)
         });
     });
 

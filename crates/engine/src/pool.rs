@@ -3,12 +3,14 @@
 //!
 //! An [`Engine`] spawns its workers once; between runs they park on an idle
 //! channel receive (no spinning, no wakeups). A run has three phases —
-//! expand the suite into work items, solve them, replay the solved mappings
-//! — and each is one *cursor job*: `len` independent items whose indices
-//! the participating threads claim off a shared `AtomicUsize`, in ascending
-//! order, with item `i`'s result landing in slot `i`. Results therefore come
-//! back in suite order no matter who ran what, so reports are
-//! byte-identical across worker counts.
+//! expand the suite into work items, solve them, replay each distinct
+//! solved mapping once — and each is one *cursor job*: `len` independent
+//! items whose indices the participating threads claim off a shared
+//! `AtomicUsize`, in ascending order, with item `i`'s result landing in
+//! slot `i`. Results therefore come back in suite order no matter who ran
+//! what, so reports are byte-identical across worker counts. The replay
+//! phase then copies each verdict to every (scenario, point) that shares
+//! the mapping, in suite order too.
 //!
 //! One rule decides who drains a phase: its useful parallelism is `jobs`
 //! clamped to the pool size and to the item count, and a phase with only
@@ -51,7 +53,7 @@ use crate::executor::{
 };
 use crate::scenario::Suite;
 use crate::validate::{replay_guarded, replay_tasks};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -317,18 +319,39 @@ impl Engine {
     }
 
     /// The validation stage: replays every requested feasible point of
-    /// `outcome` and attaches the verdicts to their points.
-    pub(crate) fn validate(&self, outcome: &mut SuiteOutcome, settings: &RunSettings) {
-        let tasks = replay_tasks(outcome, settings);
+    /// `outcome` and attaches the verdicts to their points. Tasks with equal
+    /// (interned configuration, budgets, capacities) share one replay: the
+    /// cursor job runs the distinct replays in first-occurrence suite order,
+    /// and each verdict — a caught panic's included — is copied to every
+    /// point that shares it. Returns the number of replays run.
+    pub(crate) fn validate(&self, outcome: &mut SuiteOutcome, settings: &RunSettings) -> usize {
+        let tasks = Arc::new(replay_tasks(outcome, settings));
+        let mut replay_of_identity = HashMap::with_capacity(tasks.len());
+        // `replays[r]` is the first task of distinct replay `r`;
+        // `shared[t]` is the replay task `t` takes its verdict from.
+        let mut replays = Vec::new();
+        let shared: Vec<usize> = tasks
+            .iter()
+            .enumerate()
+            .map(|(task_index, task)| {
+                *replay_of_identity
+                    .entry(task.identity())
+                    .or_insert_with(|| {
+                        replays.push(task_index);
+                        replays.len() - 1
+                    })
+            })
+            .collect();
         let iterations = settings.simulation_iterations;
-        let verdicts = self.run_job(settings.jobs, tasks.len(), move |index| {
-            let task = &tasks[index];
-            let verdict = replay_guarded(task, iterations);
-            (task.scenario_index, task.point_index, verdict)
+        let verdicts = self.run_job(settings.jobs, replays.len(), {
+            let tasks = Arc::clone(&tasks);
+            move |index| replay_guarded(&tasks[replays[index]], iterations)
         });
-        for (scenario, point, verdict) in verdicts {
-            outcome.scenarios[scenario].points[point].validation = Some(verdict);
+        for (task, &replay) in tasks.iter().zip(&shared) {
+            outcome.scenarios[task.scenario_index].points[task.point_index].validation =
+                Some(verdicts[replay].clone());
         }
+        verdicts.len()
     }
 
     /// Threads that drain a phase of `len` items at `jobs`: `jobs` clamped
@@ -590,6 +613,110 @@ mod tests {
         assert_eq!(outcome.cache, CacheStats { hits: 6, misses: 6 });
         let reference = run_suite(&suite, &settings).unwrap();
         assert_eq!(outcome.cache, reference.cache);
+    }
+
+    #[test]
+    fn validation_replays_each_distinct_mapping_once_and_fans_the_verdicts_out() {
+        use crate::validate::PointValidation;
+        use bbs_taskgraph::presets::PaperParameters;
+        // Two identical scenarios whose sweeps overlap on caps 3..=6, and a
+        // third of the same graph at period 10.01 instead of 10: it solves
+        // to the same mappings, but its configuration differs, so it must
+        // share no replay with the first two. A 3-task ring solves to equal
+        // budgets at caps 1..=3 but to other capacities at cap 1 than at
+        // caps 2 and 3, so capacities are part of a replay's identity too.
+        let slower = PresetSpec {
+            params: Some(PaperParameters {
+                period: 10.01,
+                ..PaperParameters::default()
+            }),
+            ..PresetSpec::named("producer-consumer")
+        };
+        let suite = Suite::new(
+            "memo",
+            vec![
+                pc_sweep_scenario("a"),
+                pc_sweep_scenario("b").with_sweep(SweepSpec::range(3, 8)),
+                Scenario::new("c", WorkloadSpec::preset(slower)).with_sweep(SweepSpec::range(1, 8)),
+                Scenario::new(
+                    "ring",
+                    WorkloadSpec::preset(PresetSpec::named("ring").with_tasks(3)),
+                )
+                .with_sweep(SweepSpec::range(1, 3)),
+            ],
+        );
+        let engine = Engine::new(16);
+        let solved = engine.run_suite(&suite, &RunSettings::default()).unwrap();
+        let mapping_at = |scenario: usize, cap: u64| {
+            let point = solved.scenarios[scenario]
+                .points
+                .iter()
+                .find(|point| point.capacity_cap == Some(cap))
+                .unwrap();
+            let mapping = point.result.as_ref().unwrap();
+            (
+                mapping.budgets().collect::<Vec<_>>(),
+                mapping.capacities().collect::<Vec<_>>(),
+            )
+        };
+        assert!(
+            (1..=6).any(|cap| mapping_at(2, cap) == mapping_at(0, cap)),
+            "the third scenario must repeat a mapping of the first two"
+        );
+        assert_eq!(mapping_at(3, 1).0, mapping_at(3, 2).0);
+        assert_ne!(mapping_at(3, 1).1, mapping_at(3, 2).1);
+        // The distinct (configuration, budgets, capacities) triples,
+        // counted independently of the stage.
+        let mut distinct = HashSet::new();
+        for scenario in &solved.scenarios {
+            let configuration = scenario.configuration.canonical_json();
+            for point in &scenario.points {
+                let mapping = point.result.as_ref().unwrap();
+                distinct.insert((
+                    configuration.clone(),
+                    mapping.budgets().collect::<Vec<_>>(),
+                    mapping.capacities().collect::<Vec<_>>(),
+                ));
+            }
+        }
+        assert_eq!(distinct.len(), 18, "8 shared by a and b, 8 of c, 2 rings");
+
+        let mut reference: Option<Vec<Option<PointValidation>>> = None;
+        for jobs in [1usize, 2, 16] {
+            let settings = RunSettings {
+                validate_all: true,
+                jobs,
+                ..RunSettings::default()
+            };
+            let mut outcome = solved.clone();
+            let replays = engine.validate(&mut outcome, &settings);
+            assert_eq!(replays, distinct.len(), "jobs={jobs}");
+            let tasks = replay_tasks(&outcome, &settings);
+            assert_eq!(tasks.len(), 23, "jobs={jobs}");
+            for task in &tasks {
+                let point = &outcome.scenarios[task.scenario_index].points[task.point_index];
+                assert_eq!(
+                    point.validation,
+                    Some(replay_guarded(task, settings.simulation_iterations)),
+                    "jobs={jobs}: scenario {} cap {:?}",
+                    task.scenario_index,
+                    point.capacity_cap
+                );
+            }
+            let third = &outcome.scenarios[2].points;
+            assert!(third
+                .iter()
+                .all(|point| point.validation.as_ref().unwrap().required_period == 10.01));
+            let verdicts: Vec<_> = outcome
+                .scenarios
+                .iter()
+                .flat_map(|scenario| scenario.points.iter().map(|p| p.validation.clone()))
+                .collect();
+            match &reference {
+                Some(reference) => assert_eq!(&verdicts, reference, "jobs={jobs}"),
+                None => reference = Some(verdicts),
+            }
+        }
     }
 
     #[test]

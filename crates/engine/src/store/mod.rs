@@ -350,8 +350,11 @@ impl SolveStore {
     /// Enforces an automatic entry-count cap on the write path: whenever a
     /// write pushes the store beyond `max_entries`, the same deterministic
     /// retention pass `bbs cache gc --max-entries` runs evicts oldest-first
-    /// (mtime order, ties broken by path) back down to the cap. A cap of 0
-    /// is accepted and keeps the store empty.
+    /// (mtime order, ties broken by path) down to `max_entries -
+    /// max_entries / 16`. That slack lets a full store take `max_entries /
+    /// 16` more writes before the next eviction pass and its directory
+    /// scan; a cap below 16 has none and evicts back down to the cap. A cap
+    /// of 0 is accepted and keeps the store empty.
     ///
     /// The enforcement keeps a size estimate so the common case (under the
     /// cap) costs one counter bump per write; the estimate is
@@ -367,7 +370,9 @@ impl SolveStore {
     /// Enforces an automatic *byte* budget on the write path, the
     /// physical-size analogue of [`with_max_entries`](Self::with_max_entries)
     /// (`bbs cache gc --max-bytes` is the manual form). Compressed `v2`
-    /// entries count at their physical (compressed) size.
+    /// entries count at their physical (compressed) size. A write that
+    /// pushes the store beyond `max_bytes` evicts oldest-first down to
+    /// `max_bytes - max_bytes / 16`, the same slack as the entry cap.
     #[must_use]
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
         self.max_bytes = Some(max_bytes);
@@ -533,7 +538,8 @@ impl SolveStore {
     /// The write-path half of the automatic caps (see
     /// [`SolveStore::with_max_entries`]/[`with_max_bytes`](Self::with_max_bytes)):
     /// bump or rebuild the size estimate and, when it exceeds a cap, run
-    /// the same pure [`plan_gc`]-backed eviction `bbs cache gc` uses.
+    /// the same pure [`plan_gc`]-backed eviction `bbs cache gc` uses, down
+    /// to [`below_cap`] of each cap.
     fn enforce_caps(&self, written_bytes: u64) {
         if self.max_entries.is_none() && self.max_bytes.is_none() {
             return;
@@ -562,8 +568,8 @@ impl SolveStore {
             || self.max_bytes.is_some_and(|cap| estimate.bytes > cap);
         if over {
             match self.gc(GcPolicy {
-                max_entries: self.max_entries,
-                max_bytes: self.max_bytes,
+                max_entries: self.max_entries.map(below_cap),
+                max_bytes: self.max_bytes.map(below_cap),
                 max_age: None,
             }) {
                 Ok(outcome) => {
@@ -714,6 +720,13 @@ impl SolveStore {
         }
         Ok(outcome)
     }
+}
+
+/// Where a write-path eviction pass leaves a capped store: a sixteenth
+/// below the cap, so a full store scans its directory once per `cap / 16`
+/// writes instead of on every write. Caps below 16 get no slack.
+fn below_cap(cap: u64) -> u64 {
+    cap - cap / 16
 }
 
 /// The content address of a key: the 16-hex-digit FNV-1a hash over the
@@ -1349,6 +1362,31 @@ mod tests {
         assert_eq!(store.summary().unwrap().entries, 2);
         // All five writes happened; the cap evicts, it does not block.
         assert_eq!(store.stats().stored, 5);
+    }
+
+    #[test]
+    fn a_full_capped_store_evicts_a_sixteenth_below_the_cap_and_scans_rarely() {
+        let directory = TempDir::new("auto-cap-slack");
+        let store = SolveStore::open(directory.path())
+            .unwrap()
+            .with_max_entries(32);
+        // One stored result under 40 distinct keys.
+        let (_, _, result) = solved();
+        let base = producer_consumer(PaperParameters::default(), None);
+        let options = SolveOptions::default().prefer_budget_minimisation();
+        let mut held = Vec::new();
+        for cap in 1..=40u64 {
+            let key = CanonicalKey::from_parts(&with_capacity_cap(&base, cap), &options, "joint");
+            store.save(&key, &result);
+            held.push(store.summary().unwrap().entries);
+        }
+        // Filling up to the cap evicts nothing; the write that crosses it
+        // evicts down to 32 - 32 / 16 = 30, and the next pass waits until
+        // the store crosses 32 again.
+        let mut expected: Vec<u64> = (1..=32).collect();
+        expected.extend([30, 31, 32, 30, 31, 32, 30, 31]);
+        assert_eq!(held, expected);
+        assert_eq!(store.stats().stored, 40);
     }
 
     #[test]

@@ -4,22 +4,24 @@
 //! Validation runs *after* a suite's solves have been assembled into a
 //! [`SuiteOutcome`]: every feasible point of a scenario that requests
 //! validation (`validate: "sim"`, or all scenarios under
-//! [`RunSettings::validate_all`]) becomes one replay task. The tasks run
-//! as one cursor job on the [`Engine`] — the same primitive as expansion
-//! and solving — and each verdict lands on the (scenario, point) its task
-//! was collected from. A replay is a pure function of (configuration,
-//! budgets, capacities, iterations), so validation outcomes, and the
-//! [`ValidationReport`] built from them, are byte-identical across worker
-//! counts.
+//! [`RunSettings::validate_all`]) becomes one replay task. Collecting the
+//! tasks interns the scenarios' configurations, so scenarios with equal
+//! configurations share one `Arc`. A replay is a pure function of
+//! (configuration, budgets, capacities, iterations), so the [`Engine`]
+//! replays each distinct (configuration, budgets, capacities) triple once,
+//! as one cursor job — the same primitive as expansion and solving — and
+//! fans each verdict out to every (scenario, point) that shares it.
+//! Validation outcomes, and the [`ValidationReport`] built from them, are
+//! therefore byte-identical across worker counts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::executor::{RunSettings, SuiteOutcome};
 use crate::pool::Engine;
 use bbs_scheduler_sim::{validate_mapping, SimulationSettings};
-use bbs_taskgraph::{BufferRef, Configuration, TaskRef};
+use bbs_taskgraph::{BufferRef, CanonicalDigest, Configuration, TaskRef};
 use serde::{Deserialize, Serialize};
 
 /// The validation attached to one solved point: the replay's verdict on
@@ -59,7 +61,7 @@ impl PointValidation {
     }
 }
 
-/// One replay to perform: the scenario's shared base configuration plus
+/// One replay to perform: the scenario's interned base configuration plus
 /// the solved mapping's budgets and capacities, addressed back to its
 /// (scenario, point) slot.
 pub(crate) struct ReplayTask {
@@ -70,11 +72,37 @@ pub(crate) struct ReplayTask {
     capacities: BTreeMap<BufferRef, u64>,
 }
 
+impl ReplayTask {
+    /// What the replay is a pure function of, besides the iteration count:
+    /// the interned configuration (by address — equal configurations share
+    /// one `Arc`), the budgets and the capacities. Tasks with equal
+    /// identities have equal verdicts.
+    pub(crate) fn identity(
+        &self,
+    ) -> (
+        *const Configuration,
+        &BTreeMap<TaskRef, u64>,
+        &BTreeMap<BufferRef, u64>,
+    ) {
+        (
+            Arc::as_ptr(&self.configuration),
+            &self.budgets,
+            &self.capacities,
+        )
+    }
+}
+
 /// Collects the replay tasks of `outcome`, in suite order: every feasible
 /// point of every scenario that requests validation (all scenarios under
 /// [`RunSettings::validate_all`]). Infeasible points have nothing to replay
 /// and are skipped — they are the solver's verdict, not the simulator's.
+///
+/// Scenario configurations are interned: looked up by
+/// [`Configuration::canonical_digest`] and confirmed with `==`, so equal
+/// configurations share one `Arc` and two different ones never do, even on
+/// a digest collision.
 pub(crate) fn replay_tasks(outcome: &SuiteOutcome, settings: &RunSettings) -> Vec<ReplayTask> {
+    let mut interned: HashMap<CanonicalDigest, Vec<Arc<Configuration>>> = HashMap::new();
     let mut tasks = Vec::new();
     for (scenario_index, scenario) in outcome.scenarios.iter().enumerate() {
         let requested = settings.validate_all
@@ -84,13 +112,28 @@ pub(crate) fn replay_tasks(outcome: &SuiteOutcome, settings: &RunSettings) -> Ve
                 .ok()
                 .flatten()
                 .is_some();
-        if !requested {
+        // A scenario without a feasible point has nothing to replay, so
+        // its configuration is neither hashed nor interned.
+        if !requested || scenario.points.iter().all(|point| point.result.is_err()) {
             continue;
         }
-        // One shared base per scenario; capacity caps are solver
-        // constraints the simulator never reads, so the uncapped base
-        // stands in for every sweep point.
-        let configuration = Arc::new(scenario.configuration.clone());
+        // One shared base per distinct configuration; capacity caps are
+        // solver constraints the simulator never reads, so the uncapped
+        // base stands in for every sweep point.
+        let candidates = interned
+            .entry(scenario.configuration.canonical_digest())
+            .or_default();
+        let configuration = match candidates
+            .iter()
+            .find(|candidate| ***candidate == scenario.configuration)
+        {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let fresh = Arc::new(scenario.configuration.clone());
+                candidates.push(Arc::clone(&fresh));
+                fresh
+            }
+        };
         for (point_index, point) in scenario.points.iter().enumerate() {
             let Ok(mapping) = &point.result else { continue };
             tasks.push(ReplayTask {

@@ -8,7 +8,10 @@
 //! period against the requirement, every high-water mark against its
 //! capacity), so it cannot be fooled by a bug in the engine's validation
 //! stage. The engine layer runs the same suites through
-//! `RunSettings::validate_all` and asserts the attached verdicts agree.
+//! `RunSettings::validate_all` and asserts that each point's attached
+//! verdict equals its own direct replay, bit for bit — the stage replays
+//! each distinct mapping once and fans the verdict out, so a verdict routed
+//! to the wrong point fails here.
 //!
 //! Besides the paper suites, the 200-point `bbs gen` suites of seeds 13
 //! and 14 (`certificates.rs` certifies the solver's decisions on 11 and
@@ -75,19 +78,31 @@ fn assert_suite_is_sound(suite: &Suite) {
                     point.capacity_cap
                 );
             }
-            // The engine layer: the validation stage attached the same
-            // verdict to this point.
+            // The engine layer: the validation stage attached exactly this
+            // point's own replay, even where it shares one replay with
+            // other points of equal configuration and mapping.
             let validation = point
                 .validation
                 .as_ref()
                 .expect("validate_all annotates every feasible point");
+            let label = format!("{}/{:?}", scenario.scenario.name, point.capacity_cap);
             assert!(
                 validation.is_sound(),
-                "{}/{:?}: engine validation disagrees: {validation:?}",
-                scenario.scenario.name,
-                point.capacity_cap
+                "{label}: engine validation disagrees: {validation:?}"
             );
-            assert_eq!(validation.buffers_checked, capacities.len() as u64);
+            assert_eq!(
+                validation.measured_period.to_bits(),
+                result.worst_period().to_bits(),
+                "{label}: attached period is not this point's replay"
+            );
+            assert_eq!(validation.required_period, required_period, "{label}");
+            assert_eq!(validation.tolerance, tolerance, "{label}");
+            assert_eq!(
+                validation.buffers_checked,
+                capacities.len() as u64,
+                "{label}"
+            );
+            assert_eq!(validation.buffer_violations, 0, "{label}");
             replayed += 1;
         }
     }
