@@ -1,8 +1,9 @@
 //! Human-readable and machine-readable reports.
 //!
-//! The benchmark harness uses these helpers to print the data series behind
-//! every figure of the paper as aligned text tables and CSV, and to export
-//! mappings with name-based keys for further processing.
+//! The examples and the engine's report renderers use these helpers to
+//! print the data series behind the paper's figures as aligned text
+//! tables, and to export mappings with name-based keys for further
+//! processing.
 
 use crate::explore::{budget_reduction_series, TradeoffPoint};
 use crate::solution::Mapping;
@@ -92,49 +93,6 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     write_row(&mut out, &separator);
     for row in rows {
         write_row(&mut out, row);
-    }
-    out
-}
-
-/// Renders a capacity sweep as a comma-separated-values string with one row
-/// per capacity and one column per task budget (plus the totals).
-pub fn sweep_to_csv(configuration: &Configuration, points: &[TradeoffPoint]) -> String {
-    let mut task_names: Vec<String> = configuration
-        .all_tasks()
-        .into_iter()
-        .map(|t| {
-            configuration
-                .task_graph(t.graph)
-                .task(t.task)
-                .name()
-                .to_string()
-        })
-        .collect();
-    task_names.sort();
-    let mut out = String::from("capacity");
-    for name in &task_names {
-        let _ = write!(out, ",budget_{name}");
-    }
-    out.push_str(",total_budget,total_storage,solve_time_us\n");
-    for point in points {
-        let _ = write!(out, "{}", point.capacity_cap);
-        for name in &task_names {
-            let _ = write!(
-                out,
-                ",{}",
-                point
-                    .mapping
-                    .budget_of_named(configuration, name)
-                    .expect("task name from the same configuration")
-            );
-        }
-        let _ = writeln!(
-            out,
-            ",{},{},{}",
-            point.total_budget(),
-            point.mapping.total_storage(configuration),
-            point.solve_time.as_micros()
-        );
     }
     out
 }
@@ -237,16 +195,6 @@ mod tests {
     #[should_panic(expected = "match the header width")]
     fn format_table_rejects_ragged_rows() {
         let _ = format_table(&["a", "b"], &[vec!["1".to_string()]]);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_point() {
-        let (c, points) = sample();
-        let csv = sweep_to_csv(&c, &points);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + points.len());
-        assert!(lines[0].starts_with("capacity,budget_wa,budget_wb"));
-        assert!(lines[1].starts_with("1,"));
     }
 
     #[test]

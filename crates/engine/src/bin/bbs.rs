@@ -55,11 +55,12 @@
 use bbs_engine::report::render_timing_summary;
 use bbs_engine::serve::{
     read_reply, read_reply_within, send_request, FaultPlan, Reply, Request, StoreReport,
+    FAULT_PLAN_ENV,
 };
 use bbs_engine::suites::{builtin_suite, builtin_suite_names};
 use bbs_engine::{
-    generate_suite, Engine, GcPolicy, GenParams, PanicInjection, RemoteBackend, RunSettings,
-    ServeConfig, Server, SolveCache, SolveStore, StatsSnapshot, Suite, SuiteOutcome, SuiteReport,
+    generate_suite, Engine, GcPolicy, GenParams, RemoteBackend, RunSettings, ServeConfig, Server,
+    SolveCache, SolveFault, SolveStore, StatsSnapshot, Suite, SuiteOutcome, SuiteReport,
     ValidationReport,
 };
 use std::collections::HashMap;
@@ -570,42 +571,21 @@ fn write_output(path: &str, contents: &str, label: &str) -> Result<(), String> {
     })
 }
 
-/// Fault injection from `BBS_TEST_INJECT_PANIC` (`<scenario>:<cap>`, with
-/// `-` as the cap of an unswept solve) — the hook behind the panic-safety
-/// integration tests and CI chaos checks. Unset or empty means none.
+/// The solve fault `BBS_TEST_FAULT_PLAN` injects into `run` and
+/// `validate` — the hook behind the panic-safety integration tests and CI
+/// chaos checks. Unset or empty means none.
 ///
 /// # Errors
 ///
-/// A malformed spec is an error, not a silent no-op: a chaos check that
-/// believes it injected a fault but did not would pass vacuously.
-fn injected_panic_from_env() -> Result<Option<PanicInjection>, String> {
-    let Some(raw) = std::env::var_os("BBS_TEST_INJECT_PANIC") else {
+/// A malformed plan, or one holding a directive only a daemon can apply,
+/// is an error, not a silent no-op: a chaos check that believes it
+/// injected a fault but did not would pass vacuously.
+fn solve_fault_from_env() -> Result<Option<SolveFault>, String> {
+    let Some(plan) = FaultPlan::from_env()? else {
         return Ok(None);
     };
-    // A non-Unicode value is malformed, not unset.
-    let spec = raw
-        .to_str()
-        .ok_or_else(|| format!("BBS_TEST_INJECT_PANIC must be valid Unicode, got {raw:?}"))?;
-    if spec.trim().is_empty() {
-        return Ok(None);
-    }
-    parse_panic_spec(spec).map(Some)
-}
-
-fn parse_panic_spec(spec: &str) -> Result<PanicInjection, String> {
-    let malformed = || format!("BBS_TEST_INJECT_PANIC must be `<scenario>:<cap|->`, got `{spec}`");
-    let (scenario, cap) = spec.rsplit_once(':').ok_or_else(malformed)?;
-    if scenario.is_empty() {
-        return Err(malformed());
-    }
-    let capacity_cap = match cap {
-        "-" => None,
-        cap => Some(cap.parse::<u64>().map_err(|_| malformed())?),
-    };
-    Ok(PanicInjection {
-        scenario: scenario.to_string(),
-        capacity_cap,
-    })
+    plan.solve_fault_only()
+        .map_err(|e| format!("{FAULT_PLAN_ENV}: {e}"))
 }
 
 /// The persistent store of `run`, `validate` and `serve`, if the flags or
@@ -667,7 +647,7 @@ fn solve_suite(args: &Args, validate_all: bool) -> Result<SuiteOutcome, String> 
         jobs: jobs(args),
         use_cache: !args.switch(&NO_CACHE),
         validate_all,
-        inject_panic: injected_panic_from_env()?,
+        fault: solve_fault_from_env()?,
         ..RunSettings::default()
     };
     // `--no-cache` bypasses both tiers: without the in-memory tier there is
@@ -1460,31 +1440,5 @@ mod tests {
         assert!(help.contains("  bbs serve [--addr HOST:PORT]"));
         assert!(help.contains("  bbs check [REPORT.json | SUITE.json | -]"));
         assert!(help.lines().all(|line| line.len() <= 78), "{help}");
-    }
-
-    #[test]
-    fn panic_specs_parse_or_error_loudly() {
-        assert_eq!(
-            parse_panic_spec("fig2a:3").unwrap(),
-            PanicInjection {
-                scenario: "fig2a".to_string(),
-                capacity_cap: Some(3),
-            }
-        );
-        assert_eq!(
-            parse_panic_spec("solo:-").unwrap(),
-            PanicInjection {
-                scenario: "solo".to_string(),
-                capacity_cap: None,
-            }
-        );
-        // Scenario names may contain `:`; the cap is the last segment.
-        assert_eq!(
-            parse_panic_spec("a:b:1").unwrap().scenario,
-            "a:b".to_string()
-        );
-        assert!(parse_panic_spec("no-cap").is_err());
-        assert!(parse_panic_spec(":1").is_err());
-        assert!(parse_panic_spec("name:notanumber").is_err());
     }
 }

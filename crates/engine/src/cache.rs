@@ -292,11 +292,13 @@ impl KeyConfiguration for ConfigView {
 
 /// Hit/miss counters of a [`SolveCache`]'s in-memory tier.
 ///
-/// Both counters are functions of the suite definition alone — misses equal
-/// the number of distinct keys — so they are safe to embed in the
-/// deterministic [`SuiteReport`](crate::SuiteReport). Disk-tier counters
-/// (which depend on what previous runs left behind) live in
-/// [`StoreStats`](crate::StoreStats) instead.
+/// A run's outcome carries the counters its suite implies — misses equal
+/// the number of distinct keys, hits the points beyond them (see
+/// [`SuiteOutcome::cache`](crate::SuiteOutcome::cache)) — so they are safe
+/// to embed in the deterministic [`SuiteReport`](crate::SuiteReport);
+/// [`SolveCache::stats`] keeps the running totals of a long-lived cache.
+/// Disk-tier counters (which depend on what previous runs left behind)
+/// live in [`StoreStats`](crate::StoreStats) instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache (including waits on in-flight

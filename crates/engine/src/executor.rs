@@ -53,46 +53,38 @@ pub struct RunSettings {
     /// whether or not the scenario requests it (`bbs validate`); `false`
     /// (the default) validates only scenarios flagged `validate: "sim"`.
     pub validate_all: bool,
-    /// Fault injection for tests and CI chaos checks: the addressed point
-    /// panics while executing (before its cache lookup, so the fault fires
-    /// deterministically regardless of slot-claim races). An injection that
-    /// matches no point of the suite is an error, never a silent no-op.
+    /// Fault injection for tests and CI chaos checks (the `panic-solve` or
+    /// `stall-solve` directive of a [`FaultPlan`](crate::serve::FaultPlan)):
+    /// the addressed point panics or sleeps while executing, before its
+    /// cache lookup, so the fault fires on that point regardless of
+    /// slot-claim races. A panic that matches no point of the suite is an
+    /// error, never a silent no-op; a stall that matches none does nothing,
+    /// because the serve layer applies one plan to every submission.
     /// `None` (the default) injects nothing.
-    pub inject_panic: Option<PanicInjection>,
-    /// Fault injection for tests and CI chaos checks: the addressed point
-    /// sleeps for a fixed duration while executing (before its cache
-    /// lookup, like [`RunSettings::inject_panic`]) — the deterministic
-    /// lever that keeps a submission *running* long enough for
-    /// cancellation, deadline, and disconnect paths to be testable.
-    /// Unlike `inject_panic`, a stall that matches no point is a benign
-    /// no-op: the serve layer applies one plan to every submission, most
-    /// of which won't contain the addressed scenario. `None` (the
-    /// default) stalls nothing.
-    pub inject_stall: Option<StallInjection>,
+    pub fault: Option<SolveFault>,
 }
 
-/// Selects one work item for fault injection (see
-/// [`RunSettings::inject_panic`]): the point of scenario `scenario` whose
-/// capacity cap is `capacity_cap` panics while executing.
+/// Selects one work item for fault injection (see [`RunSettings::fault`]):
+/// the point of scenario `scenario` whose capacity cap is `capacity_cap`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicInjection {
+pub struct SolveFault {
     /// Name of the scenario to fault.
     pub scenario: String,
     /// Capacity cap of the sweep point to fault (`None` for single solves).
     pub capacity_cap: Option<u64>,
+    /// What the addressed point does.
+    pub action: FaultAction,
 }
 
-/// Selects one work item for a stall fault (see
-/// [`RunSettings::inject_stall`]): the point of scenario `scenario` whose
-/// capacity cap is `capacity_cap` sleeps `millis` before solving.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallInjection {
-    /// Name of the scenario to stall.
-    pub scenario: String,
-    /// Capacity cap of the sweep point to stall (`None` for single solves).
-    pub capacity_cap: Option<u64>,
-    /// How long the addressed point sleeps, in milliseconds.
-    pub millis: u64,
+/// What the point a [`SolveFault`] addresses does while executing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Panic: the point becomes a per-point error.
+    Panic,
+    /// Sleep this many milliseconds, then solve normally: the lever that
+    /// keeps a submission running long enough for cancellation, deadline
+    /// and disconnect paths to be testable.
+    Stall(u64),
 }
 
 impl Default for RunSettings {
@@ -102,8 +94,7 @@ impl Default for RunSettings {
             use_cache: true,
             simulation_iterations: 256,
             validate_all: false,
-            inject_panic: None,
-            inject_stall: None,
+            fault: None,
         }
     }
 }
@@ -188,7 +179,10 @@ pub struct SuiteOutcome {
     pub suite: String,
     /// One outcome per scenario, in suite order.
     pub scenarios: Vec<ScenarioOutcome>,
-    /// Cache counters of the run (all zero when the cache was disabled).
+    /// Cache counters of the run, a function of the suite alone: one miss
+    /// per distinct solve key and one hit per repeated one, however warm
+    /// the cache was and whichever points a fault skipped (all zero when
+    /// the cache was disabled).
     pub cache: CacheStats,
     /// Whether the cache was enabled.
     pub cache_enabled: bool,
@@ -263,9 +257,8 @@ pub(crate) struct WorkItem {
 }
 
 impl WorkItem {
-    /// The pre-derived cache key of this solve — what
-    /// [`Engine::submit`] counts distinct keys over for its
-    /// submission-local hit/miss accounting.
+    /// The pre-derived cache key of this solve — what every run counts
+    /// distinct keys over for its report's hit/miss counters.
     pub(crate) fn key(&self) -> CacheKey {
         self.key
     }
@@ -277,10 +270,8 @@ pub(crate) struct SolveJob {
     pub(crate) items: Vec<WorkItem>,
     pub(crate) cache: Arc<SolveCache>,
     pub(crate) settings: RunSettings,
-    /// Flat index of the point [`RunSettings::inject_panic`] addresses.
-    pub(crate) injection_target: Option<usize>,
-    /// Flat index of the point [`RunSettings::inject_stall`] addresses.
-    pub(crate) stall_target: Option<usize>,
+    /// Flat index of the point [`RunSettings::fault`] addresses.
+    pub(crate) fault_target: Option<usize>,
     pub(crate) cancel: CancelToken,
     pub(crate) caught_panics: Arc<AtomicU64>,
 }
@@ -304,17 +295,11 @@ impl SolveJob {
             // yields `EngineError::Cancelled`, not an outcome.
             return unsolved(item, cancelled_solve_error());
         }
-        let inject = self.injection_target == Some(index);
-        let stall_ms = self
-            .stall_target
-            .filter(|&target| target == index)
-            .and_then(|_| {
-                self.settings
-                    .inject_stall
-                    .as_ref()
-                    .map(|stall| stall.millis)
-            });
-        let execute = || execute_item(index, item, &self.cache, &self.settings, inject, stall_ms);
+        let fault = match &self.settings.fault {
+            Some(fault) if self.fault_target == Some(index) => Some(fault.action),
+            _ => None,
+        };
+        let execute = || execute_item(index, item, &self.cache, &self.settings, fault);
         catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|_| {
             self.caught_panics.fetch_add(1, Ordering::Relaxed);
             unsolved(item, panicked_solve_error())
@@ -430,15 +415,14 @@ impl Expansion {
 pub(crate) struct Planned {
     pub(crate) resolved: Vec<ResolvedScenario>,
     pub(crate) expansion: Expansion,
-    pub(crate) injection_target: Option<usize>,
-    pub(crate) stall_target: Option<usize>,
+    pub(crate) fault_target: Option<usize>,
 }
 
 /// The serial half of preparation: resolves every scenario exactly once
 /// (full `Suite::validate` would build each workload a second time just to
 /// discard it), hoists the per-scenario [`ScenarioKeySeed`], expands the
-/// sweep specs to cap lists, and resolves the injected faults to flat item
-/// indices. No per-point work happens here — that is the expand phase.
+/// sweep specs to cap lists, and resolves the injected fault to a flat item
+/// index. No per-point work happens here — that is the expand phase.
 pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, EngineError> {
     suite.validate_structure()?;
     let in_scenario = |name: &str, e: EngineError| {
@@ -451,10 +435,10 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
     // reused across scenarios too: one options fold for a hundred
     // same-options scenarios instead of one each.
     let mut last_seed: Option<(SolveOptions, Flow, Arc<ScenarioKeySeed>)> = None;
-    // The injected faults resolved to flat item indices, so workers compare
+    // The injected fault resolved to a flat item index, so workers compare
     // one index instead of a per-item scenario-name clone.
-    let mut injection_target: Option<usize> = None;
-    let mut stall_target: Option<usize> = None;
+    let fault = settings.fault.as_ref();
+    let mut fault_target: Option<usize> = None;
     let mut first_point = 0;
     for scenario in &suite.scenarios {
         let configuration = Arc::new(
@@ -497,15 +481,11 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
                 .collect(),
             None => vec![None],
         };
-        let target = |name: &str, cap: Option<u64>| {
-            let point = (name == scenario.name).then(|| caps.iter().position(|c| *c == cap));
-            point.flatten().map(|p| first_point + p)
-        };
-        if let Some(fault) = &settings.inject_panic {
-            injection_target = target(&fault.scenario, fault.capacity_cap).or(injection_target);
-        }
-        if let Some(fault) = &settings.inject_stall {
-            stall_target = target(&fault.scenario, fault.capacity_cap).or(stall_target);
+        if let Some(fault) = fault.filter(|fault| fault.scenario == scenario.name) {
+            fault_target = caps
+                .iter()
+                .position(|cap| *cap == fault.capacity_cap)
+                .map(|point| first_point + point);
         }
         first_point += caps.len();
         resolved.push(ResolvedScenario {
@@ -523,26 +503,24 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
         });
     }
 
-    // A requested fault that addresses no point would make every chaos
-    // check pass vacuously — refuse it instead of silently not injecting.
-    if let Some(injection) = &settings.inject_panic {
-        if injection_target.is_none() {
+    // A panic that addresses no point would make every chaos check pass
+    // vacuously — refuse it instead of silently not injecting. A stall that
+    // matches nothing is deliberately *not* refused: the serve layer
+    // applies one fault plan to every submission, and only the addressed
+    // suite should slow down.
+    if let Some(fault) = fault.filter(|fault| fault.action == FaultAction::Panic) {
+        if fault_target.is_none() {
             return Err(EngineError::InvalidInput(format!(
-                "inject_panic matches no work item: scenario `{}` has no point with capacity \
+                "panic-solve matches no work item: scenario `{}` has no point with capacity \
                  cap {:?}",
-                injection.scenario, injection.capacity_cap
+                fault.scenario, fault.capacity_cap
             )));
         }
     }
-
-    // A stall that matches nothing is deliberately *not* refused: the
-    // serve layer applies one fault plan to every submission, and only the
-    // addressed suite should slow down (see `RunSettings::inject_stall`).
     Ok(Planned {
         resolved,
         expansion: Expansion::new(plans),
-        injection_target,
-        stall_target,
+        fault_target,
     })
 }
 
@@ -558,14 +536,16 @@ pub struct ExpansionSummary {
 }
 
 /// Assembles the run's [`SuiteOutcome`] from the solve phase's results,
-/// which arrive in flat suite order. The wall time is left for the caller
-/// to stamp once the validation stage is done.
+/// which arrive in flat suite order, and the run's cache `counters`. The
+/// wall time is left for the caller to stamp once the validation stage is
+/// done.
 pub(crate) fn assemble_outcome(
     suite: &Suite,
     resolved: Vec<ResolvedScenario>,
     points: Vec<PointOutcome>,
     settings: &RunSettings,
     cache: &SolveCache,
+    counters: CacheStats,
     executor: ExecutorStats,
 ) -> SuiteOutcome {
     let mut points = points.into_iter();
@@ -590,13 +570,7 @@ pub(crate) fn assemble_outcome(
     SuiteOutcome {
         suite: suite.name.clone(),
         scenarios,
-        cache: if settings.use_cache {
-            cache.stats()
-        } else {
-            // The bypassed cache may hold counters from earlier runs;
-            // reporting them here would contradict `cache_enabled`.
-            CacheStats { hits: 0, misses: 0 }
-        },
+        cache: counters,
         cache_enabled: settings.use_cache,
         store: settings
             .use_cache
@@ -630,28 +604,22 @@ fn execute_item(
     item: &WorkItem,
     cache: &SolveCache,
     settings: &RunSettings,
-    inject: bool,
-    stall_ms: Option<u64>,
+    fault: Option<FaultAction>,
 ) -> PointOutcome {
-    if let Some(millis) = stall_ms {
-        // Like the injected panic below: deliberately before the cache
-        // lookup, so the stall fires on the addressed point regardless of
-        // slot-claim races — the deterministic "slow solve" lever the
-        // cancellation and deadline tests lean on.
-        std::thread::sleep(Duration::from_millis(millis));
-    }
-    if inject {
-        // Deliberately *before* the cache lookup: a fault inside the solve
-        // closure would only fire if this point happened to be the slot
-        // claimer, making the faulted outcome race-dependent. Here the
-        // addressed point always panics — and nothing else does — so
-        // injected-fault reports stay `--jobs`-deterministic. (The
-        // claimer-panic path through the cache's slot poison-fill is
-        // unit-covered in `cache::tests`.)
-        panic!(
+    // Deliberately *before* the cache lookup: a fault inside the solve
+    // closure would only fire if this point happened to be the slot
+    // claimer, making the faulted outcome race-dependent. Here the
+    // addressed point always panics or stalls — and nothing else does — so
+    // injected-fault reports stay `--jobs`-deterministic. (The
+    // claimer-panic path through the cache's slot poison-fill is
+    // unit-covered in `cache::tests`.)
+    match fault {
+        Some(FaultAction::Panic) => panic!(
             "injected panic: work item {index}, cap {:?}",
             item.capacity_cap
-        );
+        ),
+        Some(FaultAction::Stall(millis)) => std::thread::sleep(Duration::from_millis(millis)),
+        None => {}
     }
     // Timed inside the closure so that a cache hit — including one that
     // blocks waiting for another worker's in-flight solve — reports zero
@@ -724,6 +692,15 @@ mod tests {
             WorkloadSpec::preset(PresetSpec::named("producer-consumer")),
         )
         .with_sweep(SweepSpec::range(1, 6))
+    }
+
+    /// A panic injected at `scenario`'s point of capacity cap `cap`.
+    fn panic_at(scenario: &str, cap: Option<u64>) -> Option<SolveFault> {
+        Some(SolveFault {
+            scenario: scenario.to_string(),
+            capacity_cap: cap,
+            action: FaultAction::Panic,
+        })
     }
 
     #[test]
@@ -819,8 +796,9 @@ mod tests {
         let second = engine
             .run_suite_with_cache(&suite, &settings, &cache)
             .unwrap();
-        assert_eq!(second.cache.misses, 6, "no new solves on the second run");
-        assert_eq!(second.cache.hits, 6);
+        // Counters are a function of the suite: the warm run reports the
+        // cold run's, and every point came from memory (no new solves).
+        assert_eq!(second.cache, first.cache);
         assert!(second.scenarios[0]
             .points
             .iter()
@@ -948,10 +926,7 @@ mod tests {
         );
         let settings = RunSettings {
             jobs: 4,
-            inject_panic: Some(PanicInjection {
-                scenario: "a".to_string(),
-                capacity_cap: Some(3),
-            }),
+            fault: panic_at("a", Some(3)),
             ..RunSettings::default()
         };
         let outcome = run_suite(&suite, &settings).unwrap();
@@ -980,10 +955,7 @@ mod tests {
         let report = |jobs: usize| {
             let settings = RunSettings {
                 jobs,
-                inject_panic: Some(PanicInjection {
-                    scenario: "b".to_string(),
-                    capacity_cap: Some(2),
-                }),
+                fault: panic_at("b", Some(2)),
                 ..RunSettings::default()
             };
             crate::SuiteReport::from_outcome(&run_suite(&suite, &settings).unwrap()).to_json()
@@ -997,20 +969,31 @@ mod tests {
         // inject nothing and let a chaos check pass vacuously.
         for (scenario, cap) in [("nope", Some(3)), ("a", Some(99)), ("a", None)] {
             let settings = RunSettings {
-                inject_panic: Some(PanicInjection {
-                    scenario: scenario.to_string(),
-                    capacity_cap: cap,
-                }),
+                fault: panic_at(scenario, cap),
                 ..RunSettings::default()
             };
             let error = run_scenario(&pc_sweep_scenario("a"), &settings).unwrap_err();
             assert!(
-                error
-                    .to_string()
-                    .contains("inject_panic matches no work item"),
+                error.to_string().contains("matches no work item"),
                 "unexpected error: {error}"
             );
         }
+    }
+
+    #[test]
+    fn a_stall_matching_no_point_is_a_no_op() {
+        // The serve layer applies one plan to every submission, so a stall
+        // addressed to another suite must leave this one alone.
+        let settings = RunSettings {
+            fault: Some(SolveFault {
+                scenario: "elsewhere".to_string(),
+                capacity_cap: Some(1),
+                action: FaultAction::Stall(60_000),
+            }),
+            ..RunSettings::default()
+        };
+        let outcome = run_scenario(&pc_sweep_scenario("a"), &settings).unwrap();
+        assert!(outcome.points.iter().all(|p| p.result.is_ok()));
     }
 
     #[test]
@@ -1018,10 +1001,7 @@ mod tests {
         let settings = RunSettings {
             use_cache: false,
             jobs: 2,
-            inject_panic: Some(PanicInjection {
-                scenario: "raw".to_string(),
-                capacity_cap: Some(1),
-            }),
+            fault: panic_at("raw", Some(1)),
             ..RunSettings::default()
         };
         let outcome = run_scenario(&pc_sweep_scenario("raw"), &settings).unwrap();

@@ -96,8 +96,8 @@ pub use cache::{
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use executor::{
-    run_scenario, run_suite, ExecutorStats, ExpansionSummary, PanicInjection, PointOutcome,
-    RunSettings, ScenarioOutcome, StallInjection, SuiteOutcome,
+    run_scenario, run_suite, ExecutorStats, ExpansionSummary, FaultAction, PointOutcome,
+    RunSettings, ScenarioOutcome, SolveFault, SuiteOutcome,
 };
 pub use gen::{generate_suite, GenParams};
 pub use pool::Engine;

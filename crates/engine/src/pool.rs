@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use bbs_engine::suites::smoke_suite;
-//! use bbs_engine::{Engine, RunSettings, SolveCache};
+//! use bbs_engine::{Engine, RunSettings, SolveCache, SolveSource};
 //! use std::sync::Arc;
 //!
 //! let engine = Engine::new(4);
@@ -41,7 +41,13 @@
 //! let second = engine
 //!     .run_suite_with_cache(&smoke_suite(), &settings, &cache)
 //!     .unwrap();
-//! assert_eq!(second.cache.misses, first.cache.misses, "no new solves");
+//! // The counters are the suite's, however warm the cache was.
+//! assert_eq!(second.cache, first.cache);
+//! assert!(second
+//!     .scenarios
+//!     .iter()
+//!     .flat_map(|scenario| &scenario.points)
+//!     .all(|point| point.source == SolveSource::Memory), "no new solves");
 //! ```
 
 use crate::cache::{CacheStats, SolveCache};
@@ -165,8 +171,16 @@ impl Engine {
     }
 
     /// Runs a whole suite on the pooled workers against a caller-owned
-    /// (shared) [`SolveCache`], so repeated runs skip redundant solves. The
-    /// outcome's counters are the cache's cumulative totals.
+    /// (shared) [`SolveCache`], so repeated runs skip redundant solves.
+    ///
+    /// The outcome's counters are a function of the suite alone — `misses`
+    /// is the number of distinct solve keys it expands to, `hits` the
+    /// number of repeated ones (zero both without the cache) — so a run's
+    /// report is byte-identical to a fresh-cache run of the same suite
+    /// **no matter how warm the shared tiers are**. What the shared tiers
+    /// actually answered stays observable in the outcome's `store` counters
+    /// and per-point [`SolveSource`](crate::SolveSource)s (timing-summary
+    /// data, never part of the report).
     ///
     /// # Errors
     ///
@@ -177,26 +191,13 @@ impl Engine {
         settings: &RunSettings,
         cache: &Arc<SolveCache>,
     ) -> Result<SuiteOutcome, EngineError> {
-        self.run(suite, settings, cache, &CancelToken::new(), false)
+        self.run(suite, settings, cache, &CancelToken::new())
     }
 
     /// Runs one suite *submission* against the shared pool and cache tiers —
     /// the entry point of server-style callers (see
     /// [`serve`](crate::serve)), where one long-lived cache outlives many
-    /// submissions.
-    ///
-    /// The difference from [`Engine::run_suite_with_cache`] is the cache
-    /// accounting: instead of the shared cache's *cumulative* totals, the
-    /// outcome carries **submission-local** counters derived from the suite
-    /// alone — `misses` is the number of distinct solve keys this suite
-    /// expands to, `hits` the number of repeated lookups within it. Those
-    /// are exactly the counters a cold fresh-cache run of the same suite
-    /// reports, so the report of a submission is byte-identical to `bbs run`
-    /// of the same suite **no matter how warm the shared tiers are** — the
-    /// determinism carve-out the service's `cmp` gates rely on. What the
-    /// shared tiers actually answered stays observable in the outcome's
-    /// `store` counters and per-point [`SolveSource`](crate::SolveSource)s
-    /// (timing-summary data, never part of the report).
+    /// submissions. The same run as [`Engine::run_suite_with_cache`].
     ///
     /// # Errors
     ///
@@ -207,7 +208,7 @@ impl Engine {
         settings: &RunSettings,
         cache: &Arc<SolveCache>,
     ) -> Result<SuiteOutcome, EngineError> {
-        self.submit_with_cancel(suite, settings, cache, &CancelToken::new())
+        self.run_suite_with_cache(suite, settings, cache)
     }
 
     /// [`Engine::submit`] with cooperative cancellation: when `cancel`
@@ -232,7 +233,7 @@ impl Engine {
         cache: &Arc<SolveCache>,
         cancel: &CancelToken,
     ) -> Result<SuiteOutcome, EngineError> {
-        self.run(suite, settings, cache, cancel, true)
+        self.run(suite, settings, cache, cancel)
     }
 
     /// Resolves and expands `suite` on the pooled workers — the exact
@@ -258,15 +259,12 @@ impl Engine {
     }
 
     /// The pipeline behind every run: plan, expand, solve, validate.
-    /// `submission` swaps the cache's cumulative counters for the
-    /// submission-local ones [`Engine::submit`] reports.
     fn run(
         &self,
         suite: &Suite,
         settings: &RunSettings,
         cache: &Arc<SolveCache>,
         cancel: &CancelToken,
-        submission: bool,
     ) -> Result<SuiteOutcome, EngineError> {
         let start = Instant::now();
         let planned = plan(suite, settings)?;
@@ -275,15 +273,18 @@ impl Engine {
             return Err(EngineError::Cancelled);
         }
         let items = self.expand(planned.expansion, settings.jobs);
-        let local_counters = submission.then(|| distinct_key_counters(&items));
+        let counters = if settings.use_cache {
+            distinct_key_counters(&items)
+        } else {
+            CacheStats { hits: 0, misses: 0 }
+        };
         let len = items.len();
         let caught_panics = Arc::new(AtomicU64::new(0));
         let job = SolveJob {
             items,
             cache: Arc::clone(cache),
             settings: settings.clone(),
-            injection_target: planned.injection_target,
-            stall_target: planned.stall_target,
+            fault_target: planned.fault_target,
             cancel: cancel.clone(),
             caught_panics: Arc::clone(&caught_panics),
         };
@@ -293,8 +294,15 @@ impl Engine {
             steals: 0,
             caught_panics: caught_panics.load(Ordering::Relaxed),
         };
-        let mut outcome =
-            assemble_outcome(suite, planned.resolved, points, settings, cache, executor);
+        let mut outcome = assemble_outcome(
+            suite,
+            planned.resolved,
+            points,
+            settings,
+            cache,
+            counters,
+            executor,
+        );
         // A cancelled run skips the validation stage: its outcome is
         // discarded anyway, and replays would keep the pool busy after the
         // abort. A token that fires during validation still cancels.
@@ -303,9 +311,6 @@ impl Engine {
         }
         if cancel.is_cancelled() {
             return Err(EngineError::Cancelled);
-        }
-        if let Some(counters) = local_counters.filter(|_| settings.use_cache) {
-            outcome.cache = counters;
         }
         outcome.wall_time = start.elapsed();
         Ok(outcome)
@@ -409,9 +414,8 @@ impl Engine {
     }
 }
 
-/// Submission-local cache counters of an expanded suite: one miss per
-/// distinct key, one hit per repeated lookup — what a cold fresh-cache run
-/// of the same suite reports.
+/// The cache counters of an expanded suite: one miss per distinct key, one
+/// hit per repeated one — what every run with the cache on reports.
 fn distinct_key_counters(items: &[WorkItem]) -> CacheStats {
     let mut distinct = HashSet::with_capacity(items.len());
     let misses = items
@@ -443,7 +447,8 @@ impl Drop for Engine {
 mod tests {
     use super::*;
     use crate::cache::cancelled_solve_error;
-    use crate::executor::{run_suite, PanicInjection};
+    use crate::cache::SolveSource;
+    use crate::executor::{run_suite, FaultAction, SolveFault};
     use crate::scenario::{Scenario, SweepSpec, WorkloadSpec};
     use crate::suites::smoke_suite;
     use crate::SuiteReport;
@@ -518,8 +523,7 @@ mod tests {
                 items,
                 cache: Arc::new(SolveCache::new()),
                 settings,
-                injection_target: None,
-                stall_target: None,
+                fault_target: None,
                 cancel: CancelToken::new(),
                 caught_panics: Arc::default(),
             };
@@ -563,20 +567,24 @@ mod tests {
         let second = engine
             .run_suite_with_cache(&suite, &settings, &cache)
             .unwrap();
-        assert_eq!(second.cache.misses, 6, "no new solves on the second run");
-        assert_eq!(second.cache.hits, 6);
+        // The warm run reports the cold run's counters, and no new solves:
+        // every point came from the shared cache.
+        assert_eq!(second.cache, first.cache);
+        assert!(second.scenarios[0]
+            .points
+            .iter()
+            .all(|p| p.source == SolveSource::Memory));
     }
 
     #[test]
     fn submit_reports_submission_local_counters_on_a_warm_shared_cache() {
-        use crate::cache::SolveSource;
         let engine = Engine::new(4);
         let cache = Arc::new(SolveCache::new());
         let settings = RunSettings::with_jobs(4);
         let suite = Suite::new("served", vec![pc_sweep_scenario("pc")]);
         let cold = engine.submit(&suite, &settings, &cache).unwrap();
         let warm = engine.submit(&suite, &settings, &cache).unwrap();
-        // Submission-local accounting: 6 distinct keys, no repeats — the
+        // Counted by the suite alone: 6 distinct keys, no repeats — the
         // same counters whether the shared tiers were cold or warm.
         assert_eq!(cold.cache, CacheStats { hits: 0, misses: 6 });
         assert_eq!(warm.cache, cold.cache);
@@ -739,9 +747,10 @@ mod tests {
         for jobs in [1usize, 2, 16] {
             let settings = RunSettings {
                 jobs,
-                inject_panic: Some(PanicInjection {
+                fault: Some(SolveFault {
                     scenario: "a".to_string(),
                     capacity_cap: Some(3),
+                    action: FaultAction::Panic,
                 }),
                 ..RunSettings::default()
             };

@@ -1,11 +1,11 @@
-//! Deterministic fault injection for the service layer — the serve-side
-//! sibling of the executor's `BBS_TEST_INJECT_PANIC` hook.
+//! Deterministic fault injection: the one test hook of every command.
 //!
-//! Robustness claims ("a severed peer is reaped", "a dropped reply does
-//! not wedge the dispatcher") are only testable if the failure can be
-//! made to happen *on demand, at a chosen point*. A [`FaultPlan`] is a
-//! small set of one-shot triggers, parsed from the strict
-//! `BBS_TEST_FAULT_PLAN` grammar (comma-separated directives):
+//! Robustness claims ("a panicking solve is a per-point error", "a severed
+//! peer is reaped", "a dropped reply does not wedge the dispatcher") are
+//! only testable if the failure can be made to happen *on demand, at a
+//! chosen point*. A [`FaultPlan`] is a small set of one-shot triggers,
+//! parsed from the strict `BBS_TEST_FAULT_PLAN` grammar (comma-separated
+//! directives):
 //!
 //! ```text
 //! drop-reply:N            swallow the N-th reply frame (1-based, server-wide)
@@ -13,19 +13,26 @@
 //! fail-store-put:N        refuse the N-th store_put request
 //! sever-session:N         drop the connection on reading the N-th request,
 //!                         without a reply (a mid-request crash)
-//! stall-solve:SCEN:CAP:MS sleep MS ms inside the solve of scenario SCEN at
-//!                         capacity cap CAP (`-` = the no-sweep point) — the
-//!                         lever for disconnect/deadline tests
+//! panic-solve:SCEN:CAP    panic inside the solve of scenario SCEN at
+//!                         capacity cap CAP (`-` = the no-sweep point)
+//! stall-solve:SCEN:CAP:MS sleep MS ms inside that solve — the lever for
+//!                         disconnect/deadline tests
 //! ```
 //!
-//! Parsing is strict — a typo must fail the daemon loudly at startup, not
-//! silently run a chaos test with no chaos in it. Like the panic hook,
-//! the plan is test machinery: the default plan injects nothing and costs
-//! three relaxed atomic bumps per request/reply.
+//! A plan holds at most one solve fault (`panic-solve` or `stall-solve`,
+//! see [`SolveFault`]). CAP and MS are read from the end of a solve
+//! directive, so SCEN may contain `:` (but not `,`, which ends a
+//! directive). `bbs serve` applies the whole plan, and its solve fault to
+//! every submission; `bbs run` and `bbs validate` apply the solve fault and
+//! refuse the four directives only a daemon can apply.
+//!
+//! Parsing is strict — a typo must fail the command loudly at startup, not
+//! silently run a chaos test with no chaos in it. The default plan injects
+//! nothing and costs three relaxed atomic bumps per request/reply.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::executor::StallInjection;
+use crate::executor::{FaultAction, SolveFault};
 
 /// Environment variable [`FaultPlan::from_env`] reads.
 pub const FAULT_PLAN_ENV: &str = "BBS_TEST_FAULT_PLAN";
@@ -51,7 +58,7 @@ pub struct FaultPlan {
     stall_reply: Option<(u64, u64)>,
     fail_store_put: Option<u64>,
     sever_session: Option<u64>,
-    stall_solve: Option<StallInjection>,
+    solve: Option<SolveFault>,
     replies: AtomicU64,
     requests: AtomicU64,
     store_puts: AtomicU64,
@@ -107,29 +114,18 @@ impl FaultPlan {
                         directive,
                     )?;
                 }
-                "stall-solve" => {
-                    let [scenario, cap, millis] = three_args(directive, &args)?;
-                    if scenario.is_empty() {
-                        return Err(format!("{directive:?}: scenario name is empty"));
+                "panic-solve" | "stall-solve" => {
+                    if plan.solve.is_some() {
+                        return Err(format!(
+                            "{directive:?}: a plan holds at most one panic-solve or stall-solve"
+                        ));
                     }
-                    let capacity_cap = match cap {
-                        "-" => None,
-                        cap => Some(parse_count(directive, cap)?),
-                    };
-                    set_once(
-                        &mut plan.stall_solve,
-                        StallInjection {
-                            scenario: scenario.to_string(),
-                            capacity_cap,
-                            millis: parse_count(directive, millis)?,
-                        },
-                        directive,
-                    )?;
+                    plan.solve = Some(parse_solve_fault(directive, name, &args)?);
                 }
                 other => {
                     return Err(format!(
                         "unknown fault directive {other:?} (expected drop-reply, stall-reply, \
-                         fail-store-put, sever-session or stall-solve)"
+                         fail-store-put, sever-session, panic-solve or stall-solve)"
                     ));
                 }
             }
@@ -145,10 +141,14 @@ impl FaultPlan {
     /// The [`parse`](Self::parse) error, prefixed with the variable name.
     pub fn from_env() -> Result<Option<Self>, String> {
         match std::env::var(FAULT_PLAN_ENV) {
-            Ok(text) if !text.trim().is_empty() => Self::parse(&text)
+            Ok(text) if text.trim().is_empty() => Ok(None),
+            Ok(text) => Self::parse(&text)
                 .map(Some)
                 .map_err(|e| format!("{FAULT_PLAN_ENV}: {e}")),
-            _ => Ok(None),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(raw)) => Err(format!(
+                "{FAULT_PLAN_ENV} must be valid Unicode, got {raw:?}"
+            )),
         }
     }
 
@@ -179,10 +179,59 @@ impl FaultPlan {
         self.fail_store_put == Some(nth)
     }
 
-    /// The solve-stall injection to thread into run settings, if any.
-    pub fn stall_solve(&self) -> Option<StallInjection> {
-        self.stall_solve.clone()
+    /// The solve fault to thread into run settings, if any.
+    pub fn solve_fault(&self) -> Option<SolveFault> {
+        self.solve.clone()
     }
+
+    /// The solve fault of a command that runs suites without a daemon, and
+    /// so has no replies, store requests or sessions to fault.
+    ///
+    /// # Errors
+    ///
+    /// Names the first directive only a daemon can apply.
+    pub fn solve_fault_only(&self) -> Result<Option<SolveFault>, String> {
+        let daemon_only = [
+            ("drop-reply", self.drop_reply.is_some()),
+            ("stall-reply", self.stall_reply.is_some()),
+            ("fail-store-put", self.fail_store_put.is_some()),
+            ("sever-session", self.sever_session.is_some()),
+        ];
+        match daemon_only.into_iter().find(|&(_, given)| given) {
+            Some((name, _)) => Err(format!("{name} needs a daemon (`bbs serve`)")),
+            None => Ok(self.solve_fault()),
+        }
+    }
+}
+
+/// Parses the arguments of a `panic-solve` (`SCEN:CAP`) or `stall-solve`
+/// (`SCEN:CAP:MS`) directive, reading the numbers from the end.
+fn parse_solve_fault(directive: &str, name: &str, args: &[&str]) -> Result<SolveFault, String> {
+    let numbers = if name == "panic-solve" { 1 } else { 2 };
+    if args.len() <= numbers {
+        return Err(format!(
+            "{directive:?}: expected {name}:SCEN:CAP{}",
+            if numbers == 2 { ":MS" } else { "" }
+        ));
+    }
+    let (scenario, numbers) = args.split_at(args.len() - numbers);
+    let scenario = scenario.join(":");
+    if scenario.is_empty() {
+        return Err(format!("{directive:?}: scenario name is empty"));
+    }
+    let capacity_cap = match numbers[0] {
+        "-" => None,
+        cap => Some(parse_count(directive, cap)?),
+    };
+    let action = match numbers.get(1) {
+        Some(millis) => FaultAction::Stall(parse_count(directive, millis)?),
+        None => FaultAction::Panic,
+    };
+    Ok(SolveFault {
+        scenario,
+        capacity_cap,
+        action,
+    })
 }
 
 fn set_once<T>(slot: &mut Option<T>, value: T, directive: &str) -> Result<(), String> {
@@ -207,13 +256,6 @@ fn two_args<'a>(directive: &str, args: &[&'a str]) -> Result<[&'a str; 2], Strin
     }
 }
 
-fn three_args<'a>(directive: &str, args: &[&'a str]) -> Result<[&'a str; 3], String> {
-    match args {
-        [a, b, c] => Ok([a, b, c]),
-        _ => Err(format!("{directive:?}: expected exactly three : arguments")),
-    }
-}
-
 fn parse_count(directive: &str, text: &str) -> Result<u64, String> {
     let value: u64 = text
         .parse()
@@ -227,6 +269,7 @@ fn parse_count(directive: &str, text: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use FaultAction::{Panic, Stall};
 
     #[test]
     fn the_default_plan_injects_nothing() {
@@ -236,7 +279,7 @@ mod tests {
             assert!(!plan.sever_now());
             assert!(!plan.fail_store_put_now());
         }
-        assert!(plan.stall_solve().is_none());
+        assert!(plan.solve_fault().is_none());
     }
 
     #[test]
@@ -257,13 +300,63 @@ mod tests {
         let plan = FaultPlan::parse("stall-reply:1:250,stall-solve:smoke-tiny:4:1500").unwrap();
         assert_eq!(plan.reply_action(), ReplyAction::Stall(250));
         assert_eq!(plan.reply_action(), ReplyAction::Deliver);
-        let stall = plan.stall_solve().unwrap();
-        assert_eq!(stall.scenario, "smoke-tiny");
-        assert_eq!(stall.capacity_cap, Some(4));
-        assert_eq!(stall.millis, 1500);
+        assert_eq!(
+            plan.solve_fault(),
+            Some(fault("smoke-tiny", Some(4), Stall(1500)))
+        );
         // `-` selects the no-sweep point.
         let plan = FaultPlan::parse("stall-solve:solo:-:40").unwrap();
-        assert_eq!(plan.stall_solve().unwrap().capacity_cap, None);
+        assert_eq!(plan.solve_fault(), Some(fault("solo", None, Stall(40))));
+    }
+
+    fn fault(scenario: &str, capacity_cap: Option<u64>, action: FaultAction) -> SolveFault {
+        SolveFault {
+            scenario: scenario.to_string(),
+            capacity_cap,
+            action,
+        }
+    }
+
+    #[test]
+    fn solve_faults_read_their_numbers_from_the_end() {
+        let solve_fault = |text: &str| FaultPlan::parse(text).unwrap().solve_fault();
+        assert_eq!(
+            solve_fault("panic-solve:fig2a:3"),
+            Some(fault("fig2a", Some(3), Panic))
+        );
+        assert_eq!(
+            solve_fault("panic-solve:solo:-"),
+            Some(fault("solo", None, Panic))
+        );
+        // Scenario names may contain `:`; the numbers are the last segments.
+        assert_eq!(
+            solve_fault("panic-solve:a:b:1"),
+            Some(fault("a:b", Some(1), Panic))
+        );
+        assert_eq!(
+            solve_fault("stall-solve:a:b:2:40"),
+            Some(fault("a:b", Some(2), Stall(40)))
+        );
+    }
+
+    #[test]
+    fn only_the_solve_fault_runs_without_a_daemon() {
+        let plan = FaultPlan::parse("panic-solve:smoke-pc:2").unwrap();
+        assert_eq!(
+            plan.solve_fault_only(),
+            Ok(Some(fault("smoke-pc", Some(2), Panic)))
+        );
+        for directive in [
+            "drop-reply:1",
+            "stall-reply:1:5",
+            "fail-store-put:1",
+            "sever-session:1",
+        ] {
+            let plan = FaultPlan::parse(&format!("stall-solve:x:1:5,{directive}")).unwrap();
+            let error = plan.solve_fault_only().unwrap_err();
+            let name = directive.split(':').next().unwrap();
+            assert!(error.contains(name), "{directive}: {error}");
+        }
     }
 
     #[test]
@@ -279,6 +372,12 @@ mod tests {
             "stall-solve:smoke:4",
             "stall-solve::4:10",
             "tickle-peer:1",
+            "panic-solve:x:1,stall-solve:x:1:5",
+            "panic-solve:x:1,panic-solve:y:1",
+            "panic-solve::1",
+            "panic-solve:x",
+            "panic-solve:x:0",
+            "panic-solve:x:notanumber",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -21,8 +21,10 @@
 //!   the shared engine, and graceful shutdown (drain in-flight, refuse
 //!   new).
 //! * [`fault`] — deterministic test-only fault injection ([`FaultPlan`],
-//!   `BBS_TEST_FAULT_PLAN`): dropped/stalled replies, refused store puts,
-//!   severed sessions, stalled solves.
+//!   `BBS_TEST_FAULT_PLAN`, the one fault hook of every `bbs` command):
+//!   dropped/stalled replies, refused store puts, severed sessions, and a
+//!   panicking or stalled solve, which the daemon applies to every
+//!   submission.
 //!
 //! # Failure model
 //!
@@ -43,10 +45,11 @@
 //! # Determinism carve-out
 //!
 //! Each submission's report is deterministic and byte-identical to
-//! `bbs run` of the same suite, regardless of cache warmth (see
-//! [`Engine::submit`](crate::Engine::submit)). The *interleaving* of
-//! frames across different connections is scheduling-dependent and is
-//! deliberately kept out of every report.
+//! `bbs run` of the same suite, regardless of cache warmth and under the
+//! same fault plan: every run counts its cache by the suite alone (see
+//! [`Engine::run_suite_with_cache`](crate::Engine::run_suite_with_cache)).
+//! The *interleaving* of frames across different connections is
+//! scheduling-dependent and is deliberately kept out of every report.
 
 pub mod fault;
 pub mod protocol;

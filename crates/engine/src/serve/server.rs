@@ -234,7 +234,7 @@ impl Server {
                             Err(EngineError::Cancelled)
                         } else {
                             let mut settings = RunSettings::with_jobs(submission.jobs);
-                            settings.inject_stall = state.faults.stall_solve();
+                            settings.fault = state.faults.solve_fault();
                             state.engine.submit_with_cancel(
                                 &submission.suite,
                                 &settings,

@@ -4,12 +4,18 @@
 //! The contract under test: a panicking solve is a *per-point* error — the
 //! run completes, every other point solves, the report stays schema-valid
 //! and `--jobs`-deterministic — and the process exits non-zero because a
-//! panic is an unexpected failure, never an expected infeasibility.
+//! panic is an unexpected failure, never an expected infeasibility. Faults
+//! are injected through `BBS_TEST_FAULT_PLAN`, the one fault hook of every
+//! command.
 
 use bbs_engine::SuiteReport;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
+
+/// The fault-plan variable every `bbs` command reads.
+const PLAN: &str = "BBS_TEST_FAULT_PLAN";
 
 /// A unique, self-cleaning scratch directory.
 struct TempDir(PathBuf);
@@ -65,7 +71,7 @@ fn injected_panic_is_a_per_point_error_not_an_abort() {
             report_path.to_str().unwrap(),
             "--quiet",
         ],
-        &[("BBS_TEST_INJECT_PANIC", "smoke-pc:2")],
+        &[(PLAN, "panic-solve:smoke-pc:2")],
         None,
     );
     // The run completes and reports the panic as an unexpected failure.
@@ -115,7 +121,7 @@ fn faulted_reports_stay_jobs_deterministic() {
             path.to_str().unwrap(),
             "--quiet",
         ];
-        let output = bbs_raw(&args, &[("BBS_TEST_INJECT_PANIC", "smoke-chain:6")], None);
+        let output = bbs_raw(&args, &[(PLAN, "panic-solve:smoke-chain:6")], None);
         assert!(!output.status.success());
         reports.push(fs::read_to_string(&path).unwrap());
     }
@@ -126,21 +132,69 @@ fn faulted_reports_stay_jobs_deterministic() {
 fn malformed_panic_spec_fails_loudly() {
     let output = bbs_raw(
         &["run", "--suite", "smoke", "--quiet"],
-        &[("BBS_TEST_INJECT_PANIC", "missing-a-cap")],
+        &[(PLAN, "panic-solve:missing-a-cap")],
         None,
     );
     assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("BBS_TEST_INJECT_PANIC"));
+    assert!(String::from_utf8_lossy(&output.stderr).contains(PLAN));
+}
+
+#[test]
+fn a_directive_only_a_daemon_applies_is_refused_by_run() {
+    let output = bbs_raw(
+        &["run", "--suite", "smoke", "--quiet"],
+        &[(PLAN, "drop-reply:1")],
+        None,
+    );
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(PLAN) && stderr.contains("drop-reply"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn a_stalled_solve_slows_the_run_but_not_its_report() {
+    let directory = TempDir::new("stall");
+    let run = |name: &str, plan: &str| {
+        let path = directory.path().join(name);
+        let args = [
+            "run",
+            "--suite",
+            "smoke",
+            "--json",
+            path.to_str().unwrap(),
+            "--quiet",
+        ];
+        let started = Instant::now();
+        let output = bbs_raw(&args, &[(PLAN, plan)], None);
+        let elapsed = started.elapsed();
+        assert!(
+            output.status.success(),
+            "{plan}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        (fs::read(&path).unwrap(), elapsed)
+    };
+    let (clean, _) = run("clean.json", "");
+    let (stalled, elapsed) = run("stalled.json", "stall-solve:smoke-pc:2:300");
+    assert!(elapsed >= Duration::from_millis(300), "took {elapsed:?}");
+    assert_eq!(stalled, clean, "a stall changes no report byte");
 }
 
 #[test]
 fn panic_spec_matching_no_point_fails_loudly() {
     // A well-formed spec that addresses a nonexistent point must error,
     // not run the suite cleanly and let the chaos check pass vacuously.
-    for spec in ["no-such-scenario:1", "smoke-pc:99", "smoke-pc:-"] {
+    for spec in [
+        "panic-solve:no-such-scenario:1",
+        "panic-solve:smoke-pc:99",
+        "panic-solve:smoke-pc:-",
+    ] {
         let output = bbs_raw(
             &["run", "--suite", "smoke", "--quiet"],
-            &[("BBS_TEST_INJECT_PANIC", spec)],
+            &[(PLAN, spec)],
             None,
         );
         assert!(!output.status.success(), "spec {spec} must fail");
@@ -204,7 +258,11 @@ fn pool_line_reports_workers_and_caught_panics() {
     for (jobs, inject, expected) in [
         ("1", "", "pool: 1 workers / 0 caught panics\n"),
         ("4", "", "pool: 4 workers / 0 caught panics\n"),
-        ("4", "smoke-pc:2", "pool: 4 workers / 1 caught panics\n"),
+        (
+            "4",
+            "panic-solve:smoke-pc:2",
+            "pool: 4 workers / 1 caught panics\n",
+        ),
     ] {
         let path = directory
             .path()
@@ -219,7 +277,7 @@ fn pool_line_reports_workers_and_caught_panics() {
                 "--json",
                 path.to_str().unwrap(),
             ],
-            &[("BBS_TEST_INJECT_PANIC", inject)],
+            &[(PLAN, inject)],
             None,
         );
         assert_eq!(output.status.success(), inject.is_empty());

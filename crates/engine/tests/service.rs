@@ -10,7 +10,7 @@ use bbs_engine::serve::{
     read_reply, send_request, FaultPlan, Reply, Request, ServeConfig, Server, StatsSnapshot,
 };
 use bbs_engine::suites::smoke_suite;
-use bbs_engine::{run_suite, RunSettings, SolveStore, SuiteReport};
+use bbs_engine::{run_suite, FaultAction, RunSettings, SolveFault, SolveStore, SuiteReport};
 use std::fs;
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
@@ -605,6 +605,35 @@ fn start_dropping(directive: &str) -> Server {
         ..ServeConfig::default()
     })
     .unwrap()
+}
+
+#[test]
+fn a_served_panic_reports_exactly_what_a_local_faulted_run_does() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        faults: FaultPlan::parse("panic-solve:smoke-pc:2").unwrap(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let (points, reply) = submit_and_collect(&mut stream, &Request::run_builtin("smoke", 2));
+    assert_eq!(points, 8);
+    assert_eq!(
+        reply.message.as_deref(),
+        Some("1 point(s) failed unexpectedly")
+    );
+    let settings = RunSettings {
+        fault: Some(SolveFault {
+            scenario: "smoke-pc".to_string(),
+            capacity_cap: Some(2),
+            action: FaultAction::Panic,
+        }),
+        ..RunSettings::with_jobs(2)
+    };
+    let local = SuiteReport::from_outcome(&run_suite(&smoke_suite(), &settings).unwrap());
+    assert_eq!(reply.report.as_deref(), Some(local.to_json().as_str()));
+    server.shutdown();
+    server.wait();
 }
 
 #[test]
