@@ -1,12 +1,14 @@
-//! Suite expansion: copy-on-write views versus clone-per-point, serial
-//! versus pool-parallel.
+//! Minting a suite's work items: copy-on-write views versus
+//! clone-per-point, serial versus pool-parallel.
 //!
 //! Expanding a suite used to clone the scenario's full `Configuration` once
 //! per sweep point and derive the cache key from the clone. The redesign
-//! mints a `ConfigView` per point — two `Arc` bumps plus a `Copy` cap — and
-//! streams the key straight off the view, so per-point expansion is
-//! allocation-free and the whole stage parallelises over the engine's
-//! worker pool as one cursor job, one point per claim.
+//! mints a `ConfigView` per point — one `Arc` bump plus a `Copy` cap — and
+//! streams the key straight off the view, so minting a point is
+//! allocation-free. A run mints each point inside its solve job, when a
+//! thread claims the point's index; `Engine::expand_suite` mints every
+//! point of a suite as one cursor job through the same call, so these
+//! benches measure minting on its own.
 //!
 //! Three measurements over the 10 000-point `sweep-10k` suite:
 //!
@@ -15,9 +17,9 @@
 //!   configuration) plus `ScenarioKeySeed::key_for` on the clone, per point.
 //! * `view_serial` — `Engine::expand_suite` at `--jobs 1`: the same keys,
 //!   derived by streaming each view against the shared base, drained on the
-//!   calling thread into one reserved vector.
+//!   calling thread into index-addressed slots.
 //! * `view_pooled_j8` — `Engine::expand_suite` at `--jobs 8`: the same
-//!   cursor job drained by eight pooled workers into index-addressed slots.
+//!   cursor job drained by the calling thread and seven pooled threads.
 //!   The speedup over `view_serial` scales with physical cores; on a
 //!   single-core runner the hand-off overhead makes it a wash, which is
 //!   itself worth tracking — the pooled path must never be much *worse*

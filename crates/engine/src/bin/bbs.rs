@@ -19,8 +19,8 @@
 //! `--remote-store` (or `BBS_REMOTE_STORE`) layers a peer `bbs serve`
 //! daemon's store under the local directory as a read-through/write-behind
 //! tier — misses consult the peer, fresh solves are offered back to it.
-//! `bbs cache` inspects and manages the store. `expand` runs only the
-//! resolve-and-expand pipeline stage and reports the work-item counts — a
+//! `bbs cache` inspects and manages the store. `expand` resolves the suite
+//! and mints its work items without solving, and reports the counts — a
 //! dry run for suite files. `check` parses and
 //! schema-validates a report produced by `run`. The exit code is non-zero
 //! when anything failed, including scenarios with unexpectedly infeasible
@@ -683,7 +683,7 @@ fn check_failures(outcome: &SuiteOutcome) -> Result<(), String> {
 
 /// `bbs validate`: solve a suite with replay validation forced on every
 /// scenario and print the deterministic summary. Replays run on the same
-/// pooled workers as the solves; the stdout summary carries no wall-clock
+/// engine threads as the solves; the stdout summary carries no wall-clock
 /// data, so CI can `cmp` it across `--jobs` counts. Exit is nonzero on any
 /// measured violation or unexpected solve failure.
 fn validate(args: &Args) -> Result<(), String> {
@@ -721,10 +721,11 @@ fn gen(args: &Args) -> Result<(), String> {
     write_output(args.text(&OUT).unwrap_or("-"), &json, "suite file")
 }
 
-/// `bbs expand`: run only the resolve-and-expand pipeline stage — on the
-/// pooled workers, exactly as `run` would — and report the counts without
-/// solving anything. A dry run for suite files and a smoke test for the
-/// parallel expansion path.
+/// `bbs expand`: resolve the suite and mint every work item — as one
+/// cursor job on an engine of `--jobs` workers, through the same minting a
+/// run's solve job calls — and report the counts without solving anything.
+/// A dry run for suite files and a smoke test for the parallel minting
+/// path.
 fn expand(args: &Args) -> Result<(), String> {
     let suite = load_suite(args)?;
     let jobs = jobs(args);

@@ -263,33 +263,6 @@ impl CanonicalKey {
     }
 }
 
-/// A source of the effective [`Configuration`] a cache key was derived
-/// from — either the configuration itself or a copy-on-write
-/// [`ConfigView`].
-///
-/// [`SolveCache::solve_with`] is generic over this so the executor can pass
-/// sweep views straight through: the disk tier resolves the effective
-/// configuration *lazily*, only on the slot-claimer path with a store
-/// present, which is exactly the boundary where a capped view must
-/// materialise anyway.
-pub trait KeyConfiguration {
-    /// The effective configuration behind the key. For a capped
-    /// [`ConfigView`] this materialises (and caches) the capped clone.
-    fn effective(&self) -> &Configuration;
-}
-
-impl KeyConfiguration for Configuration {
-    fn effective(&self) -> &Configuration {
-        self
-    }
-}
-
-impl KeyConfiguration for ConfigView {
-    fn effective(&self) -> &Configuration {
-        self.config()
-    }
-}
-
 /// Hit/miss counters of a [`SolveCache`]'s in-memory tier.
 ///
 /// A run's outcome carries the counters its suite implies — misses equal
@@ -375,27 +348,30 @@ impl Slot {
 /// # Example
 ///
 /// ```
-/// use bbs_engine::{CacheKey, CanonicalKey, SolveCache, SolveSource};
+/// use bbs_engine::{CanonicalKey, ScenarioKeySeed, SolveCache, SolveSource};
 /// use bbs_taskgraph::presets::{producer_consumer, PaperParameters};
-/// use budget_buffer::{compute_mapping, with_capacity_cap, SolveOptions};
+/// use bbs_taskgraph::ConfigView;
+/// use budget_buffer::{compute_mapping_view, SolveOptions};
+/// use std::sync::Arc;
 ///
-/// let configuration =
-///     with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+/// let base = Arc::new(producer_consumer(PaperParameters::default(), None));
+/// let view = ConfigView::with_capacity_cap(base, 4);
 /// let options = SolveOptions::default().prefer_budget_minimisation();
+/// let seed = ScenarioKeySeed::new(&options, "joint");
 /// let cache = SolveCache::new();
-/// let key = CacheKey::new(&configuration, &options, "joint");
+/// let key = seed.key_for(&view);
 /// // Materialised only if a disk tier needs it — never on this in-memory
 /// // cache, and never on a hit.
-/// let canonical = || CanonicalKey::from_parts(&configuration, &options, "joint");
+/// let canonical = || CanonicalKey::materialise(&view, &seed.options_json(), "joint");
 ///
-/// let (first, source) = cache.solve_with(key, &configuration, canonical, || {
-///     compute_mapping(&configuration, &options)
+/// let (first, source) = cache.solve_with(key, &view, canonical, || {
+///     compute_mapping_view(&view, &options)
 /// });
 /// assert_eq!(source, SolveSource::Fresh);
 ///
 /// // The second lookup never invokes the solve closure.
-/// let canonical = || CanonicalKey::from_parts(&configuration, &options, "joint");
-/// let (second, source) = cache.solve_with(key, &configuration, canonical, || unreachable!());
+/// let canonical = || CanonicalKey::materialise(&view, &seed.options_json(), "joint");
+/// let (second, source) = cache.solve_with(key, &view, canonical, || unreachable!());
 /// assert_eq!(source, SolveSource::Memory);
 /// assert_eq!(first.unwrap(), second.unwrap());
 /// ```
@@ -430,20 +406,20 @@ impl SolveCache {
 
     /// Returns the memoized result for `key`, calling `solve` at most once
     /// per distinct key across all threads (and not at all when the
-    /// persistent tier answers). `configuration` must be the configuration
-    /// the key was built from — a [`Configuration`] or a [`ConfigView`];
-    /// the disk tier rebuilds mappings against its
-    /// [effective](KeyConfiguration::effective) form instead of re-parsing
-    /// canonical JSON, resolved lazily so views only materialise on the
-    /// claimer path of a store-backed cache. `canonical` materialises the
-    /// full [`CanonicalKey`] for the disk tier; it runs at most once per
+    /// persistent tier answers). `view` must be the configuration view the
+    /// key was built from. The disk tier decodes a hit against the view's
+    /// shared base instead of re-parsing canonical JSON: decoding reads only
+    /// the task and buffer structure, the budget granularity and the
+    /// initial tokens, never a capacity cap, so a capped view is never
+    /// materialised here. `canonical` materialises the full
+    /// [`CanonicalKey`] for the disk tier; it runs at most once per
     /// distinct key (the slot claimer, store present), so hits — memory or
     /// in-flight waits — never serialise anything. The [`SolveSource`]
     /// reports which tier, if any, served the result.
     pub fn solve_with(
         &self,
         key: CacheKey,
-        configuration: &impl KeyConfiguration,
+        view: &ConfigView,
         canonical: impl FnOnce() -> CanonicalKey,
         solve: impl FnOnce() -> Result<Mapping, MappingError>,
     ) -> (Result<Mapping, MappingError>, SolveSource) {
@@ -467,7 +443,7 @@ impl SolveCache {
                 // deterministic across worker counts.
                 let canonical_key = self.store.as_ref().map(|_| canonical());
                 let store = self.store.as_ref().zip(canonical_key.as_ref());
-                match store.and_then(|(store, key)| store.load(key, configuration.effective())) {
+                match store.and_then(|(store, key)| store.load(key, view.base())) {
                     Some(result) => (result, SolveSource::Disk, canonical_key),
                     None => (solve(), SolveSource::Fresh, canonical_key),
                 }
@@ -522,6 +498,16 @@ mod tests {
         SolveOptions::default().prefer_budget_minimisation()
     }
 
+    /// The paper's producer/consumer pair with every buffer capped at `cap`
+    /// containers: the view a sweep point solves through the cache, and its
+    /// materialised configuration.
+    fn capped(cap: u64) -> (ConfigView, Configuration) {
+        let base = Arc::new(producer_consumer(PaperParameters::default(), None));
+        let view = ConfigView::with_capacity_cap(base, cap);
+        let configuration = view.config().clone();
+        (view, configuration)
+    }
+
     /// The materialisation closure for tests that never consult a store.
     fn unused_canonical() -> CanonicalKey {
         panic!("canonical key must not be materialised without a store")
@@ -529,17 +515,15 @@ mod tests {
 
     #[test]
     fn second_lookup_is_a_hit_with_equal_result() {
-        let configuration =
-            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let (view, configuration) = capped(4);
         let options = paper_options();
         let cache = SolveCache::new();
         let key = CacheKey::new(&configuration, &options, "joint");
-        let (first, source1) = cache.solve_with(key, &configuration, unused_canonical, || {
+        let (first, source1) = cache.solve_with(key, &view, unused_canonical, || {
             compute_mapping(&configuration, &options)
         });
-        let (second, source2) = cache.solve_with(key, &configuration, unused_canonical, || {
-            panic!("must not re-solve")
-        });
+        let (second, source2) =
+            cache.solve_with(key, &view, unused_canonical, || panic!("must not re-solve"));
         assert_eq!(source1, SolveSource::Fresh);
         assert!(!source1.is_hit());
         assert_eq!(source2, SolveSource::Memory);
@@ -683,39 +667,35 @@ mod tests {
 
     #[test]
     fn failures_are_memoized_too() {
-        let configuration =
-            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let (view, configuration) = capped(4);
         let cache = SolveCache::new();
         let key = CacheKey::new(&configuration, &paper_options(), "joint");
-        let (first, _) = cache.solve_with(key, &configuration, unused_canonical, || {
+        let (first, _) = cache.solve_with(key, &view, unused_canonical, || {
             Err(MappingError::Infeasible {
                 detail: "injected".to_string(),
             })
         });
         assert!(first.is_err());
-        let (second, source) = cache.solve_with(key, &configuration, unused_canonical, || {
-            panic!("must not re-solve")
-        });
+        let (second, source) =
+            cache.solve_with(key, &view, unused_canonical, || panic!("must not re-solve"));
         assert_eq!(source, SolveSource::Memory);
         assert_eq!(first, second);
     }
 
     #[test]
     fn panicking_solve_poisons_the_slot_instead_of_deadlocking() {
-        let configuration =
-            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let (view, configuration) = capped(4);
         let cache = SolveCache::new();
         let key = CacheKey::new(&configuration, &paper_options(), "joint");
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.solve_with(key, &configuration, unused_canonical, || {
+            cache.solve_with(key, &view, unused_canonical, || {
                 panic!("injected solver panic")
             })
         }));
         assert!(panicked.is_err(), "the claimer must re-raise the panic");
         // Waiters (and later lookups) get a poison error instead of hanging.
-        let (result, source) = cache.solve_with(key, &configuration, unused_canonical, || {
-            panic!("must not re-solve")
-        });
+        let (result, source) =
+            cache.solve_with(key, &view, unused_canonical, || panic!("must not re-solve"));
         assert_eq!(source, SolveSource::Memory);
         assert!(result.unwrap_err().to_string().contains("panicked"));
     }
@@ -723,31 +703,28 @@ mod tests {
     #[test]
     fn disk_tier_answers_fresh_caches() {
         let directory = crate::testutil::TempDir::new("cache-disk-tier");
-        let configuration =
-            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let (view, configuration) = capped(4);
         let options = paper_options();
         let key = CacheKey::new(&configuration, &options, "joint");
         let canonical = || CanonicalKey::from_parts(&configuration, &options, "joint");
 
         let cold = SolveCache::with_store(SolveStore::open(directory.path()).unwrap());
-        let (first, source) = cold.solve_with(key, &configuration, canonical, || {
+        let (first, source) = cold.solve_with(key, &view, canonical, || {
             compute_mapping(&configuration, &options)
         });
         assert_eq!(source, SolveSource::Fresh);
         assert_eq!(cold.store().unwrap().stats().stored, 1);
         // Same process, same cache: the in-memory tier answers first, and
         // the canonical key is not rebuilt.
-        let (_, source) = cold.solve_with(key, &configuration, unused_canonical, || {
-            panic!("must not re-solve")
-        });
+        let (_, source) =
+            cold.solve_with(key, &view, unused_canonical, || panic!("must not re-solve"));
         assert_eq!(source, SolveSource::Memory);
 
         // A fresh cache on the same directory — a new process — reads disk.
         let canonical = || CanonicalKey::from_parts(&configuration, &options, "joint");
         let warm = SolveCache::with_store(SolveStore::open(directory.path()).unwrap());
-        let (second, source) = warm.solve_with(key, &configuration, canonical, || {
-            panic!("must not re-solve")
-        });
+        let (second, source) =
+            warm.solve_with(key, &view, canonical, || panic!("must not re-solve"));
         assert_eq!(source, SolveSource::Disk);
         assert_eq!(first.unwrap(), second.unwrap());
         let stats = warm.store().unwrap().stats();
@@ -759,8 +736,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_solve_once() {
-        let configuration =
-            with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let (view, configuration) = capped(4);
         let options = paper_options();
         let cache = SolveCache::new();
         let solves = AtomicU64::new(0);
@@ -768,11 +744,10 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     let key = CacheKey::new(&configuration, &options, "joint");
-                    let (result, _) =
-                        cache.solve_with(key, &configuration, unused_canonical, || {
-                            solves.fetch_add(1, Ordering::Relaxed);
-                            compute_mapping(&configuration, &options)
-                        });
+                    let (result, _) = cache.solve_with(key, &view, unused_canonical, || {
+                        solves.fetch_add(1, Ordering::Relaxed);
+                        compute_mapping(&configuration, &options)
+                    });
                     assert!(result.is_ok());
                 });
             }

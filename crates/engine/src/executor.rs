@@ -1,17 +1,19 @@
 //! The batch executor: what a suite run computes, phase by phase.
 //!
-//! A suite expands into a flat list of *work items* — one per (scenario,
-//! sweep point) pair, in suite order. Expansion is two-staged: a serial
-//! *plan* pass resolves each scenario's workload, flow, options and hoisted
-//! [`ScenarioKeySeed`] exactly once, and the *expand* phase turns every
-//! sweep point into a work item holding a copy-on-write [`ConfigView`] — an
-//! `Arc` of the scenario's base configuration plus the point's capacity cap
-//! — instead of an owned clone.
+//! A run is one serial step and two parallel jobs. The serial *plan*
+//! (`SuitePlan`) resolves each scenario's workload, flow, options and
+//! hoisted [`ScenarioKeySeed`] exactly once and lays the suite out flat: one
+//! index per (scenario, sweep point) pair, in suite order. The *solve* job
+//! mints the work item of an index when a thread claims it — a
+//! copy-on-write [`ConfigView`] (an `Arc` of the scenario's base
+//! configuration plus the point's capacity cap) and the cache key streamed
+//! off it, never an owned clone — and solves it through the cache. The
+//! *validate* job then replays each distinct solved mapping once.
 //!
-//! Expand, solve and validate each run as one cursor job on the pooled
-//! [`Engine`]: threads claim item indices off one atomic cursor and every
-//! result lands in the slot addressed by its index, so outcomes come back
-//! in suite order no matter which worker ran what.
+//! Both jobs are cursor jobs on the pooled [`Engine`]: threads claim item
+//! indices off one atomic cursor and every result lands in the slot
+//! addressed by its index, so outcomes come back in suite order no matter
+//! which thread ran what.
 //! Combined with the cache's deterministic hit/miss accounting this makes
 //! the run's report independent of the worker count.
 //!
@@ -161,8 +163,8 @@ impl ScenarioOutcome {
 /// deterministic [`SuiteReport`](crate::SuiteReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Threads that drained the solve phase: `jobs` clamped to the pool
-    /// size and to the number of work items.
+    /// Threads that drained the solve job: `jobs` clamped to
+    /// [`Engine::workers`] and to the number of work items.
     pub workers: u64,
     /// Always 0: every thread claims items off one shared cursor, so no
     /// item is ever stolen. Kept only for its one reader, the benchmark's
@@ -237,26 +239,22 @@ fn is_infeasibility(error: &MappingError) -> bool {
     )
 }
 
-/// One solve to perform: a copy-on-write [`ConfigView`] of the scenario's
-/// shared base configuration (plus the point's capacity cap). The cache key
-/// is pre-derived (from the scenario's hoisted [`ScenarioKeySeed`],
-/// streaming straight from the view) so workers never serialise anything on
-/// the hot path; the shared seed rides along for the lazy [`CanonicalKey`]
-/// materialisation of points that reach the disk tier (its options JSON is
-/// built at most once per scenario, and not at all without a store).
-/// Building an item allocates nothing: the view is two `Arc` bumps and a
-/// `Copy` cap, and the capped configuration only materialises at the solver
-/// boundary, for points that actually solve.
-pub(crate) struct WorkItem {
-    capacity_cap: Option<u64>,
+/// One solve to perform, minted by [`SuitePlan::item`] when a thread claims
+/// its index: a copy-on-write [`ConfigView`] of the scenario's shared base
+/// configuration (plus the point's capacity cap), the cache key streamed
+/// off it, and a borrow of the scenario's plan for the options, flow and
+/// hoisted [`ScenarioKeySeed`] (whose options JSON the lazy
+/// [`CanonicalKey`] of a disk-tier lookup reuses). Minting allocates
+/// nothing: the view is one `Arc` bump and a `Copy` cap, and the capped
+/// configuration only materialises at the solver boundary, for points that
+/// actually solve.
+pub(crate) struct WorkItem<'a> {
+    plan: &'a ScenarioPlan,
     view: ConfigView,
-    options: SolveOptions,
-    seed: Arc<ScenarioKeySeed>,
-    flow: Flow,
     key: CacheKey,
 }
 
-impl WorkItem {
+impl WorkItem<'_> {
     /// The pre-derived cache key of this solve — what every run counts
     /// distinct keys over for its report's hit/miss counters.
     pub(crate) fn key(&self) -> CacheKey {
@@ -264,14 +262,13 @@ impl WorkItem {
     }
 }
 
-/// The solve phase of one run: item `i` of its cursor job solves
-/// `items[i]`.
+/// The solve job of one run: item `i` of its cursor job mints the work item
+/// of flat index `i` from the plan, solves it, and returns its key with its
+/// outcome.
 pub(crate) struct SolveJob {
-    pub(crate) items: Vec<WorkItem>,
+    pub(crate) plan: Arc<SuitePlan>,
     pub(crate) cache: Arc<SolveCache>,
     pub(crate) settings: RunSettings,
-    /// Flat index of the point [`RunSettings::fault`] addresses.
-    pub(crate) fault_target: Option<usize>,
     pub(crate) cancel: CancelToken,
     pub(crate) caught_panics: Arc<AtomicU64>,
 }
@@ -288,29 +285,30 @@ impl SolveJob {
     /// fired is retired *unsolved* — its slot still reports exactly once,
     /// assembly completes normally, and only the items already executing
     /// run to completion.
-    pub(crate) fn run(&self, index: usize) -> PointOutcome {
-        let item = &self.items[index];
+    pub(crate) fn run(&self, index: usize) -> (CacheKey, PointOutcome) {
+        let item = self.plan.item(index);
         if self.cancel.is_cancelled() {
             // The placeholder outcome is never reported: a cancelled run
             // yields `EngineError::Cancelled`, not an outcome.
-            return unsolved(item, cancelled_solve_error());
+            return (item.key, unsolved(&item, cancelled_solve_error()));
         }
         let fault = match &self.settings.fault {
-            Some(fault) if self.fault_target == Some(index) => Some(fault.action),
+            Some(fault) if self.plan.fault_target == Some(index) => Some(fault.action),
             _ => None,
         };
-        let execute = || execute_item(index, item, &self.cache, &self.settings, fault);
-        catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|_| {
+        let execute = || execute_item(index, &item, &self.cache, &self.settings, fault);
+        let point = catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|_| {
             self.caught_panics.fetch_add(1, Ordering::Relaxed);
-            unsolved(item, panicked_solve_error())
-        })
+            unsolved(&item, panicked_solve_error())
+        });
+        (item.key, point)
     }
 }
 
 /// The outcome of an item that never produced a mapping of its own.
 fn unsolved(item: &WorkItem, error: MappingError) -> PointOutcome {
     PointOutcome {
-        capacity_cap: item.capacity_cap,
+        capacity_cap: item.view.capacity_cap(),
         result: Err(error),
         solve_time: Duration::ZERO,
         source: SolveSource::Fresh,
@@ -331,19 +329,12 @@ pub fn run_suite(suite: &Suite, settings: &RunSettings) -> Result<SuiteOutcome, 
     Engine::new(settings.jobs).run_suite(suite, settings)
 }
 
-/// The per-scenario resolution of one suite: the built workload (shared
-/// with every work item's view), flow, options and point count. The
-/// scenario itself is *not* cloned here — the outcome assembler reads it
-/// back from the suite it already borrows.
-pub(crate) struct ResolvedScenario {
-    pub(crate) configuration: Arc<Configuration>,
-    pub(crate) flow: Flow,
-    pub(crate) options: SolveOptions,
-    pub(crate) points: usize,
-}
-
-/// One scenario resolved but not yet expanded: everything
-/// [`ScenarioPlan::item`] needs to mint any of the scenario's work items.
+/// One scenario resolved: the built workload (shared with every work
+/// item's view), options, hoisted key seed, flow and sweep caps —
+/// everything [`ScenarioPlan::item`] needs to mint any of the scenario's
+/// work items, and what the outcome assembler keeps. The scenario itself
+/// is *not* cloned here — the assembler reads it back from the suite it
+/// already borrows.
 pub(crate) struct ScenarioPlan {
     configuration: Arc<Configuration>,
     options: SolveOptions,
@@ -354,92 +345,52 @@ pub(crate) struct ScenarioPlan {
 
 impl ScenarioPlan {
     /// Mints the work item of one sweep point. Allocation-free: the view
-    /// shares the plan's base configuration, the options are heap-free, and
-    /// the cache key streams straight from the view.
-    fn item(&self, point_index: usize) -> WorkItem {
-        let cap = self.caps[point_index];
-        let view = match cap {
-            Some(cap) => ConfigView::with_capacity_cap(Arc::clone(&self.configuration), cap),
-            None => ConfigView::new(Arc::clone(&self.configuration)),
+    /// shares the plan's base configuration and the cache key streams
+    /// straight from the view.
+    fn item(&self, point_index: usize) -> WorkItem<'_> {
+        let base = Arc::clone(&self.configuration);
+        let view = match self.caps[point_index] {
+            Some(cap) => ConfigView::with_capacity_cap(base, cap),
+            None => ConfigView::new(base),
         };
         let key = self.seed.key_for(&view);
         WorkItem {
-            capacity_cap: cap,
+            plan: self,
             view,
-            options: self.options.clone(),
-            seed: Arc::clone(&self.seed),
-            flow: self.flow,
             key,
         }
     }
 }
 
-/// The expand phase of one run: item `i` of its cursor job mints the work
-/// item of flat (suite-order) index `i`.
-pub(crate) struct Expansion {
-    plans: Vec<ScenarioPlan>,
-    /// The flat index of each plan's first point.
+/// A suite resolved into per-scenario plans and laid out flat: item `i` of
+/// a run's jobs is the point of flat (suite-order) index `i`.
+pub(crate) struct SuitePlan {
+    scenarios: Vec<ScenarioPlan>,
+    /// The flat index of each scenario's first point.
     starts: Vec<usize>,
     points: usize,
+    /// Flat index of the point [`RunSettings::fault`] addresses.
+    fault_target: Option<usize>,
 }
 
-impl Expansion {
-    fn new(plans: Vec<ScenarioPlan>) -> Self {
-        let mut starts = Vec::with_capacity(plans.len());
-        let mut points = 0;
-        for plan in &plans {
-            starts.push(points);
-            points += plan.caps.len();
-        }
-        Self {
-            plans,
-            starts,
-            points,
-        }
-    }
-
-    /// Number of work items the suite expands to.
-    pub(crate) fn points(&self) -> usize {
-        self.points
-    }
-
-    /// Mints the work item at flat index `index`; allocation-free.
-    pub(crate) fn item(&self, index: usize) -> WorkItem {
-        // The last plan starting at or before `index` owns it.
-        let plan = self.starts.partition_point(|&start| start <= index) - 1;
-        self.plans[plan].item(index - self.starts[plan])
-    }
-}
-
-/// A suite resolved into per-scenario plans, not yet expanded into items.
-pub(crate) struct Planned {
-    pub(crate) resolved: Vec<ResolvedScenario>,
-    pub(crate) expansion: Expansion,
-    pub(crate) fault_target: Option<usize>,
-}
-
-/// The serial half of preparation: resolves every scenario exactly once
+/// The serial step of every run: resolves every scenario exactly once
 /// (full `Suite::validate` would build each workload a second time just to
 /// discard it), hoists the per-scenario [`ScenarioKeySeed`], expands the
 /// sweep specs to cap lists, and resolves the injected fault to a flat item
-/// index. No per-point work happens here — that is the expand phase.
-pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, EngineError> {
+/// index. No per-point work happens here — the solve job mints each point
+/// when it claims it.
+pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, EngineError> {
     suite.validate_structure()?;
     let in_scenario = |name: &str, e: EngineError| {
         EngineError::InvalidScenario(format!("scenario `{name}`: {e}"))
     };
-    let mut resolved = Vec::with_capacity(suite.scenarios.len());
-    let mut plans = Vec::with_capacity(suite.scenarios.len());
-    // Consecutive scenarios overwhelmingly share options and flow (whole
-    // built-in suites use the paper defaults), so the hoisted seed is
-    // reused across scenarios too: one options fold for a hundred
-    // same-options scenarios instead of one each.
-    let mut last_seed: Option<(SolveOptions, Flow, Arc<ScenarioKeySeed>)> = None;
+    let mut scenarios: Vec<ScenarioPlan> = Vec::with_capacity(suite.scenarios.len());
+    let mut starts = Vec::with_capacity(suite.scenarios.len());
     // The injected fault resolved to a flat item index, so workers compare
     // one index instead of a per-item scenario-name clone.
     let fault = settings.fault.as_ref();
     let mut fault_target: Option<usize> = None;
-    let mut first_point = 0;
+    let mut points = 0;
     for scenario in &suite.scenarios {
         let configuration = Arc::new(
             scenario
@@ -458,19 +409,16 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
             .map_err(|e| in_scenario(&scenario.name, e))?;
         let options = scenario.resolved_options();
         // The key-derivation constants of the scenario — options and flow —
-        // are folded into the digest state exactly once here (or reused
-        // outright); each expanded point only streams its own view.
-        let seed = match &last_seed {
-            Some((seed_options, seed_flow, seed))
-                if *seed_flow == flow && seed_options == &options =>
-            {
-                Arc::clone(seed)
+        // are folded into the digest state exactly once here. Consecutive
+        // scenarios overwhelmingly share them (whole built-in suites use
+        // the paper defaults), so the previous scenario's seed is reused
+        // outright when they match: one options fold for a hundred
+        // same-options scenarios instead of one each.
+        let seed = match scenarios.last() {
+            Some(previous) if previous.flow == flow && previous.options == options => {
+                Arc::clone(&previous.seed)
             }
-            _ => {
-                let seed = Arc::new(ScenarioKeySeed::new(&options, flow.as_str()));
-                last_seed = Some((options.clone(), flow, Arc::clone(&seed)));
-                seed
-            }
+            _ => Arc::new(ScenarioKeySeed::new(&options, flow.as_str())),
         };
         let caps: Vec<Option<u64>> = match &scenario.sweep {
             Some(sweep) => sweep
@@ -485,16 +433,11 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
             fault_target = caps
                 .iter()
                 .position(|cap| *cap == fault.capacity_cap)
-                .map(|point| first_point + point);
+                .map(|point| points + point);
         }
-        first_point += caps.len();
-        resolved.push(ResolvedScenario {
-            configuration: Arc::clone(&configuration),
-            flow,
-            options: options.clone(),
-            points: caps.len(),
-        });
-        plans.push(ScenarioPlan {
+        starts.push(points);
+        points += caps.len();
+        scenarios.push(ScenarioPlan {
             configuration,
             options,
             seed,
@@ -504,10 +447,10 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
     }
 
     // A panic that addresses no point would make every chaos check pass
-    // vacuously — refuse it instead of silently not injecting. A stall that
-    // matches nothing is deliberately *not* refused: the serve layer
-    // applies one fault plan to every submission, and only the addressed
-    // suite should slow down.
+    // vacuously — refuse it instead of silently not injecting. A stall
+    // that matches nothing is deliberately *not* refused: the serve
+    // layer applies one fault plan to every submission, and only the
+    // addressed suite should slow down.
     if let Some(fault) = fault.filter(|fault| fault.action == FaultAction::Panic) {
         if fault_target.is_none() {
             return Err(EngineError::InvalidInput(format!(
@@ -517,11 +460,31 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<Planned, Eng
             )));
         }
     }
-    Ok(Planned {
-        resolved,
-        expansion: Expansion::new(plans),
+    Ok(SuitePlan {
+        scenarios,
+        starts,
+        points,
         fault_target,
     })
+}
+
+impl SuitePlan {
+    /// Number of scenarios planned.
+    pub(crate) fn scenarios(&self) -> usize {
+        self.scenarios.len()
+    }
+
+    /// Number of work items the suite expands to.
+    pub(crate) fn points(&self) -> usize {
+        self.points
+    }
+
+    /// Mints the work item at flat index `index`; allocation-free.
+    pub(crate) fn item(&self, index: usize) -> WorkItem<'_> {
+        // The last scenario starting at or before `index` owns it.
+        let scenario = self.starts.partition_point(|&start| start <= index) - 1;
+        self.scenarios[scenario].item(index - self.starts[scenario])
+    }
 }
 
 /// What a suite expands to, without solving anything — the counts behind
@@ -535,14 +498,14 @@ pub struct ExpansionSummary {
     pub points: usize,
 }
 
-/// Assembles the run's [`SuiteOutcome`] from the solve phase's results,
-/// which arrive in flat suite order, and the run's cache `counters`. The
-/// wall time is left for the caller to stamp once the validation stage is
-/// done.
+/// Assembles the run's [`SuiteOutcome`] from its plan and the solve job's
+/// results, which arrive in flat suite order, and the run's cache
+/// `counters`. The wall time is left for the caller to stamp once the
+/// validation stage is done.
 pub(crate) fn assemble_outcome(
     suite: &Suite,
-    resolved: Vec<ResolvedScenario>,
-    points: Vec<PointOutcome>,
+    plan: SuitePlan,
+    points: impl IntoIterator<Item = PointOutcome>,
     settings: &RunSettings,
     cache: &SolveCache,
     counters: CacheStats,
@@ -552,18 +515,18 @@ pub(crate) fn assemble_outcome(
     let scenarios = suite
         .scenarios
         .iter()
-        .zip(resolved)
-        .map(|(scenario, resolved)| ScenarioOutcome {
+        .zip(plan.scenarios)
+        .map(|(scenario, plan)| ScenarioOutcome {
             scenario: scenario.clone(),
-            // Every work item (and its view) is gone once the solve phase
+            // Every work item (and its view) is gone once the solve job
             // returns, so the shared base is normally unwrapped for free; a
             // straggling reference costs one clone per scenario, never per
             // point.
-            configuration: Arc::try_unwrap(resolved.configuration)
+            configuration: Arc::try_unwrap(plan.configuration)
                 .unwrap_or_else(|shared| (*shared).clone()),
-            flow: resolved.flow,
-            options: resolved.options,
-            points: points.by_ref().take(resolved.points).collect(),
+            flow: plan.flow,
+            options: plan.options,
+            points: points.by_ref().take(plan.caps.len()).collect(),
         })
         .collect();
 
@@ -613,21 +576,22 @@ fn execute_item(
     // injected-fault reports stay `--jobs`-deterministic. (The
     // claimer-panic path through the cache's slot poison-fill is
     // unit-covered in `cache::tests`.)
+    let capacity_cap = item.view.capacity_cap();
     match fault {
-        Some(FaultAction::Panic) => panic!(
-            "injected panic: work item {index}, cap {:?}",
-            item.capacity_cap
-        ),
+        Some(FaultAction::Panic) => {
+            panic!("injected panic: work item {index}, cap {capacity_cap:?}")
+        }
         Some(FaultAction::Stall(millis)) => std::thread::sleep(Duration::from_millis(millis)),
         None => {}
     }
+    let plan = item.plan;
     // Timed inside the closure so that a cache hit — including one that
     // blocks waiting for another worker's in-flight solve — reports zero
     // solver work instead of double-counting the shared solve.
     let solve_duration = std::cell::Cell::new(Duration::ZERO);
     let solve = || {
         let start = Instant::now();
-        let result = solve_flow(&item.view, &item.options, item.flow);
+        let result = solve_flow(&item.view, &plan.options, plan.flow);
         solve_duration.set(start.elapsed());
         result
     };
@@ -638,16 +602,15 @@ fn execute_item(
         // stream straight from the view, byte-identically to the capped
         // clone they replace.
         let canonical =
-            || CanonicalKey::materialise(&item.view, &item.seed.options_json(), item.flow.as_str());
+            || CanonicalKey::materialise(&item.view, &plan.seed.options_json(), plan.flow.as_str());
         cache.solve_with(item.key, &item.view, canonical, solve)
     } else {
         (solve(), SolveSource::Fresh)
     };
-    let solve_time = solve_duration.get();
     PointOutcome {
-        capacity_cap: item.capacity_cap,
+        capacity_cap,
         result,
-        solve_time,
+        solve_time: solve_duration.get(),
         source,
         // Replays happen in the post-solve validation stage, never here:
         // the solve path stays cache-shaped (one mapping per distinct key)

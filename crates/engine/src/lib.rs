@@ -10,14 +10,15 @@
 //! * [`suites`] — the built-in suites: `paper` (the six experiments of the
 //!   paper), `paper-plus` (plus the cyclic `ring` experiment) and `smoke`.
 //! * [`executor`] — what a run computes: the plan, the (scenario ×
-//!   sweep-point) work items, the panic-safe per-item solve and the
-//!   suite-order outcome assembly; a panicking solve becomes a per-point
-//!   error, never a dead run.
-//! * [`pool`] — the [`Engine`]: persistent `std::thread` workers, parked
-//!   between runs, that run every phase (expand, solve, validate) as one
-//!   cursor job — indices claimed off an atomic cursor, each result in the
-//!   slot its index addresses — so results are deterministic for any
-//!   `--jobs N`. The free [`run_suite`] wraps a temporary engine.
+//!   sweep-point) work items the solve job mints as it claims them, the
+//!   panic-safe per-item solve and the suite-order outcome assembly; a
+//!   panicking solve becomes a per-point error, never a dead run.
+//! * [`pool`] — the [`Engine`]: the calling thread plus persistent
+//!   `std::thread` workers, parked between runs, that drain both jobs of a
+//!   run (solve, validate) as cursor jobs — indices claimed off an atomic
+//!   cursor, each result in the slot its index addresses — so results are
+//!   deterministic for any `--jobs N`. The free [`run_suite`] wraps a
+//!   temporary engine.
 //! * [`cache`] — memoization of solves keyed by allocation-free 128-bit
 //!   streaming digests of (configuration, options, flow), with
 //!   deterministic hit/miss counters; the full canonical JSON is
@@ -90,9 +91,7 @@ pub mod store;
 pub mod suites;
 pub mod validate;
 
-pub use cache::{
-    CacheKey, CacheStats, CanonicalKey, KeyConfiguration, ScenarioKeySeed, SolveCache, SolveSource,
-};
+pub use cache::{CacheKey, CacheStats, CanonicalKey, ScenarioKeySeed, SolveCache, SolveSource};
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use executor::{

@@ -1,23 +1,24 @@
 //! The engine: one persistent worker pool and the one parallel primitive
-//! every phase of a run uses.
+//! every job of a run uses.
 //!
-//! An [`Engine`] spawns its workers once; between runs they park on an idle
-//! channel receive (no spinning, no wakeups). A run has three phases —
-//! expand the suite into work items, solve them, replay each distinct
-//! solved mapping once — and each is one *cursor job*: `len` independent
-//! items whose indices the participating threads claim off a shared
-//! `AtomicUsize`, in ascending order, with item `i`'s result landing in
-//! slot `i`. Results therefore come back in suite order no matter who ran
-//! what, so reports are byte-identical across worker counts. The replay
-//! phase then copies each verdict to every (scenario, point) that shares
+//! A run is a serial plan and two *cursor jobs* — solve every point, then
+//! replay each distinct solved mapping once. A cursor job is `len`
+//! independent items whose indices the participating threads claim off a
+//! shared `AtomicUsize`, in ascending order, with item `i`'s result landing
+//! in slot `i`. Results therefore come back in suite order no matter who
+//! ran what, so reports are byte-identical across worker counts. The replay
+//! job's verdicts are then copied to every (scenario, point) that shares
 //! the mapping, in suite order too.
 //!
-//! One rule decides who drains a phase: its useful parallelism is `jobs`
-//! clamped to the pool size and to the item count, and a phase with only
-//! one useful thread drains on the calling thread — so `--jobs 1` walks the
-//! suite front to back without a thread hop. Otherwise that many parked
-//! workers receive the same job and the caller waits for the last of them
-//! to retire.
+//! One rule decides who drains a job: its useful parallelism is `jobs`
+//! clamped to [`Engine::workers`] and to the item count, and the calling
+//! thread is always one of the drainers. An engine of `n` workers spawns
+//! `n − 1` pooled threads, which park on an idle channel receive between
+//! jobs (no spinning, no wakeups); a job with `t` useful threads is sent to
+//! `t − 1` of them, drained on the calling thread alongside them, and
+//! handed back once the last of them has retired. With one useful thread
+//! nothing is sent, so `--jobs 1` walks the suite front to back without a
+//! thread hop.
 //!
 //! The free [`run_suite`](crate::run_suite) and
 //! [`run_scenario`](crate::run_scenario) are thin wrappers over a temporary
@@ -50,12 +51,12 @@
 //!     .all(|point| point.source == SolveSource::Memory), "no new solves");
 //! ```
 
-use crate::cache::{CacheStats, SolveCache};
+use crate::cache::{CacheKey, CacheStats, SolveCache};
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::executor::{
-    assemble_outcome, plan, ExecutorStats, Expansion, ExpansionSummary, RunSettings, SolveJob,
-    SuiteOutcome, WorkItem,
+    assemble_outcome, plan, ExecutorStats, ExpansionSummary, PointOutcome, RunSettings, SolveJob,
+    SuiteOutcome,
 };
 use crate::scenario::Suite;
 use crate::validate::{replay_guarded, replay_tasks};
@@ -65,15 +66,15 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One phase of a run: `slots.len()` independent items, claimed off
-/// `cursor` in ascending order; item `i`'s result lands in `slots[i]`.
+/// One job of a run: `slots.len()` independent items, claimed off `cursor`
+/// in ascending order; item `i`'s result lands in `slots[i]`.
 struct CursorJob<T, F> {
     cursor: AtomicUsize,
     slots: Vec<OnceLock<T>>,
     run: F,
 }
 
-/// The type-erased face of a [`CursorJob`] that pool workers drain.
+/// The type-erased face of a [`CursorJob`] that its drainers see.
 trait Drain: Send + Sync {
     /// Claims and runs items until the cursor passes the last one.
     fn drain(&self);
@@ -108,33 +109,34 @@ struct Assignment {
     _retired: mpsc::Sender<()>,
 }
 
-/// One pool worker: its assignment channel plus the join handle. The
+/// One pooled thread: its assignment channel plus the join handle. The
 /// sender is an `Option` only so `Drop` can close the channel (waking the
-/// parked worker into a clean exit) before joining.
+/// parked thread into a clean exit) before joining.
 struct Worker {
     assignments: Option<mpsc::Sender<Assignment>>,
     thread: Option<JoinHandle<()>>,
 }
 
-/// A reusable batch engine: `workers` threads, spawned once, parked between
-/// runs, reused by every [`Engine::run_suite`] call. See the
-/// [module docs](self).
+/// A reusable batch engine: the calling thread plus a pool of threads
+/// spawned once, parked between jobs, and reused by every
+/// [`Engine::run_suite`] call. See the [module docs](self).
 pub struct Engine {
-    workers: Vec<Worker>,
+    pooled: Vec<Worker>,
 }
 
 impl Engine {
-    /// Spawns a pool of `workers` threads (clamped to at least 1). The
-    /// threads park immediately and cost nothing until a run is submitted.
+    /// An engine whose jobs `workers` threads can drain (clamped to at
+    /// least 1): the calling thread plus `workers − 1` pooled threads,
+    /// spawned here. They park immediately and cost nothing until a job is
+    /// sent to them; `Engine::new(1)` spawns none.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let workers = (0..workers)
+        let pooled = (1..workers.max(1))
             .map(|index| {
                 let (assignments, inbox) = mpsc::channel::<Assignment>();
                 let thread = std::thread::Builder::new()
                     .name(format!("bbs-engine-{index}"))
                     .spawn(move || {
-                        // Parked here between runs; exits when the Engine
+                        // Parked here between jobs; exits when the Engine
                         // drops its sender.
                         while let Ok(assignment) = inbox.recv() {
                             assignment.job.drain();
@@ -147,16 +149,17 @@ impl Engine {
                 }
             })
             .collect();
-        Self { workers }
+        Self { pooled }
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of threads that can drain a job: the calling thread plus the
+    /// pooled ones — the `workers` the engine was built with.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.pooled.len() + 1
     }
 
-    /// Runs a whole suite on the pooled workers with a fresh solve cache.
-    /// `settings.jobs` is honoured up to the pool size.
+    /// Runs a whole suite on this engine with a fresh solve cache.
+    /// `settings.jobs` is honoured up to [`Engine::workers`].
     ///
     /// # Errors
     ///
@@ -170,7 +173,7 @@ impl Engine {
         self.run_suite_with_cache(suite, settings, &Arc::new(SolveCache::new()))
     }
 
-    /// Runs a whole suite on the pooled workers against a caller-owned
+    /// Runs a whole suite on this engine against a caller-owned
     /// (shared) [`SolveCache`], so repeated runs skip redundant solves.
     ///
     /// The outcome's counters are a function of the suite alone — `misses`
@@ -236,10 +239,12 @@ impl Engine {
         self.run(suite, settings, cache, cancel)
     }
 
-    /// Resolves and expands `suite` on the pooled workers — the exact
-    /// pipeline stage [`Engine::run_suite`] performs before solving —
-    /// and reports the counts without solving anything. Used by `bbs
-    /// expand`, the expansion benchmarks and the allocation tests.
+    /// Resolves `suite` and mints every work item, as one cursor job on
+    /// this engine, and reports the counts without solving anything. The
+    /// job mints through the same `SuitePlan::item` the solve job of a run
+    /// calls, so this measures minting on its own; it is not a stage of a
+    /// run. Used by `bbs expand`, the expansion benchmarks and the
+    /// allocation tests.
     ///
     /// # Errors
     ///
@@ -249,16 +254,18 @@ impl Engine {
         suite: &Suite,
         settings: &RunSettings,
     ) -> Result<ExpansionSummary, EngineError> {
-        let planned = plan(suite, settings)?;
-        let scenarios = planned.resolved.len();
-        let items = self.expand(planned.expansion, settings.jobs);
+        let plan = Arc::new(plan(suite, settings)?);
+        let keys = self.run_job(settings.jobs, plan.points(), {
+            let plan = Arc::clone(&plan);
+            move |index| plan.item(index).key()
+        });
         Ok(ExpansionSummary {
-            scenarios,
-            points: items.len(),
+            scenarios: plan.scenarios(),
+            points: keys.len(),
         })
     }
 
-    /// The pipeline behind every run: plan, expand, solve, validate.
+    /// The pipeline behind every run: plan, solve, validate.
     fn run(
         &self,
         suite: &Suite,
@@ -267,42 +274,38 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<SuiteOutcome, EngineError> {
         let start = Instant::now();
-        let planned = plan(suite, settings)?;
+        let plan = Arc::new(plan(suite, settings)?);
         if cancel.is_cancelled() {
-            // Cancelled while still queued: skip the expansion too.
+            // Cancelled while still queued: skip the solve job too.
             return Err(EngineError::Cancelled);
         }
-        let items = self.expand(planned.expansion, settings.jobs);
-        let counters = if settings.use_cache {
-            distinct_key_counters(&items)
-        } else {
-            CacheStats { hits: 0, misses: 0 }
-        };
-        let len = items.len();
+        let len = plan.points();
         let caught_panics = Arc::new(AtomicU64::new(0));
         let job = SolveJob {
-            items,
+            plan: Arc::clone(&plan),
             cache: Arc::clone(cache),
             settings: settings.clone(),
-            fault_target: planned.fault_target,
             cancel: cancel.clone(),
             caught_panics: Arc::clone(&caught_panics),
         };
-        let points = self.run_job(settings.jobs, len, move |index| job.run(index));
+        let solved = self.run_job(settings.jobs, len, move |index| job.run(index));
+        let counters = if settings.use_cache {
+            distinct_key_counters(&solved)
+        } else {
+            CacheStats { hits: 0, misses: 0 }
+        };
         let executor = ExecutorStats {
             workers: self.threads(settings.jobs, len) as u64,
             steals: 0,
             caught_panics: caught_panics.load(Ordering::Relaxed),
         };
-        let mut outcome = assemble_outcome(
-            suite,
-            planned.resolved,
-            points,
-            settings,
-            cache,
-            counters,
-            executor,
-        );
+        // The job, and the plan handle it held, dropped inside `run_job`.
+        let plan = Arc::try_unwrap(plan)
+            .ok()
+            .expect("the solve job released the plan");
+        let points = solved.into_iter().map(|(_, point)| point);
+        let mut outcome =
+            assemble_outcome(suite, plan, points, settings, cache, counters, executor);
         // A cancelled run skips the validation stage: its outcome is
         // discarded anyway, and replays would keep the pool busy after the
         // abort. A token that fires during validation still cancels.
@@ -314,13 +317,6 @@ impl Engine {
         }
         outcome.wall_time = start.elapsed();
         Ok(outcome)
-    }
-
-    /// The expand phase: mints every work item of `expansion`, in suite
-    /// order.
-    fn expand(&self, expansion: Expansion, jobs: usize) -> Vec<WorkItem> {
-        let len = expansion.points();
-        self.run_job(jobs, len, move |index| expansion.item(index))
     }
 
     /// The validation stage: replays every requested feasible point of
@@ -359,16 +355,17 @@ impl Engine {
         verdicts.len()
     }
 
-    /// Threads that drain a phase of `len` items at `jobs`: `jobs` clamped
-    /// to the pool size and to the item count, never below one.
+    /// Threads that drain a job of `len` items at `jobs`: `jobs` clamped to
+    /// [`Engine::workers`] and to the item count, never below one.
     fn threads(&self, jobs: usize, len: usize) -> usize {
-        jobs.min(self.workers.len()).min(len).max(1)
+        jobs.min(self.workers()).min(len).max(1)
     }
 
     /// Runs one cursor job of `len` items and returns the results in index
-    /// order. With one useful thread the calling thread drains the job
-    /// itself; otherwise that many parked workers drain it while the caller
-    /// waits for the last one to retire.
+    /// order: sends the job to `threads − 1` parked pooled threads, drains
+    /// it on the calling thread alongside them, then waits until the last
+    /// of them has retired. With one useful thread nothing is sent and the
+    /// wait returns at once.
     fn run_job<T, F>(&self, jobs: usize, len: usize, run: F) -> Vec<T>
     where
         T: Send + Sync + 'static,
@@ -379,31 +376,27 @@ impl Engine {
             slots: (0..len).map(|_| OnceLock::new()).collect(),
             run,
         });
-        let threads = self.threads(jobs, len);
-        if threads == 1 {
-            job.drain();
-        } else {
-            let (retired, all_retired) = mpsc::channel();
-            for worker in &self.workers[..threads] {
-                let assignment = Assignment {
-                    job: Arc::clone(&job) as Arc<dyn Drain>,
-                    _retired: retired.clone(),
-                };
-                worker
-                    .assignments
-                    .as_ref()
-                    .expect("pool is alive while the engine exists")
-                    .send(assignment)
-                    .expect("engine worker thread is alive");
-            }
-            drop(retired);
-            // Nothing is ever sent: the receive returns once the last
-            // worker has dropped its sender.
-            let _ = all_retired.recv();
+        let (retired, all_retired) = mpsc::channel();
+        for worker in &self.pooled[..self.threads(jobs, len) - 1] {
+            let assignment = Assignment {
+                job: Arc::clone(&job) as Arc<dyn Drain>,
+                _retired: retired.clone(),
+            };
+            worker
+                .assignments
+                .as_ref()
+                .expect("pool is alive while the engine exists")
+                .send(assignment)
+                .expect("engine worker thread is alive");
         }
+        drop(retired);
+        job.drain();
+        // Nothing is ever sent: the receive returns once the last pooled
+        // drainer has dropped its sender, at once when none was sent one.
+        let _ = all_retired.recv();
         let job = Arc::try_unwrap(job)
             .ok()
-            .expect("every worker released the job before retiring");
+            .expect("every drainer released the job before retiring");
         let mut results = Vec::with_capacity(len);
         results.extend(
             job.slots
@@ -414,28 +407,28 @@ impl Engine {
     }
 }
 
-/// The cache counters of an expanded suite: one miss per distinct key, one
+/// The cache counters of a solved suite: one miss per distinct key, one
 /// hit per repeated one — what every run with the cache on reports.
-fn distinct_key_counters(items: &[WorkItem]) -> CacheStats {
-    let mut distinct = HashSet::with_capacity(items.len());
-    let misses = items
+fn distinct_key_counters(solved: &[(CacheKey, PointOutcome)]) -> CacheStats {
+    let mut distinct = HashSet::with_capacity(solved.len());
+    let misses = solved
         .iter()
-        .filter(|item| distinct.insert(item.key()))
+        .filter(|(key, _)| distinct.insert(*key))
         .count() as u64;
     CacheStats {
-        hits: items.len() as u64 - misses,
+        hits: solved.len() as u64 - misses,
         misses,
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Closing the assignment channels wakes every parked worker into a
+        // Closing the assignment channels wakes every parked thread into a
         // clean exit; then join so no thread outlives the pool.
-        for worker in &mut self.workers {
+        for worker in &mut self.pooled {
             worker.assignments.take();
         }
-        for worker in &mut self.workers {
+        for worker in &mut self.pooled {
             if let Some(thread) = worker.thread.take() {
                 let _ = thread.join();
             }
@@ -453,6 +446,7 @@ mod tests {
     use crate::suites::smoke_suite;
     use crate::SuiteReport;
     use bbs_taskgraph::presets::PresetSpec;
+    use std::sync::Mutex;
     use std::thread::ThreadId;
 
     fn pc_sweep_scenario(name: &str) -> Scenario {
@@ -473,12 +467,16 @@ mod tests {
             for jobs in [1usize, 2, 16] {
                 let runs: Arc<Vec<AtomicUsize>> =
                     Arc::new((0..len).map(|_| AtomicUsize::new(0)).collect());
-                let threads: Arc<std::sync::Mutex<HashSet<ThreadId>>> = Arc::default();
+                let threads: Arc<Mutex<HashMap<ThreadId, Option<String>>>> = Arc::default();
                 let results = engine.run_job(jobs, len, {
                     let (runs, threads) = (Arc::clone(&runs), Arc::clone(&threads));
                     move |index| {
                         runs[index].fetch_add(1, Ordering::Relaxed);
-                        threads.lock().unwrap().insert(std::thread::current().id());
+                        let thread = std::thread::current();
+                        threads
+                            .lock()
+                            .unwrap()
+                            .insert(thread.id(), thread.name().map(str::to_string));
                         index * 10
                     }
                 });
@@ -492,17 +490,26 @@ mod tests {
                     "len={len} jobs={jobs}: an index ran other than once"
                 );
                 let threads = threads.lock().unwrap();
-                if engine.threads(jobs, len) == 1 {
+                let useful = engine.threads(jobs, len);
+                if useful == 1 {
                     assert!(
-                        threads.iter().all(|&thread| thread == caller),
+                        threads.keys().all(|&thread| thread == caller),
                         "len={len} jobs={jobs}: one useful thread drains on the caller"
                     );
                 } else {
                     assert!(
-                        !threads.contains(&caller),
-                        "len={len} jobs={jobs}: the caller only waits for the pool"
+                        threads.iter().all(|(&thread, name)| thread == caller
+                            || name
+                                .as_deref()
+                                .is_some_and(|name| name.starts_with("bbs-engine-"))),
+                        "len={len} jobs={jobs}: only the caller and pooled threads drain"
                     );
                 }
+                assert!(
+                    threads.len() <= useful,
+                    "len={len} jobs={jobs}: {} threads ran items, {useful} useful",
+                    threads.len()
+                );
             }
         }
     }
@@ -516,20 +523,18 @@ mod tests {
         );
         for jobs in [1usize, 2, 16] {
             let settings = RunSettings::with_jobs(jobs);
-            let planned = plan(&suite, &settings).unwrap();
-            let items = engine.expand(planned.expansion, jobs);
-            let len = items.len();
+            let plan = Arc::new(plan(&suite, &settings).unwrap());
+            let len = plan.points();
             let job = SolveJob {
-                items,
+                plan,
                 cache: Arc::new(SolveCache::new()),
                 settings,
-                fault_target: None,
                 cancel: CancelToken::new(),
                 caught_panics: Arc::default(),
             };
             // Item 0 fires the token once it has solved.
             let points = engine.run_job(jobs, len, move |index| {
-                let outcome = job.run(index);
+                let (_, outcome) = job.run(index);
                 if index == 0 {
                     job.cancel.cancel();
                 }
@@ -742,9 +747,11 @@ mod tests {
 
     #[test]
     fn pooled_panic_injection_is_a_per_point_error_and_the_pool_survives() {
-        let engine = Engine::new(16);
         let suite = Suite::new("faulted", vec![pc_sweep_scenario("a")]);
-        for jobs in [1usize, 2, 16] {
+        // `Engine::new(1)` has no pooled thread: its caller drains alone.
+        let (alone, pooled) = (Engine::new(1), Engine::new(16));
+        for (engine, jobs) in [(&alone, 2usize), (&pooled, 1), (&pooled, 2), (&pooled, 16)] {
+            let context = format!("workers={} jobs={jobs}", engine.workers());
             let settings = RunSettings {
                 jobs,
                 fault: Some(SolveFault {
@@ -755,16 +762,16 @@ mod tests {
                 ..RunSettings::default()
             };
             let outcome = engine.run_suite(&suite, &settings).unwrap();
-            assert_eq!(outcome.executor.caught_panics, 1, "jobs={jobs}");
+            assert_eq!(outcome.executor.caught_panics, 1, "{context}");
             let failures = outcome.unexpected_failures();
-            assert_eq!(failures.len(), 1, "jobs={jobs}");
-            assert_eq!(failures[0].1, Some(3), "jobs={jobs}");
+            assert_eq!(failures.len(), 1, "{context}");
+            assert_eq!(failures[0].1, Some(3), "{context}");
             // The same pool keeps working after catching a panic.
             let healthy = engine
                 .run_suite(&smoke_suite(), &RunSettings::with_jobs(jobs))
                 .unwrap();
-            assert!(healthy.unexpected_failures().is_empty(), "jobs={jobs}");
-            assert_eq!(healthy.executor.caught_panics, 0, "jobs={jobs}");
+            assert!(healthy.unexpected_failures().is_empty(), "{context}");
+            assert_eq!(healthy.executor.caught_panics, 0, "{context}");
         }
     }
 

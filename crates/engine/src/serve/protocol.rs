@@ -513,7 +513,10 @@ pub struct QueueStats {
 /// Counters of the shared engine pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Persistent worker threads in the shared pool.
+    /// Threads that drain each submission's jobs ([`Engine::workers`]):
+    /// the dispatcher plus the pooled threads.
+    ///
+    /// [`Engine::workers`]: crate::Engine::workers
     pub workers: u64,
 }
 

@@ -5,9 +5,10 @@
 //! thread per connection. All submissions — no matter how many clients —
 //! funnel through the bounded [`SubmissionQueue`] into **one**
 //! [`Engine`], sharing one [`SolveCache`] (optionally backed by one
-//! [`SolveStore`]). The dispatcher is deliberately serial: the engine's
-//! worker pool provides the parallelism *within* a submission, and serial
-//! dispatch keeps the fairness order the queue computed.
+//! [`SolveStore`]). The dispatcher is deliberately serial: it drains each
+//! submission's jobs itself, alongside the engine's pooled threads, which
+//! provide the parallelism *within* a submission, and serial dispatch keeps
+//! the fairness order the queue computed.
 
 use std::collections::HashMap;
 use std::io;
@@ -33,7 +34,8 @@ use crate::store::SolveStore;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads of the shared engine pool.
+    /// Threads that drain each submission's jobs: the dispatcher thread
+    /// plus `workers − 1` pooled engine threads.
     pub workers: usize,
     /// Admission-control capacity of the submission queue
     /// (queued + in-flight).
@@ -154,16 +156,17 @@ impl ServiceState {
             .remove(&ticket);
     }
 
-    /// Fires the cancel token registered under `ticket`, from any session.
-    /// `false` when no such submission is in flight.
-    pub(crate) fn cancel_ticket(&self, ticket: u64) -> bool {
+    /// Fires the cancel token registered under `ticket`, from any session,
+    /// and returns the reply that answers the request: `cancelled`, or an
+    /// error when no such submission is in flight.
+    pub(crate) fn cancel_ticket(&self, ticket: u64) -> Reply {
         let registry = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         match registry.get(&ticket) {
             Some(token) => {
                 token.cancel();
-                true
+                Reply::cancelled(ticket, "cancellation requested")
             }
-            None => false,
+            None => Reply::error(&format!("no active submission with ticket {ticket}")),
         }
     }
 

@@ -97,7 +97,13 @@ pub(crate) fn handle_connection(mut stream: TcpStream, state: Arc<ServiceState>)
         };
         let keep_going = match request.kind.as_str() {
             "run" => handle_run(&mut stream, &state, client_id, request),
-            "cancel" => handle_cancel(&mut stream, &state, &request),
+            "cancel" => {
+                let reply = match request.ticket {
+                    Some(ticket) => state.cancel_ticket(ticket),
+                    None => Reply::error("cancel needs a ticket"),
+                };
+                send_reply_faulted(&mut stream, &state, &reply).is_ok()
+            }
             "stats" => {
                 send_reply_faulted(&mut stream, &state, &Reply::stats(state.snapshot())).is_ok()
             }
@@ -228,15 +234,8 @@ fn handle_midrun_frame(
                 cancel_reason.get_or_insert_with(|| "cancelled by request".to_string());
                 // The pending run reply arrives as the `cancelled` frame —
                 // that is the acknowledgement.
-            } else if state.cancel_ticket(target) {
-                let _ = send_reply_faulted(
-                    stream,
-                    state,
-                    &Reply::cancelled(target, "cancellation requested"),
-                );
             } else {
-                let reply = Reply::error(&format!("no active submission with ticket {target}"));
-                let _ = send_reply_faulted(stream, state, &reply);
+                let _ = send_reply_faulted(stream, state, &state.cancel_ticket(target));
             }
         }
         other => {
@@ -246,22 +245,6 @@ fn handle_midrun_frame(
             let _ = send_reply_faulted(stream, state, &reply);
         }
     }
-}
-
-/// Handles one `"cancel"` request on an otherwise idle session: fires the
-/// token of the in-flight submission with that ticket, on whatever
-/// session it lives.
-fn handle_cancel(stream: &mut TcpStream, state: &ServiceState, request: &Request) -> bool {
-    let Some(ticket) = request.ticket else {
-        let reply = Reply::error("cancel needs a ticket");
-        return send_reply_faulted(stream, state, &reply).is_ok();
-    };
-    let reply = if state.cancel_ticket(ticket) {
-        Reply::cancelled(ticket, "cancellation requested")
-    } else {
-        Reply::error(&format!("no active submission with ticket {ticket}"))
-    };
-    send_reply_faulted(stream, state, &reply).is_ok()
 }
 
 /// Handles one `"run"` request end to end; returns `false` when the

@@ -417,30 +417,20 @@ impl SolveStore {
         stats
     }
 
-    /// Looks `key` up in the persistent tiers; `configuration` must be the
-    /// configuration the key was built from (it rebuilds the mapping
-    /// without re-parsing the key's canonical JSON). Reads the directory
-    /// first, then the remote; a remote hit is written back into the
-    /// directory. Returns `None` — after bumping the fresh-solve counter —
-    /// when no tier holds a usable entry.
+    /// Looks `key` up in the persistent tiers. Reads the directory first,
+    /// then the remote; a remote hit is written back into the directory.
+    /// Returns `None` — after bumping the fresh-solve counter — when no tier
+    /// holds a usable entry. An unreadable local container counts as
+    /// rejected; a remote transport error does not (a broken peer is
+    /// expected degradation, not a corrupt entry).
+    ///
+    /// A hit is rebuilt against `configuration` instead of re-parsing the
+    /// key's canonical JSON. Decoding reads only its task and buffer
+    /// structure, budget granularity and initial tokens, never a capacity
+    /// cap, so any configuration that shares those with the one the key was
+    /// built from serves: the uncapped base of a capped sweep point
+    /// included, which is what [`SolveCache`](crate::SolveCache) passes.
     pub fn load(
-        &self,
-        key: &CanonicalKey,
-        configuration: &Configuration,
-    ) -> Option<Result<Mapping, MappingError>> {
-        debug_assert_eq!(
-            key.configuration,
-            configuration.canonical_json(),
-            "load() must receive the configuration its key was built from"
-        );
-        self.try_load(key, configuration)
-    }
-
-    /// [`load`](Self::load) without the matching-configuration debug
-    /// assertion — the tier walk itself. An unreadable local container
-    /// counts as rejected; a remote transport error does not (a broken
-    /// peer is expected degradation, not a corrupt entry).
-    fn try_load(
         &self,
         key: &CanonicalKey,
         configuration: &Configuration,
@@ -1021,6 +1011,46 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_point_decodes_bit_for_bit_against_its_uncapped_base() {
+        // The cache hands the store a sweep point's shared base, never the
+        // capped clone: decoding reads no cap, so the hit must equal the
+        // fresh solve of the capped point exactly.
+        let directory = TempDir::new("capped-base");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let base = producer_consumer(PaperParameters::default(), None);
+        let capped = with_capacity_cap(&base, 2);
+        let options = SolveOptions::default().prefer_budget_minimisation();
+        let key = CanonicalKey::from_parts(&capped, &options, "joint");
+        let fresh = compute_mapping(&capped, &options).unwrap();
+        store.save(&key, &Ok(fresh.clone()));
+        let loaded = store.load(&key, &base).expect("entry persisted").unwrap();
+        let raw_bits = |mapping: &Mapping| {
+            let budgets: Vec<u64> = base
+                .all_tasks()
+                .iter()
+                .map(|&task| mapping.raw_budget(task).to_bits())
+                .collect();
+            let space: Vec<u64> = base
+                .all_buffers()
+                .iter()
+                .map(|&buffer| mapping.raw_space(buffer).to_bits())
+                .collect();
+            (budgets, space, mapping.objective().to_bits())
+        };
+        assert_eq!(raw_bits(&loaded), raw_bits(&fresh));
+        assert_eq!(loaded.solver_iterations(), fresh.solver_iterations());
+        assert_eq!(
+            loaded.budgets().collect::<Vec<_>>(),
+            fresh.budgets().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            loaded.capacities().collect::<Vec<_>>(),
+            fresh.capacities().collect::<Vec<_>>()
+        );
+        assert_eq!(store.stats().disk_hits, 1);
+    }
+
+    #[test]
     fn missing_entry_is_a_fresh_solve_not_a_rejection() {
         let directory = TempDir::new("missing");
         let store = SolveStore::open(directory.path()).unwrap();
@@ -1107,17 +1137,14 @@ mod tests {
         let (configuration, key, result) = solved();
         store.save(&key, &result);
         // Simulate a 64-bit hash collision: a different canonical key whose
-        // entry file happens to be the one we just wrote. (`try_load`
-        // directly: `load`'s debug assertion — correctly — refuses a key
-        // that does not match its configuration, and no real Configuration
-        // can produce this synthetic canonical JSON.)
+        // entry file happens to be the one we just wrote.
         let mut colliding = key.clone();
         colliding.configuration.push(' ');
         let collision_path = entry_path(directory.path(), &colliding);
         fs::create_dir_all(collision_path.parent().unwrap()).unwrap();
         fs::copy(entry_path(directory.path(), &key), &collision_path).unwrap();
         assert!(
-            store.try_load(&colliding, &configuration).is_none(),
+            store.load(&colliding, &configuration).is_none(),
             "collision must miss"
         );
         assert_eq!(store.stats().rejected, 1);

@@ -11,8 +11,10 @@ use bbs_engine::{
     Suite, SuiteReport, SweepSpec, ValidationReport, WorkloadSpec,
 };
 use bbs_taskgraph::presets::PresetSpec;
+use bbs_taskgraph::ConfigView;
 use budget_buffer::{compute_mapping, with_capacity_cap, SolveOptions};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn report_json(suite: &Suite, settings: &RunSettings) -> String {
     let outcome = run_suite(suite, settings).expect("suite runs");
@@ -186,7 +188,8 @@ proptest! {
         storage_weight in 1e-3f64..1.0,
     ) {
         let spec = PresetSpec::named("chain").with_tasks(tasks);
-        let configuration = with_capacity_cap(&spec.build().unwrap(), cap);
+        let view = ConfigView::with_capacity_cap(Arc::new(spec.build().unwrap()), cap);
+        let configuration = with_capacity_cap(view.base(), cap);
         let mut options = SolveOptions::default().prefer_budget_minimisation();
         options.storage_weight_scale = storage_weight;
 
@@ -194,9 +197,9 @@ proptest! {
         let key = CacheKey::new(&configuration, &options, "joint");
         let canonical = || panic!("no disk tier: the canonical key must stay unmaterialised");
         let (first, source_first) =
-            cache.solve_with(key, &configuration, canonical, || compute_mapping(&configuration, &options));
+            cache.solve_with(key, &view, canonical, || compute_mapping(&configuration, &options));
         let (hit_result, source_second) =
-            cache.solve_with(key, &configuration, canonical, || panic!("second lookup must not solve"));
+            cache.solve_with(key, &view, canonical, || panic!("second lookup must not solve"));
         let fresh = compute_mapping(&configuration, &options);
 
         prop_assert!(!source_first.is_hit());

@@ -1,13 +1,15 @@
-//! Proof that suite expansion performs O(scenarios), not O(points), heap
-//! allocations, via a counting global allocator.
+//! Proof that minting a suite's work items performs O(scenarios), not
+//! O(points), heap allocations, via a counting global allocator.
 //!
-//! This is the acceptance test for the copy-on-write expansion redesign:
+//! This is the acceptance test for the copy-on-write work-item design:
 //! minting a sweep point's work item — a `ConfigView` over the scenario's
 //! shared base plus a pre-derived streaming cache key — must not allocate
-//! at all, so expanding a sweep costs a fixed handful of per-scenario
+//! at all. A run mints each point inside its solve job; `Engine::expand_suite`
+//! mints every point through the same call without solving, so it measures
+//! minting on its own: a fixed handful of per-suite and per-scenario
 //! allocations (workload resolution, the cap list, the hoisted key seed,
-//! one reserved item vector) no matter how many points it has. The old
-//! scheme cloned the full configuration once per point.
+//! the job's result slots) no matter how many points the sweep has. The
+//! old scheme cloned the full configuration once per point.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a lone test keeps the harness from running anything
@@ -66,9 +68,9 @@ fn sweep_suite(points: u64) -> Suite {
 
 #[test]
 fn expansion_allocations_do_not_scale_with_point_count() {
-    // Serial settings: one useful thread drains the expansion on the
-    // calling thread, so no worker machinery is charged to the measurement.
-    // The engine is built outside the measured regions.
+    // Serial settings: one useful thread mints every item on the calling
+    // thread, so no pooled thread is charged to the measurement. The engine
+    // is built outside the measured regions.
     let engine = Engine::new(1);
     let settings = RunSettings::default();
     let small = sweep_suite(100);

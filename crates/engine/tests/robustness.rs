@@ -9,8 +9,10 @@
 use bbs_engine::serve::{read_reply, send_request, FaultPlan, Reply, Request, ServeConfig, Server};
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{
-    run_suite, CancelToken, Engine, EngineError, RunSettings, SolveCache, SuiteReport,
+    run_suite, CancelToken, Engine, EngineError, RunSettings, Scenario, SolveCache, Suite,
+    SuiteReport, WorkloadSpec,
 };
+use bbs_taskgraph::presets::PresetSpec;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -252,6 +254,75 @@ fn a_second_session_can_cancel_a_run_by_ticket() {
             .queue
             .as_ref()
             .is_some_and(|q| q.completed == 1 && q.cancelled == 1)
+    });
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_session_with_a_run_in_flight_can_cancel_another_ticket() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        faults: stall_plan(1500),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    // A finished ticket: a suite the stall does not address runs through.
+    let mut victim = TcpStream::connect(addr).unwrap();
+    let quick = Suite::new(
+        "quick",
+        vec![Scenario::new(
+            "pc",
+            WorkloadSpec::preset(PresetSpec::named("producer-consumer")),
+        )],
+    );
+    send_request(&mut victim, &Request::run_suite(quick, 1)).unwrap();
+    let stale = read_reply(&mut victim).unwrap().unwrap().ticket.unwrap();
+    assert_eq!(read_reply(&mut victim).unwrap().unwrap().kind, "report");
+
+    // The canceller's own stalled run is in flight, and the victim's run
+    // queues behind it.
+    let mut canceller = TcpStream::connect(addr).unwrap();
+    send_request(&mut canceller, &Request::run_builtin("smoke", 1)).unwrap();
+    assert_eq!(
+        read_reply(&mut canceller).unwrap().unwrap().kind,
+        "accepted"
+    );
+    send_request(&mut victim, &Request::run_builtin("smoke", 1)).unwrap();
+    let accepted = read_reply(&mut victim).unwrap().unwrap();
+    assert_eq!(accepted.kind, "accepted");
+    let ticket = accepted.ticket.unwrap();
+
+    // Mid-run, the canceller fires the victim's ticket and gets the
+    // acknowledgement an idle session gets; a stale ticket is an error.
+    send_request(&mut canceller, &Request::cancel(ticket)).unwrap();
+    let ack = read_reply(&mut canceller).unwrap().unwrap();
+    assert_eq!(ack.kind, "cancelled", "unexpected ack: {ack:?}");
+    assert_eq!(ack.ticket, Some(ticket));
+    assert_eq!(ack.message.as_deref(), Some("cancellation requested"));
+    send_request(&mut canceller, &Request::cancel(stale)).unwrap();
+    let error = read_reply(&mut canceller).unwrap().unwrap();
+    assert_eq!(error.kind, "error", "unexpected reply: {error:?}");
+    assert_eq!(
+        error.message,
+        Some(format!("no active submission with ticket {stale}"))
+    );
+
+    // The canceller's own run still ends in its byte-exact report, and the
+    // victim's in `cancelled`.
+    let reply = read_reply(&mut canceller).unwrap().unwrap();
+    assert_eq!(reply.kind, "report", "unexpected reply: {reply:?}");
+    assert_eq!(reply.report.expect("report text"), local_smoke_report());
+    let reply = read_reply(&mut victim).unwrap().unwrap();
+    assert_eq!(reply.kind, "cancelled", "unexpected reply: {reply:?}");
+    assert_eq!(reply.ticket, Some(ticket));
+    wait_for(&server, "the three drains", |stats| {
+        stats
+            .queue
+            .as_ref()
+            .is_some_and(|q| q.completed == 3 && q.cancelled == 1)
     });
     server.shutdown();
     server.wait();
