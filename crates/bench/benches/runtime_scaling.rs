@@ -6,9 +6,15 @@
 //! of increasing size so the scaling trend can be inspected directly
 //! (`figures -- runtime` prints a table of the same data). Beyond the
 //! paper-plus sizes it also times the same recipe at 48 and 96 tasks.
+//!
+//! The `lowering` group times one layer of that solve on its own:
+//! `ModelBuilder::build`, which lowers the recipe's formulation at 24 and
+//! 96 tasks to the standard conic form the interior-point method reads.
 
 use bbs_bench::{paper_options, runtime_workload, runtime_workloads};
 use budget_buffer::compute_mapping;
+use budget_buffer::formulation::Formulation;
+use budget_buffer::model::DataflowModel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -29,5 +35,22 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_runtime_scaling);
+fn bench_lowering(c: &mut Criterion) {
+    let options = paper_options();
+    let mut group = c.benchmark_group("lowering");
+    for (name, configuration) in [24, 96].map(runtime_workload) {
+        let model = DataflowModel::build(&configuration);
+        let formulation = Formulation::build(&configuration, &model, &options).unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(name),
+            &formulation.builder,
+            |b, builder| {
+                b.iter(|| black_box(builder).build().unwrap());
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_runtime_scaling, bench_lowering);
 criterion_main!(benches);

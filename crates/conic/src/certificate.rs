@@ -1,9 +1,11 @@
 //! An independent check of what the interior-point method decided.
 //!
 //! [`check_certificate`] recomputes, from the problem data alone, the
-//! quantities a [`RawSolution`]'s status rests on. It works in plain `f64`
-//! loops over the dense `G` and shares no code with the solver: not its
-//! sparse products, not its cone arithmetic. A claim passes when it holds
+//! quantities a [`RawSolution`]'s status rests on. It forms `Gx` and `Gᵀz`
+//! with the compressed-row products of `bbs-linalg`, which that crate's
+//! tests pin bit for bit to dense products, and otherwise works in plain
+//! `f64` loops that share no code with the solver: not its KKT system, not
+//! its cone arithmetic. A claim passes when it holds
 //! at the IPM's loosest exit, `1e3` times the settings' tolerances for an
 //! optimum, and at `tol_infeasibility` for a certificate of infeasibility.
 
@@ -91,13 +93,9 @@ pub fn check_certificate(
     if c.len() != n || h.len() != m || x.len() != n || s.len() != m || z.len() != m {
         return Err(CertificateError::Dimensions);
     }
-    let g_x: Vec<f64> = (0..m).map(|r| dot(problem.g.row(r), x)).collect();
+    let g_x = problem.g.matvec(&solution.x);
     let mut gt_z = vec![0.0; n];
-    for (r, &zr) in z.iter().enumerate() {
-        for (out, g) in gt_z.iter_mut().zip(problem.g.row(r)) {
-            *out += g * zr;
-        }
-    }
+    problem.g.add_matvec_transpose(z, &mut gt_z);
     match solution.status {
         SolveStatus::Optimal => {
             in_cone(problem, s, "cone margin of s")?;

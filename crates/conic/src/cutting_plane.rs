@@ -86,7 +86,7 @@ pub fn solve_with_cutting_planes(
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        let solution = working.clone().build()?.solve(ipm)?;
+        let solution = working.build()?.solve(ipm)?;
         if !solution.status().is_optimal() {
             // Either the relaxation is already infeasible (adding cuts can
             // only make it more so) or the LP could not be solved reliably;

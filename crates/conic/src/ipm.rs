@@ -27,6 +27,11 @@
 //! factored by a sparse LDLᵀ whose symbolic analysis is computed once per
 //! solve, and refined against the exact system (see the `kkt` module).
 //!
+//! G arrives in the compressed rows the lowering wrote, and every product
+//! reads that one copy: the residuals, the KKT pattern and the
+//! least-squares start, which forms the dense `GᵀG` from G's rows and
+//! factors it by a dense Cholesky.
+//!
 //! The factor eliminates in the exact minimum-degree order of the KKT
 //! pattern. The order depends on the pattern alone, so a solve rounds the
 //! same way on every machine; a change to the order or to the refinement
@@ -37,7 +42,7 @@ use crate::error::{ConicError, SolveStatus};
 use crate::kkt::KktSystem;
 use crate::problem::ConeProblem;
 use crate::scaling::NtScaling;
-use bbs_linalg::{Cholesky, CsrMatrix, DVector};
+use bbs_linalg::{Cholesky, DVector};
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the interior-point method.
@@ -163,7 +168,7 @@ pub fn solve_cone_problem(
     let c = &problem.c;
     let degree = cone.degree().max(1) as f64;
     let e = cone.identity();
-    let g = &CsrMatrix::from_dense(&problem.g);
+    let g = &problem.g;
     let mut kkt = KktSystem::new(g, cone, settings.regularization);
 
     // --- Initialisation (CVXOPT-style least-squares start) -----------------
@@ -171,7 +176,7 @@ pub fn solve_cone_problem(
     let mut s;
     let mut z;
     {
-        let mut gtg = problem.g.transpose().matmul(&problem.g);
+        let mut gtg = g.gram();
         let reg = settings.regularization.max(1e-12) * (1.0 + gtg.norm_inf());
         gtg.add_diagonal(reg);
         let chol =
@@ -475,10 +480,10 @@ mod tests {
 
     #[test]
     fn empty_constraint_set() {
-        use bbs_linalg::{DMatrix, DVector};
+        use bbs_linalg::{CsrMatrix, DVector};
         let p = ConeProblem {
             c: DVector::zeros(2),
-            g: DMatrix::zeros(0, 2),
+            g: CsrMatrix::from_parts(0, 2, vec![0], vec![], vec![]),
             h: DVector::zeros(0),
             cone: Cone::new(vec![]),
         };
@@ -486,7 +491,7 @@ mod tests {
         assert!(sol.is_optimal());
         let p_unbounded = ConeProblem {
             c: DVector::from_slice(&[1.0, 0.0]),
-            g: DMatrix::zeros(0, 2),
+            g: CsrMatrix::from_parts(0, 2, vec![0], vec![], vec![]),
             h: DVector::zeros(0),
             cone: Cone::new(vec![]),
         };

@@ -11,10 +11,11 @@
 //! `[ δI  Gᵀ ; G  −W² − δI ]` with a sparse LDLᵀ and refining against the
 //! exact one. [`SparseLdlt`] eliminates in the exact minimum-degree order of
 //! the pattern, which depends on the pattern alone. The pattern is fixed per
-//! problem: G's nonzeros, one diagonal entry per orthant row, and a dense
-//! lower triangle per second-order cone block of `W²`. [`KktSystem::new`]
-//! builds it and the symbolic analysis once; [`KktSystem::factor`] rewrites
-//! the values and refactors in place.
+//! problem: G's stored entries, one diagonal entry per orthant row, and a
+//! dense lower triangle per second-order cone block of `W²`.
+//! [`KktSystem::new`] builds it from the problem's own compressed-row G,
+//! which the system borrows, and runs the symbolic analysis once;
+//! [`KktSystem::factor`] rewrites the values and refactors in place.
 //!
 //! Three refinement steps always run. Near an infeasibility certificate the
 //! system is so ill-conditioned that they can leave a residual large enough
@@ -82,7 +83,7 @@ impl<'a> KktSystem<'a> {
         for (off, block) in cone.iter_offsets() {
             for a in 0..block.dim() {
                 let q = off + a;
-                cols.extend_from_slice(g.row(q).0);
+                cols.extend_from_slice(g.row_entries(q).0);
                 match block {
                     ConeBlock::NonNeg(_) => cols.push(n + q),
                     ConeBlock::Soc(_) => cols.extend((0..=a).map(|b| n + off + b)),
@@ -92,7 +93,7 @@ impl<'a> KktSystem<'a> {
         }
         let mut values = vec![0.0; cols.len()];
         for q in 0..m {
-            let (_, g_row) = g.row(q);
+            let g_row = g.row(q);
             let start = row_ptr[n + q];
             values[start..start + g_row.len()].copy_from_slice(g_row);
         }
@@ -185,7 +186,7 @@ impl<'a> KktSystem<'a> {
             let nb = block.dim();
             for a in 0..nb {
                 let q = off + a;
-                let (cols, vals) = self.g.row(q);
+                let (cols, vals) = self.g.row_entries(q);
                 let mut acc = 0.0;
                 for (&c, g) in cols.iter().zip(vals) {
                     acc += g * vx[c];
@@ -315,6 +316,21 @@ mod tests {
         (exact, shifted)
     }
 
+    /// `g`'s entries that are not `0.0`, in compressed rows.
+    fn compressed(g: &DMatrix) -> CsrMatrix {
+        let (mut row_ptr, mut cols, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..g.nrows() {
+            for (c, &v) in g.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    cols.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(cols.len());
+        }
+        CsrMatrix::from_parts(g.nrows(), g.ncols(), row_ptr, cols, values)
+    }
+
     /// `‖K x − b‖∞ / (1 + ‖b‖∞)`.
     fn relative_residual(k: &DMatrix, x: &DVector, b: &DVector) -> f64 {
         (&k.matvec(x) - b).norm_inf() / (1.0 + b.norm_inf())
@@ -361,7 +377,7 @@ mod tests {
                 }
             }
             let scaling = NtScaling::compute(&cone, &s, &z).unwrap();
-            let sparse_g = CsrMatrix::from_dense(&g);
+            let sparse_g = compressed(&g);
             let mut kkt = KktSystem::new(&sparse_g, &cone, 1e-10);
             kkt.factor(&scaling, 0).unwrap();
             let (exact, _) = dense_kkt(&g, &cone, &kkt.w_squared, 0.0);
@@ -384,7 +400,7 @@ mod tests {
         let s = DVector::from_slice(&[1.0, 4.0]);
         let z = DVector::from_slice(&[1.0, 1.0]);
         let scaling = NtScaling::compute(&cone, &s, &z).unwrap();
-        let sparse_g = CsrMatrix::from_dense(&g);
+        let sparse_g = compressed(&g);
         let mut kkt = KktSystem::new(&sparse_g, &cone, 0.0);
         kkt.factor(&scaling, 3).unwrap();
         // W² = diag(4, 1) here, so ‖K‖∞ = 4.
@@ -405,7 +421,7 @@ mod tests {
         // three steps leave it far above the tolerance.
         let cone = Cone::new(vec![ConeBlock::NonNeg(1)]);
         let g = DMatrix::from_rows(&[&[1.0]]);
-        let sparse_g = CsrMatrix::from_dense(&g);
+        let sparse_g = compressed(&g);
         let mut kkt = KktSystem::new(&sparse_g, &cone, 0.025);
         kkt.factor(&unit_scaling(&cone), 0).unwrap();
         let (exact, _) = dense_kkt(&g, &cone, &kkt.w_squared, 0.0);

@@ -3,7 +3,7 @@
 
 use crate::cone::{Cone, ConeBlock};
 use crate::error::ConicError;
-use bbs_linalg::{DMatrix, DVector};
+use bbs_linalg::{CsrMatrix, DVector};
 use std::fmt;
 
 /// Handle to a decision variable created by a [`ModelBuilder`].
@@ -101,8 +101,8 @@ impl LinExpr {
 pub struct ConeProblem {
     /// Objective vector `c`.
     pub c: DVector,
-    /// Constraint matrix `G`.
-    pub g: DMatrix,
+    /// Constraint matrix `G`, in compressed rows.
+    pub g: CsrMatrix,
     /// Right-hand side `h`.
     pub h: DVector,
     /// Cone `K` (row blocks of `G`).
@@ -140,7 +140,8 @@ impl ConeProblem {
                 cone_dim: self.cone.dim(),
             });
         }
-        if !self.c.is_finite() || !self.h.is_finite() || !self.g.is_finite() {
+        let g_finite = (0..self.g.nrows()).all(|r| self.g.row(r).iter().all(|v| v.is_finite()));
+        if !self.c.is_finite() || !self.h.is_finite() || !g_finite {
             return Err(ConicError::NonFiniteData);
         }
         Ok(())
@@ -303,95 +304,123 @@ impl ModelBuilder {
         self.hyperbolics.clear();
     }
 
-    /// Lowers the model to standard conic form.
+    /// Lowers the model to standard conic form, writing `G` in compressed
+    /// rows.
     ///
     /// # Errors
     ///
     /// Returns an error when the generated data is dimensionally or
     /// numerically invalid (e.g. non-finite coefficients).
-    pub fn build(self) -> Result<Model, ConicError> {
-        let n = self.names.len();
-        // Count orthant rows: explicit ≤ rows plus bounds.
-        let num_bounds = self.lower.iter().flatten().count() + self.upper.iter().flatten().count();
+    pub fn build(&self) -> Result<Model, ConicError> {
+        // Orthant rows: explicit ≤ rows plus bounds.
+        let num_bounds = self.lower.iter().chain(&self.upper).flatten().count();
         let num_lin = self.le_rows.len() + num_bounds;
-        let soc_dims: Vec<usize> = self
-            .hyperbolics
+        let soc_rows = self
+            .socs
             .iter()
-            .map(|_| 3)
-            .chain(self.socs.iter().map(|s| s.norm_terms.len() + 1))
-            .collect();
-        let m = num_lin + soc_dims.iter().sum::<usize>();
-
-        let mut g = DMatrix::zeros(m, n);
-        let mut h = DVector::zeros(m);
-        let mut row = 0usize;
+            .flat_map(|s| std::iter::once(&s.bound).chain(&s.norm_terms));
+        let rows = num_lin + 3 * self.hyperbolics.len() + soc_rows.clone().count();
+        let exprs = self.le_rows.iter().chain(soc_rows);
+        let terms: usize = exprs.map(|e| e.terms.len()).sum();
+        // One update per bound and four per hyperbolic constraint.
+        let mut g = RowAssembly::new(rows, terms + num_bounds + 4 * self.hyperbolics.len());
+        let mut h = Vec::with_capacity(rows);
+        let mut blocks = vec![ConeBlock::NonNeg(num_lin)];
 
         // expr ≤ 0  ⇔  expr_terms·x + s = −constant, s ≥ 0.
         for expr in &self.le_rows {
-            for &(v, ccoef) in expr.terms() {
-                g[(row, v.0)] += ccoef;
-            }
-            h[row] = -expr.constant();
-            row += 1;
+            g.push_row(expr.terms.iter().map(|&(v, c)| (v.0, c)));
+            h.push(-expr.constant);
         }
-        // Lower bounds: x ≥ l ⇔ −x ≤ −l.
-        for (i, bound) in self.lower.iter().enumerate() {
-            if let Some(l) = bound {
-                g[(row, i)] = -1.0;
-                h[row] = -l;
-                row += 1;
-            }
-        }
-        // Upper bounds: x ≤ u.
-        for (i, bound) in self.upper.iter().enumerate() {
-            if let Some(u) = bound {
-                g[(row, i)] = 1.0;
-                h[row] = *u;
-                row += 1;
+        // Lower bounds x ≥ l as −x ≤ −l, then upper bounds x ≤ u.
+        for (bounds, sign) in [(&self.lower, -1.0), (&self.upper, 1.0)] {
+            for (i, bound) in bounds.iter().enumerate() {
+                if let Some(bound) = bound {
+                    g.push_row([(i, sign)]);
+                    h.push(sign * bound);
+                }
             }
         }
         // Hyperbolic constraints as 3-dimensional SOC blocks:
         // s = (x + y, x − y, 2√k) ∈ Q³.
         for &(x, y, k) in &self.hyperbolics {
-            g[(row, x.0)] -= 1.0;
-            g[(row, y.0)] -= 1.0;
-            h[row] = 0.0;
-            g[(row + 1, x.0)] -= 1.0;
-            g[(row + 1, y.0)] += 1.0;
-            h[row + 1] = 0.0;
-            h[row + 2] = 2.0 * k.sqrt();
-            row += 3;
+            g.push_row([(x.0, -1.0), (y.0, -1.0)]);
+            g.push_row([(x.0, -1.0), (y.0, 1.0)]);
+            g.push_row([]);
+            h.extend([0.0, 0.0, 2.0 * k.sqrt()]);
+            blocks.push(ConeBlock::Soc(3));
         }
         // General SOC constraints: s = (bound, norm_terms…) ∈ Q^{1+t}.
         for soc in &self.socs {
-            for &(v, ccoef) in soc.bound.terms() {
-                g[(row, v.0)] -= ccoef;
+            for expr in std::iter::once(&soc.bound).chain(&soc.norm_terms) {
+                g.push_row(expr.terms.iter().map(|&(v, c)| (v.0, -c)));
+                h.push(expr.constant);
             }
-            h[row] = soc.bound.constant();
-            row += 1;
-            for term in &soc.norm_terms {
-                for &(v, ccoef) in term.terms() {
-                    g[(row, v.0)] -= ccoef;
-                }
-                h[row] = term.constant();
-                row += 1;
-            }
+            blocks.push(ConeBlock::Soc(soc.norm_terms.len() + 1));
         }
-        debug_assert_eq!(row, m);
 
-        let mut blocks = vec![ConeBlock::NonNeg(num_lin)];
-        blocks.extend(soc_dims.into_iter().map(ConeBlock::Soc));
         let problem = ConeProblem {
-            c: DVector::from_vec(self.objective),
-            g,
-            h,
+            c: DVector::from_slice(&self.objective),
+            g: g.finish(self.names.len()),
+            h: DVector::from_vec(h),
             cone: Cone::new(blocks),
         };
         problem.validate()?;
-        Ok(Model {
-            problem,
-            names: self.names,
-        })
+        Ok(Model { problem })
+    }
+}
+
+/// `G` under assembly, row by row, into arrays sized once from a count of
+/// the lowering's terms.
+struct RowAssembly {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl RowAssembly {
+    fn new(rows: usize, terms: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            row_ptr,
+            col_idx: Vec::with_capacity(terms),
+            values: Vec::with_capacity(terms),
+        }
+    }
+
+    /// Appends a row of `(column, coefficient)` updates. A column's value is
+    /// its coefficients summed in the given order, so a `-=` update adds its
+    /// negated coefficient, and a column that sums to exactly `0.0` is not
+    /// stored. That is the dense lowering's value bit for bit: its `+0.0`
+    /// start can change only the sign of a zero sum.
+    fn push_row(&mut self, updates: impl IntoIterator<Item = (usize, f64)>) {
+        let start = self.col_idx.len();
+        for (col, coeff) in updates {
+            match self.col_idx[start..].binary_search(&col) {
+                Ok(p) => self.values[start + p] += coeff,
+                Err(p) => {
+                    self.col_idx.insert(start + p, col);
+                    self.values.insert(start + p, coeff);
+                }
+            }
+        }
+        let mut end = start;
+        for p in start..self.col_idx.len() {
+            if self.values[p] != 0.0 {
+                self.col_idx[end] = self.col_idx[p];
+                self.values[end] = self.values[p];
+                end += 1;
+            }
+        }
+        self.col_idx.truncate(end);
+        self.values.truncate(end);
+        self.row_ptr.push(end);
+    }
+
+    fn finish(self, cols: usize) -> CsrMatrix {
+        let rows = self.row_ptr.len() - 1;
+        CsrMatrix::from_parts(rows, cols, self.row_ptr, self.col_idx, self.values)
     }
 }
 
@@ -399,18 +428,12 @@ impl ModelBuilder {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     problem: ConeProblem,
-    names: Vec<String>,
 }
 
 impl Model {
     /// The underlying standard-form problem.
     pub fn problem(&self) -> &ConeProblem {
         &self.problem
-    }
-
-    /// Variable names in index order.
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 
     /// Solves the model with the interior-point method.
@@ -461,6 +484,143 @@ impl Solution {
 mod tests {
     use super::*;
     use crate::IpmSettings;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense reference lowering of `b`'s `G`, row by row: zero rows
+    /// with every update applied in place, `+=`, `-=` and `=` as written.
+    fn dense_lowering(b: &ModelBuilder) -> Vec<Vec<f64>> {
+        let rows = |e: &[LinExpr]| e.len();
+        let bounds = b.lower.iter().chain(&b.upper).flatten().count();
+        let socs: usize = b.socs.iter().map(|s| 1 + rows(&s.norm_terms)).sum();
+        let m = rows(&b.le_rows) + bounds + 3 * b.hyperbolics.len() + socs;
+        let mut g = vec![vec![0.0; b.num_vars()]; m];
+        let mut row = 0;
+        for expr in &b.le_rows {
+            for &(v, c) in expr.terms() {
+                g[row][v.0] += c;
+            }
+            row += 1;
+        }
+        for (bounds, sign) in [(&b.lower, -1.0), (&b.upper, 1.0)] {
+            for (i, bound) in bounds.iter().enumerate() {
+                if bound.is_some() {
+                    g[row][i] = sign;
+                    row += 1;
+                }
+            }
+        }
+        for &(x, y, _) in &b.hyperbolics {
+            g[row][x.0] -= 1.0;
+            g[row][y.0] -= 1.0;
+            g[row + 1][x.0] -= 1.0;
+            g[row + 1][y.0] += 1.0;
+            row += 3;
+        }
+        for soc in &b.socs {
+            for expr in std::iter::once(&soc.bound).chain(&soc.norm_terms) {
+                for &(v, c) in expr.terms() {
+                    g[row][v.0] -= c;
+                }
+                row += 1;
+            }
+        }
+        g
+    }
+
+    /// A random expression over `vars` that repeats variables and holds
+    /// zero coefficients, pairs that cancel to exactly `0.0` and sums that
+    /// cancel only up to rounding (`0.1 + 0.2 − 0.3`).
+    fn random_expr(rng: &mut SmallRng, vars: &[VarId]) -> LinExpr {
+        let mut e = LinExpr::constant_expr(rng.gen_range(-5.0..5.0));
+        for _ in 0..rng.gen_range(0..6usize) {
+            let v = vars[rng.gen_range(0..vars.len())];
+            let c = match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => [0.1, 0.2, -0.3][rng.gen_range(0..3usize)],
+                _ => rng.gen_range(-3.0..3.0),
+            };
+            e = e.plus(c, v);
+            if rng.gen_bool(0.3) {
+                e = e.plus(-c, v);
+            }
+        }
+        e
+    }
+
+    /// A random model with every constraint shape, hyperbolic constraints
+    /// on one variable twice included.
+    fn random_builder(rng: &mut SmallRng) -> (ModelBuilder, Vec<VarId>) {
+        let mut m = ModelBuilder::new();
+        let vars: Vec<VarId> = (0..rng.gen_range(1..6usize))
+            .map(|i| m.add_var_with_cost(format!("x{i}"), rng.gen_range(-2.0..2.0)))
+            .collect();
+        let pick = |rng: &mut SmallRng| vars[rng.gen_range(0..vars.len())];
+        for _ in 0..rng.gen_range(0..5usize) {
+            let e = random_expr(rng, &vars);
+            if rng.gen_bool(0.5) {
+                m.add_le(e, 1.0);
+            } else {
+                m.add_ge(e, -1.0);
+            }
+        }
+        for _ in 0..rng.gen_range(0..4usize) {
+            let v = pick(rng);
+            if rng.gen_bool(0.5) {
+                m.bound_lower(v, rng.gen_range(-2.0..0.0));
+            } else {
+                m.bound_upper(v, rng.gen_range(0.0..2.0));
+            }
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            let x = pick(rng);
+            let y = if rng.gen_bool(0.5) { x } else { pick(rng) };
+            m.add_hyperbolic(x, y, rng.gen_range(0.5..4.0));
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            let bound = random_expr(rng, &vars);
+            let norm_terms = (0..rng.gen_range(0..3usize))
+                .map(|_| random_expr(rng, &vars))
+                .collect();
+            m.add_soc(SocConstraint { bound, norm_terms });
+        }
+        (m, vars)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_lowering_stores_the_dense_lowering_without_zeros(seed in 0u64..100_000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (builder, vars) = random_builder(&mut rng);
+            let g = builder.build().unwrap().problem().g.clone();
+            let dense = dense_lowering(&builder);
+            prop_assert_eq!((g.nrows(), g.ncols()), (dense.len(), builder.num_vars()));
+            for (r, dense_row) in dense.iter().enumerate() {
+                let (cols, vals) = g.row_entries(r);
+                prop_assert!(vals.iter().all(|&v| v != 0.0), "row {} stores a zero", r);
+                let mut row = vec![0.0_f64; builder.num_vars()];
+                for (&c, &v) in cols.iter().zip(vals) {
+                    row[c] = v;
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&row), bits(dense_row));
+            }
+            // A non-finite coefficient, alone or summed with its negation
+            // into NaN, in an orthant row or a cone row, is still rejected.
+            let mut bad = builder.clone();
+            let c = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+            let e = random_expr(&mut rng, &vars).plus(c, vars[0]);
+            match rng.gen_range(0..3u32) {
+                0 => bad.add_le(e, 0.0),
+                1 => bad.add_ge(e.plus(-c, vars[0]), 0.0),
+                _ => bad.add_soc(SocConstraint { bound: LinExpr::new(), norm_terms: vec![e] }),
+            }
+            prop_assert!(matches!(bad.build(), Err(ConicError::NonFiniteData)));
+        }
+    }
 
     #[test]
     fn lin_expr_construction_and_eval() {
@@ -486,7 +646,6 @@ mod tests {
         m.set_objective(a, 4.0);
         let model = m.build().unwrap();
         assert_eq!(model.problem().c.as_slice(), &[4.0, 3.0]);
-        assert_eq!(model.names(), &["alpha".to_string(), "beta".to_string()]);
     }
 
     #[test]
@@ -535,7 +694,7 @@ mod tests {
     fn validate_catches_nonfinite() {
         let p = ConeProblem {
             c: DVector::from_slice(&[f64::NAN]),
-            g: DMatrix::zeros(1, 1),
+            g: CsrMatrix::from_parts(1, 1, vec![0, 0], vec![], vec![]),
             h: DVector::zeros(1),
             cone: Cone::new(vec![ConeBlock::NonNeg(1)]),
         };
@@ -546,7 +705,7 @@ mod tests {
     fn validate_catches_shape_mismatch() {
         let p = ConeProblem {
             c: DVector::zeros(2),
-            g: DMatrix::zeros(3, 1),
+            g: CsrMatrix::from_parts(3, 1, vec![0; 4], vec![], vec![]),
             h: DVector::zeros(3),
             cone: Cone::new(vec![ConeBlock::NonNeg(3)]),
         };

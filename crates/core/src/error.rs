@@ -42,11 +42,18 @@ pub enum MappingError {
         /// The number of initially filled containers.
         initial_tokens: u64,
     },
-    /// The optimiser reported the constraint system infeasible: no budget
-    /// and buffer assignment satisfies every throughput, processor-capacity,
-    /// memory-capacity and buffer-cap constraint simultaneously.
+    /// The optimiser ended without an optimum. This is not always a proof
+    /// of infeasibility: every non-optimal interior-point status lands
+    /// here, `iteration limit reached` included, and so does a
+    /// cutting-plane loop that did not converge. Only a `primal infeasible`
+    /// status rests on a certificate that no budget and buffer assignment
+    /// meets every constraint. ROADMAP.md plans a separate `Undecided`
+    /// outcome for the points the solver did not decide.
     Infeasible {
-        /// Termination status reported by the solver.
+        /// Why, naming the solver's termination status (`primal
+        /// infeasible`, `dual infeasible (unbounded)` or `iteration limit
+        /// reached`): the status alone, or with the failed phase of the
+        /// two-phase baseline or the rounds of a cutting-plane loop.
         detail: String,
     },
     /// The solver returned an answer, but the independently verified rounded

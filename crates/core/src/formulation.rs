@@ -451,8 +451,8 @@ mod tests {
             &SolveOptions::default().prefer_budget_minimisation(),
         )
         .unwrap();
-        let d = default.builder.clone().build().unwrap();
-        let s = scaled.builder.clone().build().unwrap();
+        let d = default.builder.build().unwrap();
+        let s = scaled.builder.build().unwrap();
         assert_ne!(d.problem().c.as_slice(), s.problem().c.as_slice());
     }
 }

@@ -21,8 +21,10 @@ use std::collections::BTreeMap;
 /// * [`MappingError::Model`] — the configuration is structurally invalid;
 /// * [`MappingError::ProcessorOverloaded`] / [`MappingError::MemoryOverflow`]
 ///   / [`MappingError::CapBelowInitialTokens`] — precise early infeasibility;
-/// * [`MappingError::Infeasible`] — the solver proved the remaining
-///   constraint system infeasible;
+/// * [`MappingError::Infeasible`] — the solver ended without an optimum;
+///   its `detail` names the status, which is a certificate of infeasibility
+///   only when it reads `primal infeasible` (an iteration limit or an
+///   unconverged cutting-plane loop decides nothing);
 /// * [`MappingError::Solver`] — numerical failure in the optimiser;
 /// * [`MappingError::VerificationFailed`] — the independently verified
 ///   rounded mapping violates a constraint (indicates a bug; never expected).
@@ -107,7 +109,7 @@ pub(crate) fn solve_formulation(
 ) -> Result<(Solution, usize), MappingError> {
     match options.solver {
         SolverKind::InteriorPoint => {
-            let model = formulation.builder.clone().build()?;
+            let model = formulation.builder.build()?;
             let solution = model.solve(&options.ipm)?;
             match solution.status() {
                 SolveStatus::Optimal => {

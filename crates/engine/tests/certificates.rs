@@ -52,7 +52,7 @@ fn certify(suite: &Suite) -> Tally {
             let Ok(formulation) = Formulation::build_view(&view, &model, &options) else {
                 continue;
             };
-            let model = formulation.builder.clone().build().unwrap();
+            let model = formulation.builder.build().unwrap();
             let raw = solve_cone_problem(model.problem(), &options.ipm)
                 .unwrap_or_else(|e| panic!("{} cap {cap:?}: {e}", scenario.name));
             match check_certificate(model.problem(), &raw, &options.ipm) {

@@ -1,6 +1,7 @@
 //! Cholesky factorisation of symmetric positive definite matrices.
 
-use crate::{solve_lower, solve_lower_transpose, DMatrix, DVector};
+use crate::triangular::{solve_lower, solve_lower_transpose};
+use crate::{DMatrix, DVector};
 use std::error::Error;
 use std::fmt;
 
@@ -62,16 +63,6 @@ impl Cholesky {
     /// [`CholeskyError::NotPositiveDefinite`] when a pivot drops below the
     /// numerical threshold [`crate::tol::PIVOT_EPS`].
     pub fn factor(a: &DMatrix) -> Result<Self, CholeskyError> {
-        Self::factor_regularized(a, 0.0)
-    }
-
-    /// Factorises `a + reg * I`, which is useful to keep nearly singular
-    /// normal-equation systems solvable inside the interior-point method.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cholesky::factor`].
-    pub fn factor_regularized(a: &DMatrix, reg: f64) -> Result<Self, CholeskyError> {
         if a.nrows() != a.ncols() {
             return Err(CholeskyError::NotSquare);
         }
@@ -79,7 +70,7 @@ impl Cholesky {
         let mut l = DMatrix::zeros(n, n);
         for j in 0..n {
             // Diagonal entry.
-            let mut d = a[(j, j)] + reg;
+            let mut d = a[(j, j)];
             for k in 0..j {
                 let ljk = l[(j, k)];
                 d -= ljk * ljk;
@@ -101,11 +92,6 @@ impl Cholesky {
         Ok(Self { l })
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor_l(&self) -> &DMatrix {
-        &self.l
-    }
-
     /// Solves `A x = b` using the stored factorisation.
     ///
     /// # Panics
@@ -114,16 +100,6 @@ impl Cholesky {
     pub fn solve(&self, b: &DVector) -> DVector {
         let y = solve_lower(&self.l, b);
         solve_lower_transpose(&self.l, &y)
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.nrows()
-    }
-
-    /// log-determinant of `A` (twice the sum of log diagonal entries of `L`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -134,12 +110,23 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// `M Mᵀ` for a square `M`.
+    fn times_transpose(m: &DMatrix) -> DMatrix {
+        let n = m.nrows();
+        let data = (0..n * n)
+            .map(|ij| {
+                let (ri, rj) = (m.row(ij / n), m.row(ij % n));
+                ri.iter().zip(rj).map(|(a, b)| a * b).sum()
+            })
+            .collect();
+        DMatrix::from_row_major(n, n, data)
+    }
+
     fn spd(n: usize, seed: u64) -> DMatrix {
         // Build A = B Bᵀ + n*I which is SPD by construction.
         let mut rng = SmallRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b = DMatrix::from_row_major(n, n, data);
-        let mut a = b.matmul(&b.transpose());
+        let mut a = times_transpose(&DMatrix::from_row_major(n, n, data));
         a.add_diagonal(n as f64);
         a
     }
@@ -151,7 +138,6 @@ mod tests {
         let b = DVector::from_slice(&[6.0, 5.0]);
         let x = chol.solve(&b);
         assert!((&a.matvec(&x) - &b).norm_inf() < 1e-12);
-        assert_eq!(chol.dim(), 2);
     }
 
     #[test]
@@ -171,16 +157,10 @@ mod tests {
 
     #[test]
     fn regularisation_recovers_singular() {
-        let a = DMatrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
+        let mut a = DMatrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         assert!(Cholesky::factor(&a).is_err());
-        assert!(Cholesky::factor_regularized(&a, 1e-6).is_ok());
-    }
-
-    #[test]
-    fn log_det_matches_known_value() {
-        let a = DMatrix::from_rows(&[&[2.0, 0.0], &[0.0, 8.0]]);
-        let chol = Cholesky::factor(&a).unwrap();
-        assert!((chol.log_det() - (16.0f64).ln()).abs() < 1e-12);
+        a.add_diagonal(1e-6);
+        assert!(Cholesky::factor(&a).is_ok());
     }
 
     #[test]
@@ -194,8 +174,7 @@ mod tests {
     #[test]
     fn factor_l_is_lower_triangular() {
         let a = spd(5, 7);
-        let chol = Cholesky::factor(&a).unwrap();
-        let l = chol.factor_l();
+        let l = Cholesky::factor(&a).unwrap().l;
         for i in 0..5 {
             for j in (i + 1)..5 {
                 assert_eq!(l[(i, j)], 0.0);
@@ -207,9 +186,7 @@ mod tests {
         #[test]
         fn prop_factor_reconstructs(seed in 0u64..500, n in 1usize..8) {
             let a = spd(n, seed);
-            let chol = Cholesky::factor(&a).unwrap();
-            let l = chol.factor_l();
-            let reconstructed = l.matmul(&l.transpose());
+            let reconstructed = times_transpose(&Cholesky::factor(&a).unwrap().l);
             prop_assert!((&reconstructed - &a).norm_inf() < 1e-8 * (1.0 + a.norm_inf()));
         }
 

@@ -6,9 +6,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// A dense row-major matrix of `f64` values.
 ///
-/// The interior-point solver works with constraint matrices `G` of a few
-/// hundred rows at most, so a straightforward row-major dense layout is both
-/// simple and fast enough.
+/// The interior-point solver keeps `G` in compressed rows; its only dense
+/// matrix is the `n × n` product `GᵀG` of the least-squares start, which
+/// [`crate::Cholesky`] factors.
 ///
 /// # Example
 ///
@@ -77,16 +77,6 @@ impl DMatrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a diagonal matrix from a vector.
-    pub fn from_diagonal(diag: &DVector) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = diag[i];
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.rows
@@ -149,41 +139,6 @@ impl DMatrix {
         out
     }
 
-    /// Matrix–matrix product `A B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.ncols() != other.nrows()`.
-    pub fn matmul(&self, other: &DMatrix) -> DMatrix {
-        assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let mut out = DMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for (j, b) in brow.iter().enumerate() {
-                    orow[j] += aik * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> DMatrix {
-        let mut out = DMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Adds `value` to every diagonal entry (used for regularisation).
     pub fn add_diagonal(&mut self, value: f64) {
         let n = self.rows.min(self.cols);
@@ -208,11 +163,6 @@ impl DMatrix {
             .map(|(&a, &b)| f(a, b))
             .collect();
         Self::from_row_major(self.rows, self.cols, data)
-    }
-
-    /// Returns `true` if every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
     }
 }
 
@@ -275,13 +225,6 @@ impl Mul<&DVector> for &DMatrix {
     }
 }
 
-impl Mul<&DMatrix> for &DMatrix {
-    type Output = DMatrix;
-    fn mul(self, rhs: &DMatrix) -> DMatrix {
-        self.matmul(rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,7 +250,7 @@ mod tests {
         let i = DMatrix::identity(3);
         let x = DVector::from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(i.matvec(&x).as_slice(), x.as_slice());
-        let d = DMatrix::from_diagonal(&x);
+        let d = DMatrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 2.0, 0.0], &[0.0, 0.0, 3.0]]);
         assert_eq!(d.matvec(&x).as_slice(), &[1.0, 4.0, 9.0]);
     }
 
@@ -318,20 +261,6 @@ mod tests {
         assert_eq!(m.matvec(&x).as_slice(), &[-2.0, -2.0]);
         let y = DVector::from_slice(&[1.0, 1.0]);
         assert_eq!(m.matvec_transpose(&y).as_slice(), &[5.0, 7.0, 9.0]);
-        let t = m.transpose();
-        assert_eq!(t.nrows(), 3);
-        assert_eq!(t[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn matmul_matches_manual() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = DMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-        let d = &a * &b;
-        assert_eq!(d, c);
     }
 
     #[test]
@@ -350,9 +279,8 @@ mod tests {
         let mut a = DMatrix::identity(2);
         a.add_diagonal(0.5);
         assert_eq!(a[(0, 0)], 1.5);
-        assert!(a.is_finite());
-        a[(1, 0)] = f64::NAN;
-        assert!(!a.is_finite());
+        assert_eq!(a[(1, 1)], 1.5);
+        assert_eq!(a[(1, 0)], 0.0);
     }
 
     #[test]
@@ -384,12 +312,6 @@ mod tests {
             for i in 0..3 {
                 prop_assert!((lhs[i] - rhs[i]).abs() < 1e-8);
             }
-        }
-
-        #[test]
-        fn prop_transpose_involution(vals in proptest::collection::vec(-10.0f64..10.0, 12)) {
-            let a = DMatrix::from_row_major(4, 3, vals);
-            prop_assert_eq!(a.transpose().transpose(), a);
         }
 
         #[test]

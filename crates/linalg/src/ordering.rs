@@ -25,7 +25,7 @@ pub(crate) fn minimum_degree(lower: &CsrMatrix) -> Vec<usize> {
     let n = lower.nrows();
     let mut len = vec![0usize; n];
     for i in 0..n {
-        for &j in lower.row(i).0 {
+        for &j in lower.row_entries(i).0 {
             if j != i {
                 len[i] += 1;
                 len[j] += 1;
@@ -45,7 +45,7 @@ pub(crate) fn minimum_degree(lower: &CsrMatrix) -> Vec<usize> {
     let mut arena = vec![0usize; total];
     len.fill(0);
     for i in 0..n {
-        for &j in lower.row(i).0 {
+        for &j in lower.row_entries(i).0 {
             if j != i {
                 arena[start[i] + len[i]] = j;
                 len[i] += 1;

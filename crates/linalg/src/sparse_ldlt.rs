@@ -109,7 +109,7 @@ impl SparseLdlt {
         let n = lower.nrows();
         assert_eq!(n, lower.ncols(), "sparse ldlt: matrix not square");
         for i in 0..n {
-            if let Some(&j) = lower.row(i).0.last() {
+            if let Some(&j) = lower.row_entries(i).0.last() {
                 assert!(j <= i, "sparse ldlt: entry ({i}, {j}) above the diagonal");
             }
         }
@@ -162,7 +162,7 @@ impl SparseLdlt {
         for i in 0..n {
             mark[i] = i;
             let start = col_idx.len();
-            for &j in permuted.row(i).0 {
+            for &j in permuted.row_entries(i).0 {
                 let mut k = j;
                 while mark[k] != i {
                     if parent[k] == NONE {
@@ -249,7 +249,7 @@ impl SparseLdlt {
         let (d, work) = (&mut self.d, &mut self.work);
         for i in 0..n {
             let mut aii = 0.0;
-            let (c_cols, c_vals) = c.row(i);
+            let (c_cols, c_vals) = c.row_entries(i);
             for (&j, &v) in c_cols.iter().zip(c_vals) {
                 if j < i {
                     work[j] = v;
@@ -338,7 +338,7 @@ impl SparseLdlt {
         }
         // Forward substitution with unit lower-triangular L, row by row.
         for i in 0..n {
-            let (cols, vals) = self.l.row(i);
+            let (cols, vals) = self.l.row_entries(i);
             let mut acc = y[i];
             for (&j, l) in cols.iter().zip(vals) {
                 acc -= l * y[j];
@@ -450,7 +450,7 @@ mod tests {
         let n = f.dim();
         let mut l = DMatrix::identity(n);
         for i in 0..n {
-            let (cols, vals) = f.factor_l().row(i);
+            let (cols, vals) = f.factor_l().row_entries(i);
             for (&j, &v) in cols.iter().zip(vals) {
                 assert!(j < i, "L({i}, {j}) above the diagonal");
                 l[(i, j)] = v.abs();
@@ -477,7 +477,7 @@ mod tests {
             if i == k {
                 return 1.0;
             }
-            let (cols, vals) = f.factor_l().row(i);
+            let (cols, vals) = f.factor_l().row_entries(i);
             cols.iter().position(|&c| c == k).map_or(0.0, |p| vals[p])
         };
         for i in 0..n {

@@ -1,4 +1,5 @@
-//! Forward and backward substitution with triangular matrices.
+//! Forward and backward substitution with triangular matrices, the two
+//! halves of [`crate::Cholesky::solve`].
 
 use crate::{DMatrix, DVector};
 
@@ -9,15 +10,7 @@ use crate::{DMatrix, DVector};
 ///
 /// Panics if `L` is not square, if the dimensions do not match, or if a
 /// diagonal entry is exactly zero.
-///
-/// ```
-/// use bbs_linalg::{DMatrix, DVector, solve_lower};
-/// let l = DMatrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]]);
-/// let b = DVector::from_slice(&[4.0, 5.0]);
-/// let x = solve_lower(&l, &b);
-/// assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
-/// ```
-pub fn solve_lower(l: &DMatrix, b: &DVector) -> DVector {
+pub(crate) fn solve_lower(l: &DMatrix, b: &DVector) -> DVector {
     let n = check_square(l, b);
     let mut x = DVector::zeros(n);
     for i in 0..n {
@@ -39,7 +32,7 @@ pub fn solve_lower(l: &DMatrix, b: &DVector) -> DVector {
 ///
 /// Panics if `L` is not square, if the dimensions do not match, or if a
 /// diagonal entry is exactly zero.
-pub fn solve_lower_transpose(l: &DMatrix, b: &DVector) -> DVector {
+pub(crate) fn solve_lower_transpose(l: &DMatrix, b: &DVector) -> DVector {
     let n = check_square(l, b);
     let mut x = DVector::zeros(n);
     for i in (0..n).rev() {
@@ -82,7 +75,7 @@ mod tests {
     #[test]
     fn lower_transpose_solve_roundtrip() {
         let l = lower();
-        let lt = l.transpose();
+        let lt = DMatrix::from_rows(&[&[2.0, 1.0, -1.0], &[0.0, 3.0, 2.0], &[0.0, 0.0, 4.0]]);
         let x_true = DVector::from_slice(&[0.5, 1.5, -0.5]);
         let b = lt.matvec(&x_true);
         let x = solve_lower_transpose(&l, &b);

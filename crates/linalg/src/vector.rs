@@ -33,13 +33,6 @@ impl DVector {
         }
     }
 
-    /// Creates a vector of `len` copies of `value`.
-    pub fn filled(len: usize, value: f64) -> Self {
-        Self {
-            data: vec![value; len],
-        }
-    }
-
     /// Creates a vector from a slice.
     pub fn from_slice(values: &[f64]) -> Self {
         Self {
@@ -70,11 +63,6 @@ impl DVector {
     /// Borrow the elements as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Iterator over the elements.
@@ -249,8 +237,7 @@ mod tests {
     fn zeros_and_filled() {
         let z = DVector::zeros(3);
         assert_eq!(z.as_slice(), &[0.0, 0.0, 0.0]);
-        let f = DVector::filled(2, 7.5);
-        assert_eq!(f.as_slice(), &[7.5, 7.5]);
+        let f = DVector::from_slice(&[7.5, 7.5]);
         assert!(!f.is_empty());
         assert!(DVector::zeros(0).is_empty());
     }
