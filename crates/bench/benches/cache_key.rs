@@ -17,13 +17,24 @@
 //!
 //! Run on the paper's producer/consumer graph and on the 24-task random DAG
 //! so both the tiny-model and big-model regimes stay measured.
+//!
+//! `store/disk_hit_gen_seed11` times the disk tier behind a warm generated
+//! run: for every distinct key of the 200-point `bbs gen --seed 11` suite,
+//! materialise the [`CanonicalKey`] and look it up in a [`SolveStore`]
+//! filled during set-up — address, container read, minilz decode, the key
+//! byte check and the outcome decode.
 
-use bbs_engine::{CacheKey, CanonicalKey, ScenarioKeySeed};
+use bbs_engine::{
+    generate_suite, CacheKey, CanonicalKey, Engine, GenParams, RunSettings, ScenarioKeySeed,
+    SolveCache, SolveStore,
+};
 use bbs_taskgraph::presets::{PresetSpec, RandomWorkload};
-use bbs_taskgraph::Configuration;
+use bbs_taskgraph::{ConfigView, Configuration};
 use budget_buffer::{with_capacity_cap, SolveOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::collections::HashSet;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn producer_consumer() -> Configuration {
     PresetSpec::named("producer-consumer").build().unwrap()
@@ -104,5 +115,63 @@ fn bench_key_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_key_construction);
+/// One distinct point of a suite: its view, options JSON and flow name.
+struct DistinctPoint {
+    view: ConfigView,
+    options_json: Arc<str>,
+    flow: Arc<str>,
+}
+
+fn bench_store_disk_hits(c: &mut Criterion) {
+    let suite = generate_suite(&GenParams {
+        seed: 11,
+        points: 200,
+    });
+    let directory =
+        std::env::temp_dir().join(format!("bbs-bench-disk-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&directory);
+    let cache = Arc::new(SolveCache::with_store(
+        SolveStore::open(&directory).unwrap(),
+    ));
+    Engine::new(1)
+        .run_suite_with_cache(&suite, &RunSettings::default(), &cache)
+        .unwrap();
+
+    let mut seen = HashSet::new();
+    let mut points = Vec::new();
+    for scenario in &suite.scenarios {
+        let base = Arc::new(scenario.workload.resolve().unwrap());
+        let options = scenario.resolved_options();
+        let flow = scenario.resolved_flow().unwrap();
+        let seed = ScenarioKeySeed::new(&options, flow.as_str());
+        for cap in scenario.sweep.as_ref().unwrap().caps().unwrap() {
+            let view = ConfigView::with_capacity_cap(Arc::clone(&base), cap);
+            if seen.insert(seed.key_for(&view)) {
+                points.push(DistinctPoint {
+                    view,
+                    options_json: seed.options_json(),
+                    flow: seed.flow(),
+                });
+            }
+        }
+    }
+    let store = SolveStore::open(&directory).unwrap();
+
+    let mut group = c.benchmark_group("store");
+    group.sample_size(30);
+    group.bench_function("disk_hit_gen_seed11", |b| {
+        b.iter(|| {
+            for point in &points {
+                let key = CanonicalKey::materialise(&point.view, &point.options_json, &point.flow);
+                let hit = store.load(&key, point.view.base());
+                black_box(hit.expect("filled in set-up").is_ok());
+            }
+        });
+    });
+    group.finish();
+    assert_eq!(store.stats().rejected, 0, "every lookup was a disk hit");
+    let _ = std::fs::remove_dir_all(&directory);
+}
+
+criterion_group!(benches, bench_key_construction, bench_store_disk_hits);
 criterion_main!(benches);

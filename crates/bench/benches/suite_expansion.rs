@@ -16,17 +16,24 @@
 //!   public API: `with_capacity_cap` (a full deep clone of the
 //!   configuration) plus `ScenarioKeySeed::key_for` on the clone, per point.
 //! * `view_serial` — `Engine::expand_suite` at `--jobs 1`: the same keys,
-//!   derived by streaming each view against the shared base, drained on the
-//!   calling thread into index-addressed slots.
+//!   streamed off the views against the shared base, drained on the
+//!   calling thread into index-addressed slots. The sweep cycles through
+//!   caps 1..=10, and points of equal cap share one key slot, so the 10 000
+//!   points derive 10 keys where `clone_per_point` derives 10 000.
 //! * `view_pooled_j8` — `Engine::expand_suite` at `--jobs 8`: the same
 //!   cursor job drained by the calling thread and seven pooled threads.
 //!   The speedup over `view_serial` scales with physical cores; on a
 //!   single-core runner the hand-off overhead makes it a wash, which is
 //!   itself worth tracking — the pooled path must never be much *worse*
 //!   than serial.
+//!
+//! `suite_expansion/gen_seed11` expands the 1000-point `bbs gen --seed 11`
+//! suite at `--jobs 1`: 252 scenarios over 73 distinct workloads and 337
+//! distinct points, so it times the plan's interning — one resolution per
+//! distinct workload, one key per distinct point — as much as the minting.
 
 use bbs_engine::suites::sweep_10k_suite;
-use bbs_engine::{Engine, RunSettings, ScenarioKeySeed};
+use bbs_engine::{generate_suite, Engine, GenParams, RunSettings, ScenarioKeySeed};
 use budget_buffer::with_capacity_cap;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -78,6 +85,21 @@ fn bench_suite_expansion(c: &mut Criterion) {
         });
     });
 
+    group.finish();
+
+    let generated = generate_suite(&GenParams {
+        seed: 11,
+        points: 1000,
+    });
+    let mut group = c.benchmark_group("suite_expansion");
+    group.sample_size(20);
+    group.bench_function("gen_seed11", |b| {
+        b.iter(|| {
+            engine
+                .expand_suite(black_box(&generated), &settings(1))
+                .unwrap()
+        });
+    });
     group.finish();
 }
 

@@ -23,8 +23,9 @@
 //!   the configuration and options plus the flow name, verbatim, and the
 //!   solver revision ([`bbs_conic::SOLVER_REVISION`]). Only the
 //!   persistent [`SolveStore`] needs it (its on-disk entries repeat the
-//!   full key so 64-bit path-hash collisions are detected by string
-//!   comparison), so it is built *lazily* — once per distinct key, by the
+//!   full key, and a lookup compares a body's key fields byte for byte
+//!   with the key's canonical encoding, so 64-bit path-hash collisions are
+//!   detected), so it is built *lazily* — once per distinct key, by the
 //!   slot claimer, just before the first disk lookup / store write — and
 //!   never on a memory hit.
 //!
@@ -42,11 +43,13 @@
 //! filled by one revision must never answer for another.
 //!
 //! Per-scenario constants are hoisted: a [`ScenarioKeySeed`] folds the
-//! revision, the options JSON and the flow into the digest state once per
-//! scenario, so a capacity sweep only streams each point's (capped)
-//! configuration — and serialises [`SolveOptions`] exactly once per
-//! scenario, not once per point (regression-guarded by
-//! [`options_serialisation_count`]).
+//! revision, the options JSON and the flow into the digest state once, so
+//! a capacity sweep only streams each point's (capped) configuration — and
+//! serialises [`SolveOptions`] at most once per seed, not once per point
+//! (regression-guarded by [`options_serialisation_count`]). A suite run
+//! shares one seed among all scenarios of equal options and flow, and one
+//! key among all points of equal workload, options, flow and cap (see the
+//! executor's plan), so each distinct point derives its key once.
 //!
 //! # Claiming
 //!
@@ -244,8 +247,11 @@ impl CanonicalKey {
         options_json: &str,
         flow: &str,
     ) -> Self {
-        let mut json = String::new();
-        configuration.serialize_canonical(&mut json);
+        // Rendered into bytes and checked as UTF-8 once: the `String` sink
+        // would check every one of the many small chunks.
+        let mut bytes = Vec::new();
+        configuration.serialize_canonical(&mut bytes);
+        let json = String::from_utf8(bytes).expect("canonical JSON is UTF-8");
         Self {
             fingerprint: fnv1a(json.as_bytes()),
             configuration: json,

@@ -1,13 +1,18 @@
 //! The batch executor: what a suite run computes, phase by phase.
 //!
 //! A run is one serial step and two parallel jobs. The serial *plan*
-//! (`SuitePlan`) resolves each scenario's workload, flow, options and
-//! hoisted [`ScenarioKeySeed`] exactly once and lays the suite out flat: one
-//! index per (scenario, sweep point) pair, in suite order. The *solve* job
-//! mints the work item of an index when a thread claims it — a
-//! copy-on-write [`ConfigView`] (an `Arc` of the scenario's base
-//! configuration plus the point's capacity cap) and the cache key streamed
-//! off it, never an owned clone — and solves it through the cache. The
+//! (`SuitePlan`) interns the suite's scenarios and lays the suite out flat:
+//! one index per (scenario, sweep point) pair, in suite order. Scenarios
+//! with byte-equal canonical workload specs share one resolved
+//! configuration, and scenarios with byte-equal options and flow share one
+//! hoisted [`ScenarioKeySeed`], so every distinct workload is resolved once
+//! however many scenarios repeat it. Points of equal (workload, options,
+//! flow, capacity cap) share one key slot. The *solve* job mints the work
+//! item of an index when a thread claims it — a copy-on-write
+//! [`ConfigView`] (an `Arc` of the scenario's base configuration plus the
+//! point's capacity cap) and its cache key, never an owned clone — and
+//! solves it through the cache. The first item that claims a key slot
+//! streams the key off its view; every other item of the slot reads it. The
 //! *validate* job then replays each distinct solved mapping once.
 //!
 //! Both jobs are cursor jobs on the pooled [`Engine`]: threads claim item
@@ -37,9 +42,11 @@ use budget_buffer::{
     compute_mapping_two_phase, compute_mapping_view, BudgetPolicy, Mapping, MappingError,
     SolveOptions,
 };
+use serde::Serialize;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How a suite is executed.
@@ -241,11 +248,12 @@ fn is_infeasibility(error: &MappingError) -> bool {
 
 /// One solve to perform, minted by [`SuitePlan::item`] when a thread claims
 /// its index: a copy-on-write [`ConfigView`] of the scenario's shared base
-/// configuration (plus the point's capacity cap), the cache key streamed
-/// off it, and a borrow of the scenario's plan for the options, flow and
-/// hoisted [`ScenarioKeySeed`] (whose options JSON the lazy
+/// configuration (plus the point's capacity cap), the cache key of the
+/// point's key slot, and a borrow of the scenario's plan for the options,
+/// flow and hoisted [`ScenarioKeySeed`] (whose options JSON the lazy
 /// [`CanonicalKey`] of a disk-tier lookup reuses). Minting allocates
-/// nothing: the view is one `Arc` bump and a `Copy` cap, and the capped
+/// nothing: the view is one `Arc` bump and a `Copy` cap, the key is
+/// streamed off the view into its slot once or read from it, and the capped
 /// configuration only materialises at the solver boundary, for points that
 /// actually solve.
 pub(crate) struct WorkItem<'a> {
@@ -330,11 +338,12 @@ pub fn run_suite(suite: &Suite, settings: &RunSettings) -> Result<SuiteOutcome, 
 }
 
 /// One scenario resolved: the built workload (shared with every work
-/// item's view), options, hoisted key seed, flow and sweep caps —
-/// everything [`ScenarioPlan::item`] needs to mint any of the scenario's
-/// work items, and what the outcome assembler keeps. The scenario itself
-/// is *not* cloned here — the assembler reads it back from the suite it
-/// already borrows.
+/// item's view and with every scenario of the same workload), options,
+/// hoisted key seed (shared with every scenario of the same options and
+/// flow), flow and sweep caps — everything [`ScenarioPlan::item`] needs to
+/// mint any of the scenario's work items, and what the outcome assembler
+/// keeps. The scenario itself is *not* cloned here — the assembler reads
+/// it back from the suite it already borrows.
 pub(crate) struct ScenarioPlan {
     configuration: Arc<Configuration>,
     options: SolveOptions,
@@ -344,16 +353,17 @@ pub(crate) struct ScenarioPlan {
 }
 
 impl ScenarioPlan {
-    /// Mints the work item of one sweep point. Allocation-free: the view
-    /// shares the plan's base configuration and the cache key streams
-    /// straight from the view.
-    fn item(&self, point_index: usize) -> WorkItem<'_> {
+    /// Mints the work item of one sweep point whose key lives in `key`.
+    /// Allocation-free: the view shares the plan's base configuration, and
+    /// the key is streamed straight from the view by the first item of the
+    /// slot and read by the others.
+    fn item<'a>(&'a self, point_index: usize, key: &OnceLock<CacheKey>) -> WorkItem<'a> {
         let base = Arc::clone(&self.configuration);
         let view = match self.caps[point_index] {
             Some(cap) => ConfigView::with_capacity_cap(base, cap),
             None => ConfigView::new(base),
         };
-        let key = self.seed.key_for(&view);
+        let key = *key.get_or_init(|| self.seed.key_for(&view));
         WorkItem {
             plan: self,
             view,
@@ -371,14 +381,50 @@ pub(crate) struct SuitePlan {
     points: usize,
     /// Flat index of the point [`RunSettings::fault`] addresses.
     fault_target: Option<usize>,
+    /// The key slot of each flat index: points of equal (workload, options,
+    /// flow, capacity cap) share one.
+    key_slots: Vec<usize>,
+    /// One cache key per distinct point, derived by the first item that
+    /// claims its slot.
+    keys: Vec<OnceLock<CacheKey>>,
 }
 
-/// The serial step of every run: resolves every scenario exactly once
-/// (full `Suite::validate` would build each workload a second time just to
-/// discard it), hoists the per-scenario [`ScenarioKeySeed`], expands the
-/// sweep specs to cap lists, and resolves the injected fault to a flat item
-/// index. No per-point work happens here — the solve job mints each point
-/// when it claims it.
+/// Interns canonical byte strings: equal bytes get one index, and different
+/// bytes never share one. The map hashes the bytes and confirms a hit by
+/// comparing them in full, so a hash collision cannot merge two identities,
+/// and neither can `PartialEq` leniency: `-0.0 == 0.0` holds, but the two
+/// print differently and so are different identities.
+#[derive(Default)]
+struct Interner {
+    indices: HashMap<Box<[u8]>, usize>,
+    /// The identity being looked up, reused from one lookup to the next.
+    bytes: Vec<u8>,
+}
+
+impl Interner {
+    /// The index of the identity `write` renders, and whether it is new:
+    /// a new identity takes the next index, `0, 1, 2, …`.
+    fn intern(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> (usize, bool) {
+        self.bytes.clear();
+        write(&mut self.bytes);
+        if let Some(&index) = self.indices.get(self.bytes.as_slice()) {
+            return (index, false);
+        }
+        let index = self.indices.len();
+        self.indices.insert(self.bytes.as_slice().into(), index);
+        (index, true)
+    }
+}
+
+/// The serial step of every run: resolves every distinct workload exactly
+/// once (full `Suite::validate` would build each workload a second time
+/// just to discard it), hoists one [`ScenarioKeySeed`] per distinct options
+/// and flow, expands the sweep specs to cap lists, assigns each point its
+/// key slot and resolves the injected fault to a flat item index. A
+/// scenario's identity is the canonical JSON of what resolution and the key
+/// read from it — its workload spec, its options and its flow — interned
+/// by bytes (see `Interner`). No key is derived here — the solve job mints
+/// each point when it claims it.
 pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, EngineError> {
     suite.validate_structure()?;
     let in_scenario = |name: &str, e: EngineError| {
@@ -386,18 +432,25 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, E
     };
     let mut scenarios: Vec<ScenarioPlan> = Vec::with_capacity(suite.scenarios.len());
     let mut starts = Vec::with_capacity(suite.scenarios.len());
+    // Each scenario's (workload, seed) identity, for the key slots.
+    let mut identities = Vec::with_capacity(suite.scenarios.len());
+    let (mut workloads, mut resolved) = (Interner::default(), Vec::new());
+    let (mut seed_identities, mut seeds) = (Interner::default(), Vec::new());
     // The injected fault resolved to a flat item index, so workers compare
     // one index instead of a per-item scenario-name clone.
     let fault = settings.fault.as_ref();
     let mut fault_target: Option<usize> = None;
     let mut points = 0;
     for scenario in &suite.scenarios {
-        let configuration = Arc::new(
-            scenario
+        let (workload, new) =
+            workloads.intern(|bytes| scenario.workload.serialize_canonical(bytes));
+        if new {
+            let configuration = scenario
                 .workload
                 .resolve()
-                .map_err(|e| in_scenario(&scenario.name, e))?,
-        );
+                .map_err(|e| in_scenario(&scenario.name, e))?;
+            resolved.push(Arc::new(configuration));
+        }
         let flow = scenario
             .resolved_flow()
             .map_err(|e| in_scenario(&scenario.name, e))?;
@@ -408,18 +461,21 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, E
             .resolved_validation()
             .map_err(|e| in_scenario(&scenario.name, e))?;
         let options = scenario.resolved_options();
-        // The key-derivation constants of the scenario — options and flow —
-        // are folded into the digest state exactly once here. Consecutive
-        // scenarios overwhelmingly share them (whole built-in suites use
-        // the paper defaults), so the previous scenario's seed is reused
-        // outright when they match: one options fold for a hundred
-        // same-options scenarios instead of one each.
-        let seed = match scenarios.last() {
-            Some(previous) if previous.flow == flow && previous.options == options => {
-                Arc::clone(&previous.seed)
-            }
-            _ => Arc::new(ScenarioKeySeed::new(&options, flow.as_str())),
-        };
+        // The key-derivation constants — options and flow — are folded into
+        // a digest state once per distinct pair, shared by every scenario
+        // of the pair: whole built-in suites use the paper defaults, so one
+        // options fold serves a hundred scenarios. The pair is identified
+        // by the scenario's own options field, `null` when it leaves them
+        // to the defaults, so that common case serialises no options.
+        let (seed, new) = seed_identities.intern(|bytes| {
+            scenario.options.serialize_canonical(bytes);
+            bytes.push(0);
+            bytes.extend_from_slice(flow.as_str().as_bytes());
+        });
+        if new {
+            seeds.push(Arc::new(ScenarioKeySeed::new(&options, flow.as_str())));
+        }
+        identities.push((workload, seed));
         let caps: Vec<Option<u64>> = match &scenario.sweep {
             Some(sweep) => sweep
                 .caps()
@@ -438,13 +494,25 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, E
         starts.push(points);
         points += caps.len();
         scenarios.push(ScenarioPlan {
-            configuration,
+            configuration: Arc::clone(&resolved[workload]),
             options,
-            seed,
+            seed: Arc::clone(&seeds[seed]),
             flow,
             caps,
         });
     }
+    // One key slot per distinct (workload, options and flow, cap). Every
+    // container is sized once, so planning allocates per scenario, never
+    // per point.
+    let mut slots: HashMap<(usize, usize, Option<u64>), usize> = HashMap::with_capacity(points);
+    let mut key_slots = Vec::with_capacity(points);
+    for (plan, &(workload, seed)) in scenarios.iter().zip(&identities) {
+        for &cap in &plan.caps {
+            let next = slots.len();
+            key_slots.push(*slots.entry((workload, seed, cap)).or_insert(next));
+        }
+    }
+    let keys = (0..slots.len()).map(|_| OnceLock::new()).collect();
 
     // A panic that addresses no point would make every chaos check pass
     // vacuously — refuse it instead of silently not injecting. A stall
@@ -465,6 +533,8 @@ pub(crate) fn plan(suite: &Suite, settings: &RunSettings) -> Result<SuitePlan, E
         starts,
         points,
         fault_target,
+        key_slots,
+        keys,
     })
 }
 
@@ -479,11 +549,30 @@ impl SuitePlan {
         self.points
     }
 
+    /// Distinct workloads the plan resolved: one shared configuration per
+    /// byte-distinct canonical workload spec.
+    #[cfg(test)]
+    pub(crate) fn resolutions(&self) -> usize {
+        let shared: std::collections::HashSet<*const Configuration> = self
+            .scenarios
+            .iter()
+            .map(|scenario| Arc::as_ptr(&scenario.configuration))
+            .collect();
+        shared.len()
+    }
+
+    /// Distinct points: the key slots, one cache key each.
+    #[cfg(test)]
+    pub(crate) fn distinct_points(&self) -> usize {
+        self.keys.len()
+    }
+
     /// Mints the work item at flat index `index`; allocation-free.
     pub(crate) fn item(&self, index: usize) -> WorkItem<'_> {
         // The last scenario starting at or before `index` owns it.
         let scenario = self.starts.partition_point(|&start| start <= index) - 1;
-        self.scenarios[scenario].item(index - self.starts[scenario])
+        let key = &self.keys[self.key_slots[index]];
+        self.scenarios[scenario].item(index - self.starts[scenario], key)
     }
 }
 
@@ -727,6 +816,101 @@ mod tests {
             1,
             "six store-backed points must serialise their options exactly once"
         );
+    }
+
+    #[test]
+    fn equal_scenarios_share_one_resolution_and_one_key_per_cap() {
+        use bbs_taskgraph::presets::{producer_consumer, PaperParameters};
+        // An inline copy of the producer/consumer pair, and one that differs
+        // only by a `-0.0` scheduling overhead: `PartialEq` cannot tell the
+        // two apart, but their canonical bytes, and so their keys, differ.
+        let pc = producer_consumer(PaperParameters::default(), None);
+        let json = pc.canonical_json();
+        let negative: Configuration = serde_json::from_str(&json.replacen(
+            "\"scheduling_overhead\":0.0",
+            "\"scheduling_overhead\":-0.0",
+            1,
+        ))
+        .unwrap();
+        assert_eq!(negative, pc);
+        assert_ne!(negative.canonical_json(), json);
+        let ring = || {
+            Scenario::new(
+                "ring",
+                WorkloadSpec::preset(PresetSpec::named("ring").with_tasks(3)),
+            )
+            .with_sweep(SweepSpec::range(1, 3))
+        };
+        let scenarios = vec![
+            // Equal workloads under different names and caps.
+            pc_sweep_scenario("a"),
+            pc_sweep_scenario("b").with_sweep(SweepSpec::range(3, 8)),
+            // Equal but for -0.0 against 0.0.
+            Scenario::new("zero", WorkloadSpec::inline(pc.clone()))
+                .with_sweep(SweepSpec::range(2, 4)),
+            Scenario::new("negative-zero", WorkloadSpec::inline(negative))
+                .with_sweep(SweepSpec::range(2, 4)),
+            // Equal workloads under different options.
+            ring(),
+            Scenario {
+                name: "ring-cut".to_string(),
+                ..ring()
+            }
+            .with_options(
+                SolveOptions::default()
+                    .prefer_budget_minimisation()
+                    .with_cutting_plane(),
+            ),
+        ];
+        let suite = Suite::new("interned", scenarios.clone());
+        let settings = RunSettings::default();
+        let planned = plan(&suite, &settings).unwrap();
+        // `a`/`b` share one resolution and the ring pair another; the
+        // `-0.0` pair shares none.
+        assert_eq!(planned.resolutions(), 4);
+        // Slots: caps 1..=8 of `a`/`b`, 2..=4 twice, 1..=3 per options.
+        assert_eq!(planned.distinct_points(), 8 + 3 + 3 + 3 + 3);
+        assert_eq!(planned.points(), 6 + 6 + 3 + 3 + 3 + 3);
+
+        for jobs in [1, 2] {
+            let outcome = run_suite(&suite, &RunSettings::with_jobs(jobs)).unwrap();
+            // `zero` repeats the keys of `a` at caps 2..=4 under another
+            // identity; `negative-zero` repeats none.
+            assert_eq!(outcome.cache.misses, 17, "jobs={jobs}");
+            let report = crate::SuiteReport::from_outcome(&outcome);
+            for (index, scenario) in scenarios.iter().enumerate() {
+                let solo = Suite::new(&scenario.name, vec![scenario.clone()]);
+                let solo = crate::SuiteReport::from_outcome(&run_suite(&solo, &settings).unwrap());
+                assert_eq!(
+                    serde_json::to_string(&report.scenarios[index]).unwrap(),
+                    serde_json::to_string(&solo.scenarios[0]).unwrap(),
+                    "jobs={jobs}: {}",
+                    scenario.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn generated_suites_resolve_each_distinct_workload_once() {
+        // `bbs gen` repeats whole workloads across scenarios: the plan
+        // resolves each once and derives one key per distinct point.
+        for (seed, scenarios, resolutions, points, distinct) in
+            [(11, 252, 73, 1000, 337), (12, 252, 74, 1002, 330)]
+        {
+            let suite = crate::generate_suite(&crate::GenParams { seed, points: 1000 });
+            let planned = plan(&suite, &RunSettings::default()).unwrap();
+            assert_eq!(
+                (
+                    planned.scenarios(),
+                    planned.resolutions(),
+                    planned.points(),
+                    planned.distinct_points()
+                ),
+                (scenarios, resolutions, points, distinct),
+                "gen seed {seed}"
+            );
+        }
     }
 
     #[test]

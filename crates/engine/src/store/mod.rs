@@ -35,6 +35,19 @@
 //! hash collision is detected by comparison and treated as a miss, never as
 //! a wrong answer.
 //!
+//! # Entry bodies
+//!
+//! A body has one canonical layout: the compact JSON of its key fields
+//! (`schema`, `solver_revision`, `fingerprint`, `configuration`, `options`,
+//! `flow`), then its outcome fields (`feasible`, `infeasible`), then a
+//! newline. One function writes every body, and every reader applies one
+//! validity rule: the body must open with the requesting key's fields in
+//! that layout, byte for byte, and hold exactly one outcome. A lookup
+//! therefore never parses the key back — it compares bytes and parses only
+//! the outcome — and a body in any other layout is a counted rejection.
+//! `summary` counts such a body as corrupt, and `peer_put` stores the
+//! canonical re-encoding of what a peer sends, not the peer's bytes.
+//!
 //! # Solver revisions
 //!
 //! Raw values depend on the solver's arithmetic, so the address and the
@@ -106,9 +119,11 @@ use dir::LocalDir;
 
 use crate::cache::CanonicalKey;
 use bbs_conic::SOLVER_REVISION;
-use bbs_taskgraph::{fnv1a, BufferRef, Configuration, MemoryId, ProcessorId, TaskRef};
+use bbs_taskgraph::{
+    fnv1a, fnv1a_extend, BufferRef, Configuration, MemoryId, ProcessorId, TaskRef,
+};
 use budget_buffer::{Mapping, MappingError};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -207,8 +222,11 @@ pub struct GcOutcome {
     pub unreadable_mtimes: u64,
 }
 
-/// One entry body: the full canonical key (collision guard) plus exactly
-/// one of a stored mapping or a stored infeasibility.
+/// One entry body parsed whole: the full canonical key (collision guard)
+/// plus exactly one of a stored mapping or a stored infeasibility. Only
+/// readers without a key at hand parse a body this way (`peer_put` and
+/// `summary`); a lookup compares the key fields as bytes and parses just
+/// the [`StoredOutcome`] (see [`read_outcome`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoredEntry {
     schema: u64,
@@ -224,12 +242,67 @@ struct StoredEntry {
 }
 
 impl StoredEntry {
-    /// Whether the body has this build's schema and solver revision and
-    /// exactly one outcome: whether a lookup at its address may serve it.
+    /// Whether the body has this build's schema and solver revision: the
+    /// only bodies whose outcome a lookup may serve.
     fn is_current(&self) -> bool {
-        self.schema == STORE_SCHEMA_VERSION
-            && self.solver_revision == Some(SOLVER_REVISION)
-            && self.feasible.is_some() != self.infeasible.is_some()
+        self.schema == STORE_SCHEMA_VERSION && self.solver_revision == Some(SOLVER_REVISION)
+    }
+
+    /// The key the body claims to answer, its fingerprint recomputed from
+    /// its configuration (as [`CanonicalKey::materialise`] computes it), and
+    /// its outcome.
+    fn split(self) -> (CanonicalKey, StoredOutcome) {
+        let key = CanonicalKey {
+            fingerprint: fnv1a(self.configuration.as_bytes()),
+            configuration: self.configuration,
+            options: self.options,
+            flow: self.flow,
+            solver_revision: self.solver_revision.unwrap_or(1),
+        };
+        let outcome = StoredOutcome {
+            feasible: self.feasible,
+            infeasible: self.infeasible,
+        };
+        (key, outcome)
+    }
+}
+
+/// The outcome fields of an entry body, which follow its key fields.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct StoredOutcome {
+    feasible: Option<StoredMapping>,
+    infeasible: Option<StoredInfeasibility>,
+}
+
+impl StoredOutcome {
+    /// The outcome of a persistable result (`None` for transient errors,
+    /// which are deliberately not persisted).
+    fn of(result: &Result<Mapping, MappingError>) -> Option<Self> {
+        Some(match result {
+            Ok(mapping) => Self {
+                feasible: Some(encode_mapping(mapping)),
+                infeasible: None,
+            },
+            Err(error) => Self {
+                feasible: None,
+                infeasible: Some(encode_infeasibility(error)?),
+            },
+        })
+    }
+
+    /// Whether the body holds exactly one outcome, as every valid one does.
+    fn is_single(&self) -> bool {
+        self.feasible.is_some() != self.infeasible.is_some()
+    }
+
+    /// Rebuilds the stored result against `configuration`; `None` when the
+    /// outcome does not fit it (a tampered or corrupt entry).
+    fn decode(&self, configuration: &Configuration) -> Option<Result<Mapping, MappingError>> {
+        match (&self.feasible, &self.infeasible) {
+            (Some(mapping), None) => decode_mapping(mapping, configuration).map(Ok),
+            (None, Some(error)) => decode_infeasibility(error).map(Err),
+            _ => None,
+        }
     }
 }
 
@@ -461,32 +534,20 @@ impl SolveStore {
         None
     }
 
-    /// Validates one tier's body for `key` — parse, schema and revision,
-    /// full-key collision guard, outcome shape — and decodes it. Any
-    /// failure bumps the `rejected` counter.
+    /// Validates one tier's body for `key` by the one validity rule of
+    /// [`read_outcome`] — schema, revision and full key compared as bytes,
+    /// then the outcome parsed — and decodes it. Any failure bumps the
+    /// `rejected` counter.
     fn accept(
         &self,
         body: &str,
         key: &CanonicalKey,
         configuration: &Configuration,
     ) -> Option<Result<Mapping, MappingError>> {
-        let decoded = serde_json::from_str::<StoredEntry>(body)
-            .ok()
-            // Full-key comparison: a 64-bit hash collision surfaces here and
-            // falls back to a fresh solve instead of returning a wrong answer.
-            .filter(|entry| {
-                entry.is_current()
-                    && entry.solver_revision == Some(key.solver_revision)
-                    && entry.fingerprint == key.fingerprint
-                    && entry.configuration == key.configuration
-                    && entry.options == key.options
-                    && entry.flow == key.flow
-            })
-            .and_then(|entry| match (entry.feasible, entry.infeasible) {
-                (Some(mapping), None) => decode_mapping(&mapping, configuration).map(Ok),
-                (None, Some(error)) => decode_infeasibility(&error).map(Err),
-                _ => None,
-            });
+        // The full-key comparison inside `read_outcome` is the collision
+        // guard: a 64-bit hash collision surfaces there and falls back to a
+        // fresh solve instead of returning a wrong answer.
+        let decoded = read_outcome(body, key).and_then(|outcome| outcome.decode(configuration));
         if decoded.is_none() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -588,9 +649,12 @@ impl SolveStore {
 
     /// Serves one `store_put` request from a peer: validates the body
     /// (parseable, this build's schema and solver revision, exactly one
-    /// outcome), derives the address from the *embedded* canonical key —
-    /// the peer's claimed address is never trusted — and persists it
-    /// through the same capped write path as local saves.
+    /// outcome, a fingerprint that matches its configuration), derives the
+    /// address from the *embedded* canonical key — the peer's claimed
+    /// address is never trusted — and persists the entry's canonical
+    /// encoding, not the peer's bytes, through the same capped write path
+    /// as local saves. A valid body in another layout is therefore stored
+    /// in the one layout lookups accept.
     ///
     /// # Errors
     ///
@@ -611,16 +675,18 @@ impl SolveStore {
                 entry.solver_revision.unwrap_or(1)
             ));
         }
-        if entry.feasible.is_some() == entry.infeasible.is_some() {
+        let fingerprint = entry.fingerprint;
+        let (key, outcome) = entry.split();
+        if !outcome.is_single() {
             return Err("entry must hold exactly one of feasible/infeasible".to_string());
         }
-        let address = address_of_parts(
-            &entry.configuration,
-            &entry.options,
-            &entry.flow,
-            SOLVER_REVISION,
-        );
-        if self.persist(&address, body) {
+        if fingerprint != key.fingerprint {
+            return Err("entry fingerprint does not match its configuration".to_string());
+        }
+        let Some(canonical) = encode_body(&key, &outcome) else {
+            return Err("entry holds a non-finite number".to_string());
+        };
+        if self.persist(&entry_address(&key), &canonical) {
             Ok(())
         } else {
             Err("store write failed".to_string())
@@ -656,23 +722,27 @@ impl SolveStore {
                 summary.logical_bytes += body.len() as u64;
             }
             // Classify with the same validity rule lookups apply, so stats
-            // never report entries a lookup would reject.
-            let parsed = body.and_then(|body| serde_json::from_str::<StoredEntry>(&body).ok());
+            // never report entries a lookup would reject: a current body
+            // counts only if it reads back under the key it claims.
+            let parsed = body.as_deref().and_then(|body| {
+                let entry = serde_json::from_str::<StoredEntry>(body).ok()?;
+                Some((body, entry))
+            });
             match parsed {
-                Some(parsed) if parsed.is_current() => {
-                    summary.entries += 1;
-                    if parsed.feasible.is_some() {
-                        summary.feasible += 1;
-                    } else {
-                        summary.infeasible += 1;
+                Some((body, entry)) if entry.is_current() => {
+                    match read_outcome(body, &entry.split().0) {
+                        Some(outcome) if outcome.feasible.is_some() => {
+                            summary.entries += 1;
+                            summary.feasible += 1;
+                        }
+                        Some(_) => {
+                            summary.entries += 1;
+                            summary.infeasible += 1;
+                        }
+                        None => summary.corrupt += 1,
                     }
                 }
-                Some(parsed)
-                    if parsed.schema == STORE_SCHEMA_VERSION
-                        && parsed.solver_revision != Some(SOLVER_REVISION) =>
-                {
-                    summary.stale += 1;
-                }
+                Some((_, entry)) if entry.schema == STORE_SCHEMA_VERSION => summary.stale += 1,
                 Some(_) | None => summary.corrupt += 1,
             }
         }
@@ -721,20 +791,29 @@ fn below_cap(cap: u64) -> u64 {
 
 /// The content address of a key: the 16-hex-digit FNV-1a hash over the
 /// full canonical identity — the file stem the entry is stored under, on
-/// this store and on its peers.
+/// this store and on its peers. Equal to [`address_of_parts`] of the key's
+/// parts, but the key's fingerprint already *is* the FNV-1a hash of its
+/// configuration (as [`CanonicalKey::materialise`] builds it), so the hash
+/// continues from there instead of reading the configuration again.
 pub fn entry_address(key: &CanonicalKey) -> String {
-    address_of_parts(
-        &key.configuration,
-        &key.options,
-        &key.flow,
-        key.solver_revision,
-    )
+    let tail: [&[u8]; 6] = [
+        &[0],
+        key.options.as_bytes(),
+        &[0],
+        key.flow.as_bytes(),
+        &[0],
+        &key.solver_revision.to_le_bytes(),
+    ];
+    let hash = tail
+        .iter()
+        .fold(key.fingerprint, |hash, bytes| fnv1a_extend(hash, bytes));
+    format!("{hash:016x}")
 }
 
-/// [`entry_address`] from the raw canonical strings (used when the key
-/// arrives embedded in an entry body instead of as a [`CanonicalKey`]).
-/// NUL separators keep `(configuration, options)` splits unambiguous; the
-/// solver revision follows as 8 little-endian bytes.
+/// [`entry_address`] from the raw canonical strings: the definition of the
+/// address, hashing the whole identity in one pass. NUL separators keep
+/// `(configuration, options)` splits unambiguous; the solver revision
+/// follows as 8 little-endian bytes.
 pub fn address_of_parts(
     configuration: &str,
     options: &str,
@@ -764,26 +843,86 @@ pub fn is_entry_address(text: &str) -> bool {
 /// Encodes one persistable result as an entry body (`None` for transient
 /// errors, which are deliberately not persisted).
 fn encode_entry(key: &CanonicalKey, result: &Result<Mapping, MappingError>) -> Option<String> {
-    let outcome = match result {
-        Ok(mapping) => (Some(encode_mapping(mapping)), None),
-        Err(error) => match encode_infeasibility(error) {
-            Some(stored) => (None, Some(stored)),
-            None => return None,
-        },
+    encode_body(key, &StoredOutcome::of(result)?)
+}
+
+/// Streams the key fields of an entry body for `key` in the canonical
+/// layout — `{"schema":…,"solver_revision":…,"fingerprint":…,
+/// "configuration":"…","options":"…","flow":"…"`, everything before the
+/// outcome. Every body is written through here and every lookup compares
+/// against it, so the writer and the byte check cannot disagree.
+fn write_key_fields(out: &mut dyn Serializer, key: &CanonicalKey) {
+    out.write_bytes(b"{\"schema\":");
+    STORE_SCHEMA_VERSION.serialize_canonical(out);
+    out.write_bytes(b",\"solver_revision\":");
+    key.solver_revision.serialize_canonical(out);
+    out.write_bytes(b",\"fingerprint\":");
+    key.fingerprint.serialize_canonical(out);
+    out.write_bytes(b",\"configuration\":");
+    key.configuration.serialize_canonical(out);
+    out.write_bytes(b",\"options\":");
+    key.options.serialize_canonical(out);
+    out.write_bytes(b",\"flow\":");
+    key.flow.serialize_canonical(out);
+}
+
+/// The opening of the outcome fields that follow the key fields.
+const OUTCOME_FIELDS: &str = ",\"feasible\":";
+
+/// The canonical body of `outcome` under `key`: the key fields, the outcome
+/// fields and a trailing newline — byte for byte what
+/// `serde_json::to_string` of the whole entry writes. `None` when the
+/// outcome holds a non-finite number, which JSON cannot carry.
+fn encode_body(key: &CanonicalKey, outcome: &StoredOutcome) -> Option<String> {
+    // `{"feasible":…,"infeasible":…}`: its fields continue the key's.
+    let outcome = serde_json::to_vec(outcome).ok()?;
+    let mut body = Vec::new();
+    // The key fields hold no float, so the plain byte sink never meets a
+    // non-finite one.
+    write_key_fields(&mut body, key);
+    body.push(b',');
+    body.extend_from_slice(&outcome[1..]);
+    body.push(b'\n');
+    String::from_utf8(body).ok()
+}
+
+/// A sink that checks the stream against `rest` instead of keeping it:
+/// each chunk must be the next bytes of `rest`, which then holds what
+/// follows them; `None` once a chunk differed.
+struct Expect<'a> {
+    rest: Option<&'a [u8]>,
+}
+
+impl Serializer for Expect<'_> {
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.rest = self.rest.and_then(|rest| rest.strip_prefix(bytes));
+    }
+}
+
+/// The one validity rule of entry bodies, which every reader applies: the
+/// body must open with `key`'s key fields in the canonical layout, byte for
+/// byte, and go on with the outcome fields, holding exactly one outcome.
+/// Returns that outcome. Only the outcome is parsed: the byte comparison
+/// checks the schema, the solver revision, the fingerprint and the full
+/// canonical key without reading them back, and any other layout of them —
+/// whitespace between tokens, reordered fields — fails it. Only this
+/// build's solver revision is ever served.
+fn read_outcome(body: &str, key: &CanonicalKey) -> Option<StoredOutcome> {
+    if key.solver_revision != SOLVER_REVISION {
+        return None;
+    }
+    let mut expect = Expect {
+        rest: Some(body.as_bytes()),
     };
-    let entry = StoredEntry {
-        schema: STORE_SCHEMA_VERSION,
-        solver_revision: Some(key.solver_revision),
-        fingerprint: key.fingerprint,
-        configuration: key.configuration.clone(),
-        options: key.options.clone(),
-        flow: key.flow.clone(),
-        feasible: outcome.0,
-        infeasible: outcome.1,
-    };
-    let mut text = serde_json::to_string(&entry).ok()?;
-    text.push('\n');
-    Some(text)
+    write_key_fields(&mut expect, key);
+    // The matched key fields end in an ASCII quote, so `get` never splits
+    // a character here.
+    let fields = body.get(body.len() - expect.rest?.len()..)?;
+    let outcome = fields.strip_prefix(OUTCOME_FIELDS)?;
+    let text = ["{\"feasible\":", outcome].concat();
+    serde_json::from_str::<StoredOutcome>(&text)
+        .ok()
+        .filter(StoredOutcome::is_single)
 }
 
 /// The pure retention decision behind [`SolveStore::gc`]: which of the
@@ -1137,12 +1276,15 @@ mod tests {
         let (configuration, key, result) = solved();
         store.save(&key, &result);
         // Simulate a 64-bit hash collision: a different canonical key whose
-        // entry file happens to be the one we just wrote.
+        // entry file is the one we just wrote. The address continues from
+        // the fingerprint, so a key that keeps it but differs in its
+        // configuration lands exactly there.
         let mut colliding = key.clone();
         colliding.configuration.push(' ');
-        let collision_path = entry_path(directory.path(), &colliding);
-        fs::create_dir_all(collision_path.parent().unwrap()).unwrap();
-        fs::copy(entry_path(directory.path(), &key), &collision_path).unwrap();
+        assert_eq!(
+            entry_path(directory.path(), &colliding),
+            entry_path(directory.path(), &key)
+        );
         assert!(
             store.load(&colliding, &configuration).is_none(),
             "collision must miss"
@@ -1164,6 +1306,316 @@ mod tests {
         write_v2(&path, &serde_json::to_string(&entry).unwrap());
         assert!(store.load(&key, &configuration).is_none());
         assert_eq!(store.stats().rejected, 1);
+    }
+
+    /// Bodies the writer of an earlier build produced, checked in verbatim
+    /// so that entries already on disk can never be stranded: the
+    /// producer/consumer pair at cap 4 and a 3-task ring with two initial
+    /// tokens at cap 1, both under the paper options and the joint flow. A
+    /// solver revision bump records them again.
+    const EARLIER_FEASIBLE_BODY: &str = concat!(
+        r#"{"schema":2,"solver_revision":2,"fingerprint":17970929707748041630,"configuration":"{\"processors\":[{\"name\":\"p1\",\"replenishment_interval\":40.0,\"scheduling_overhead\":0.0},{\"name\":\"p2\",\"replenishment_interval\":40.0,\"scheduling_overhead\":0.0}],\"memories\":[{\"name\":\"mem\",\"capacity\":4611686018427387903}],\"task_graphs\":[{\"name\":\"T1\",\"period\":10.0,\"tasks\":[{\"name\":\"wa\",\"wcet\":1.0,\"processor\":0,\"budget_weight\":1.0},{\"name\":\"wb\",\"wcet\":1.0,\"processor\":1,\"budget_weight\":1.0}],\"buffers\":[{\"name\":\"bab\",\"producer\":0,\"consumer\":1,\"memory\":0,\"container_size\":1,\"initial_tokens\":0,\"storage_weight\":1.0,\"max_capacity\":4}]}],\"budget_granularity\":1}","#,
+        r#""options":"{\"solver\":\"interior-point\",\"ipm\":{\"max_iterations\":100,\"tol_feasibility\":1e-8,\"tol_gap_absolute\":1e-8,\"tol_gap_relative\":1e-8,\"tol_infeasibility\":1e-5,\"regularization\":1e-10,\"step_fraction\":0.99},\"cutting_plane\":{\"max_rounds\":60,\"tol_violation\":1e-7,\"min_linearization_point\":1e-6},\"budget_weight_scale\":1.0,\"storage_weight_scale\":0.001,\"verify\":true}","flow":"joint","#,
+        r#""feasible":{"raw_budgets":[[{"graph":0,"task":0},21.83222203570227],[{"graph":0,"task":1},21.8320971206577]],"raw_space":[[{"graph":0,"buffer":0},3.9999999995405697]],"objective":43.66831915635951,"solver_iterations":10},"infeasible":null}"#,
+        "\n"
+    );
+
+    /// See [`EARLIER_FEASIBLE_BODY`].
+    const EARLIER_INFEASIBLE_BODY: &str = concat!(
+        r#"{"schema":2,"solver_revision":2,"fingerprint":11955781440470210449,"configuration":"{\"processors\":[{\"name\":\"p1\",\"replenishment_interval\":40.0,\"scheduling_overhead\":0.0},{\"name\":\"p2\",\"replenishment_interval\":40.0,\"scheduling_overhead\":0.0},{\"name\":\"p3\",\"replenishment_interval\":40.0,\"scheduling_overhead\":0.0}],\"memories\":[{\"name\":\"mem\",\"capacity\":4611686018427387903}],\"task_graphs\":[{\"name\":\"ring\",\"period\":10.0,\"tasks\":[{\"name\":\"wa\",\"wcet\":1.0,\"processor\":0,\"budget_weight\":1.0},{\"name\":\"wb\",\"wcet\":1.0,\"processor\":1,\"budget_weight\":1.0},{\"name\":\"wc\",\"wcet\":1.0,\"processor\":2,\"budget_weight\":1.0}],\"buffers\":[{\"name\":\"bwawb\",\"producer\":0,\"consumer\":1,\"memory\":0,\"container_size\":1,\"initial_tokens\":0,\"storage_weight\":1.0,\"max_capacity\":1},{\"name\":\"bwbwc\",\"producer\":1,\"consumer\":2,\"memory\":0,\"container_size\":1,\"initial_tokens\":0,\"storage_weight\":1.0,\"max_capacity\":1},{\"name\":\"bwcwa\",\"producer\":2,\"consumer\":0,\"memory\":0,\"container_size\":1,\"initial_tokens\":2,\"storage_weight\":1.0,\"max_capacity\":1}]}],\"budget_granularity\":1}","#,
+        r#""options":"{\"solver\":\"interior-point\",\"ipm\":{\"max_iterations\":100,\"tol_feasibility\":1e-8,\"tol_gap_absolute\":1e-8,\"tol_gap_relative\":1e-8,\"tol_infeasibility\":1e-5,\"regularization\":1e-10,\"step_fraction\":0.99},\"cutting_plane\":{\"max_rounds\":60,\"tol_violation\":1e-7,\"min_linearization_point\":1e-6},\"budget_weight_scale\":1.0,\"storage_weight_scale\":0.001,\"verify\":true}","flow":"joint","#,
+        r#""feasible":null,"infeasible":{"kind":"cap-below-initial-tokens","detail":null,"buffer":{"graph":0,"buffer":2},"cap":1,"initial_tokens":2,"processor":null,"required_cycles":null,"available_cycles":null,"memory":null,"required_storage":null,"available_storage":null}}"#,
+        "\n"
+    );
+
+    /// The raw values of a mapping as bits, in configuration order.
+    fn raw_bits(configuration: &Configuration, mapping: &Mapping) -> (Vec<u64>, Vec<u64>, u64) {
+        let budgets = configuration
+            .all_tasks()
+            .iter()
+            .map(|&task| mapping.raw_budget(task).to_bits())
+            .collect();
+        let space = configuration
+            .all_buffers()
+            .iter()
+            .map(|&buffer| mapping.raw_space(buffer).to_bits())
+            .collect();
+        (budgets, space, mapping.objective().to_bits())
+    }
+
+    #[test]
+    fn bodies_written_by_earlier_builds_decode_bit_for_bit() {
+        let directory = TempDir::new("earlier-bodies");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let options = SolveOptions::default().prefer_budget_minimisation();
+
+        let pc = with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+        let key = CanonicalKey::from_parts(&pc, &options, "joint");
+        // This build writes the same bytes at the same address.
+        assert_eq!(
+            encode_entry(&key, &compute_mapping(&pc, &options)).unwrap(),
+            EARLIER_FEASIBLE_BODY
+        );
+        write_v2(&entry_path(directory.path(), &key), EARLIER_FEASIBLE_BODY);
+        let loaded = store.load(&key, &pc).expect("served").unwrap();
+        // Bit for bit the raw values the body holds, and the fresh solve.
+        let stored: StoredEntry = serde_json::from_str(EARLIER_FEASIBLE_BODY).unwrap();
+        let stored = stored.feasible.unwrap();
+        let (budgets, space, objective) = raw_bits(&pc, &loaded);
+        fn bits<T>(values: &[(T, f64)]) -> Vec<u64> {
+            values.iter().map(|(_, value)| value.to_bits()).collect()
+        }
+        assert_eq!(budgets, bits(&stored.raw_budgets));
+        assert_eq!(space, bits(&stored.raw_space));
+        assert_eq!(objective, stored.objective.to_bits());
+        assert_eq!(loaded.solver_iterations() as u64, stored.solver_iterations);
+        let fresh = compute_mapping(&pc, &options).unwrap();
+        assert_eq!(raw_bits(&pc, &loaded), raw_bits(&pc, &fresh));
+        assert_eq!(loaded, fresh);
+
+        let ring = bbs_taskgraph::presets::PresetSpec::named("ring")
+            .with_tasks(3)
+            .with_initial_tokens(2)
+            .build()
+            .unwrap();
+        let ring = with_capacity_cap(&ring, 1);
+        let key = CanonicalKey::from_parts(&ring, &options, "joint");
+        assert_eq!(entry_address(&key), "484b2bc7e6e5eda6");
+        let infeasible = compute_mapping(&ring, &options);
+        assert!(matches!(
+            infeasible,
+            Err(MappingError::CapBelowInitialTokens { .. })
+        ));
+        assert_eq!(
+            encode_entry(&key, &infeasible).unwrap(),
+            EARLIER_INFEASIBLE_BODY
+        );
+        write_v2(&entry_path(directory.path(), &key), EARLIER_INFEASIBLE_BODY);
+        assert_eq!(store.load(&key, &ring).expect("served"), infeasible);
+
+        let stats = store.stats();
+        assert_eq!((stats.disk_hits, stats.rejected), (2, 0));
+        let summary = store.summary().unwrap();
+        assert_eq!(
+            (summary.feasible, summary.infeasible, summary.corrupt),
+            (1, 1, 0)
+        );
+    }
+
+    /// `text` with the byte at `index` replaced by another ASCII byte.
+    fn with_byte_changed(text: &str, index: usize) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[index] = if bytes[index] == b'#' { b'%' } else { b'#' };
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn a_key_that_differs_in_one_byte_is_a_counted_miss() {
+        let directory = TempDir::new("one-byte");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let (configuration, key, result) = solved();
+        store.save(&key, &result);
+        let container = fs::read(entry_path(directory.path(), &key)).unwrap();
+
+        let mut variants: Vec<(String, CanonicalKey)> = Vec::new();
+        for (field, text) in [
+            ("configuration", &key.configuration),
+            ("options", &key.options),
+            ("flow", &key.flow),
+        ] {
+            let last = text.len() - 1;
+            let mut edits: Vec<String> = [0, 1, text.len() / 2, last]
+                .iter()
+                .map(|&index| with_byte_changed(text, index))
+                .collect();
+            edits.push(text[..last].to_string());
+            edits.push(format!("{text}x"));
+            for edit in edits {
+                let mut variant = key.clone();
+                match field {
+                    "configuration" => variant.configuration = edit,
+                    "options" => variant.options = edit,
+                    _ => variant.flow = edit,
+                }
+                variants.push((field.to_string(), variant));
+            }
+        }
+        variants.push((
+            "fingerprint".to_string(),
+            CanonicalKey {
+                fingerprint: key.fingerprint ^ 1,
+                ..key.clone()
+            },
+        ));
+        variants.push((
+            "solver_revision".to_string(),
+            CanonicalKey {
+                solver_revision: key.solver_revision + 1,
+                ..key.clone()
+            },
+        ));
+        for (round, (field, variant)) in variants.iter().enumerate() {
+            // The body answers the variant's address, as a collision would.
+            let path = entry_path(directory.path(), variant);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(&path, &container).unwrap();
+            assert!(store.load(variant, &configuration).is_none(), "{field}");
+            let stats = store.stats();
+            assert_eq!(stats.rejected, round as u64 + 1, "{field}");
+            assert_eq!(stats.fresh_solves, round as u64 + 1, "{field}");
+        }
+
+        // The schema is a key field of the body alone.
+        let path = entry_path(directory.path(), &key);
+        fs::write(&path, &container).unwrap();
+        let body = read_v2(&path);
+        let foreign = body.replacen("{\"schema\":2,", "{\"schema\":3,", 1);
+        assert_ne!(foreign, body);
+        write_v2(&path, &foreign);
+        assert!(store.load(&key, &configuration).is_none());
+        assert_eq!(store.stats().rejected, variants.len() as u64 + 1);
+        assert_eq!(store.stats().disk_hits, 0);
+    }
+
+    #[test]
+    fn names_with_escapes_and_non_ascii_text_round_trip() {
+        let directory = TempDir::new("escapes");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let options = SolveOptions::default().prefer_budget_minimisation();
+        // A quote, a backslash, a control character (written `\u0001`), a
+        // tab and non-ASCII text in a task name, a processor name and the
+        // graph name.
+        let json = with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 3)
+            .canonical_json()
+            .replace(r#""wa""#, r#""w\"a\\b\u0001c\td""#)
+            .replace(r#""p2""#, r#""prozessor-für-wb-漢""#)
+            .replace(r#""T1""#, r#""T\u001f1 ✓""#);
+        let configuration: Configuration = serde_json::from_str(&json).unwrap();
+        configuration.validate().unwrap();
+        let result = compute_mapping(&configuration, &options);
+        assert!(result.is_ok());
+        let options_json = serde_json::to_string(&options).unwrap();
+        let plain = CanonicalKey::materialise(&configuration, &options_json, "joint");
+        assert!(plain.configuration.contains(r#"w\"a\\b\u0001c\td"#));
+        assert!(plain.configuration.contains("漢"));
+        // The canonical JSON escapes its own control characters, so raw
+        // ones reach a body's string fields only through the flow name,
+        // which the store takes as given.
+        let raw = CanonicalKey::materialise(&configuration, &options_json, "jo\"i\\n\u{1}\tt-ü");
+        for key in [&plain, &raw] {
+            store.save(key, &result);
+            let body = read_v2(&entry_path(directory.path(), key));
+            let entry: StoredEntry = serde_json::from_str(&body).unwrap();
+            assert_eq!(entry.configuration, key.configuration);
+            assert_eq!(entry.flow, key.flow);
+            // The one writer agrees with the derived whole-entry writer.
+            assert_eq!(body, serde_json::to_string(&entry).unwrap() + "\n");
+            let loaded = store.load(key, &configuration).expect("served");
+            assert_eq!(loaded, result);
+        }
+        let body = read_v2(&entry_path(directory.path(), &raw));
+        assert!(body.contains(r#""flow":"jo\"i\\n\u0001\tt-ü""#), "{body}");
+        let stats = store.stats();
+        assert_eq!((stats.disk_hits, stats.rejected), (2, 0));
+        assert_eq!(store.summary().unwrap().entries, 2);
+    }
+
+    #[test]
+    fn bodies_in_another_layout_are_counted_misses_and_corrupt() {
+        let directory = TempDir::new("layout");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let (configuration, key, result) = solved();
+        let body = encode_entry(&key, &result).unwrap();
+        let entry: StoredEntry = serde_json::from_str(&body).unwrap();
+        let reordered = format!(
+            "{{\"schema\":2,\"solver_revision\":{},\"fingerprint\":{},\"configuration\":{},\
+             \"flow\":{},\"options\":{},\"feasible\":{},\"infeasible\":null}}\n",
+            key.solver_revision,
+            key.fingerprint,
+            serde_json::to_string(&key.configuration).unwrap(),
+            serde_json::to_string(&key.flow).unwrap(),
+            serde_json::to_string(&key.options).unwrap(),
+            serde_json::to_string(&entry.feasible).unwrap(),
+        );
+        let outcome_first =
+            body.replacen(",\"feasible\":", ",\"infeasible\":null,\"feasible\":", 1);
+        let outcome_first = outcome_first.replacen(",\"infeasible\":null}", "}", 1);
+        let layouts = [
+            // Whitespace between tokens.
+            body.replacen("{\"schema\":2,", "{ \"schema\" : 2 , ", 1),
+            body.replacen(",\"flow\":", ", \"flow\":", 1),
+            body.replacen(",\"fingerprint\":", ",\"fingerprint\": ", 1),
+            // Reordered key fields, and the outcome fields first.
+            reordered,
+            outcome_first,
+        ];
+        let path = entry_path(directory.path(), &key);
+        for (index, layout) in layouts.iter().enumerate() {
+            assert_ne!(layout, &body, "layout {index}");
+            let parsed: StoredEntry = serde_json::from_str(layout).unwrap();
+            assert_eq!(parsed, entry, "layout {index} holds the same entry");
+            write_v2(&path, layout);
+            assert!(store.load(&key, &configuration).is_none(), "layout {index}");
+            assert_eq!(store.stats().rejected, index as u64 + 1);
+            let summary = store.summary().unwrap();
+            assert_eq!((summary.entries, summary.corrupt), (0, 1), "layout {index}");
+        }
+        // The canonical layout itself is served and counted.
+        write_v2(&path, &body);
+        assert!(store.load(&key, &configuration).is_some());
+        assert_eq!(store.stats().disk_hits, 1);
+        assert_eq!(store.summary().unwrap().entries, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        // The address continues FNV-1a from the fingerprint; for every key
+        // `materialise` builds it equals the hash of the whole identity.
+        #[test]
+        fn continued_addresses_equal_address_of_parts(
+            family in 0u32..4,
+            tasks in 3usize..8,
+            cap in 0u64..12,
+            seed in 0u64..1_000,
+            flow in 0usize..3,
+            cutting in 0u32..2,
+        ) {
+            use bbs_taskgraph::presets::{PresetSpec, RandomWorkload};
+            use bbs_taskgraph::ConfigView;
+            use std::sync::Arc;
+            let spec = match family {
+                0 => PresetSpec::named("producer-consumer"),
+                1 => PresetSpec::named("chain").with_tasks(tasks),
+                2 => PresetSpec::named("ring").with_tasks(tasks),
+                _ => PresetSpec::named("random-dag").with_random(RandomWorkload {
+                    num_tasks: tasks + 2,
+                    seed,
+                    ..RandomWorkload::default()
+                }),
+            };
+            let base = Arc::new(spec.build().unwrap());
+            let view = match cap {
+                0 => ConfigView::new(base),
+                cap => ConfigView::with_capacity_cap(base, cap),
+            };
+            let mut options = SolveOptions::default().prefer_budget_minimisation();
+            if cutting == 1 {
+                options = options.with_cutting_plane();
+            }
+            let flow = ["joint", "two-phase-min", "two-phase-fair"][flow];
+            let options_json = serde_json::to_string(&options).unwrap();
+            let key = CanonicalKey::materialise(&view, &options_json, flow);
+            proptest::prop_assert_eq!(
+                entry_address(&key),
+                address_of_parts(
+                    &key.configuration,
+                    &key.options,
+                    &key.flow,
+                    key.solver_revision
+                )
+            );
+        }
     }
 
     #[test]

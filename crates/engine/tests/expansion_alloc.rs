@@ -8,8 +8,10 @@
 //! mints every point through the same call without solving, so it measures
 //! minting on its own: a fixed handful of per-suite and per-scenario
 //! allocations (workload resolution, the cap list, the hoisted key seed,
-//! the job's result slots) no matter how many points the sweep has. The
-//! old scheme cloned the full configuration once per point.
+//! the key slots, the job's result slots) no matter how many points the
+//! sweep has. The old scheme cloned the full configuration once per point.
+//! Repeated scenarios share one resolution and one key slot per cap, and
+//! that sharing must not allocate per point either.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a lone test keeps the harness from running anything
@@ -55,14 +57,28 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+fn pc_sweep(name: &str, points: u64) -> Scenario {
+    Scenario::new(
+        name,
+        WorkloadSpec::preset(PresetSpec::named("producer-consumer")),
+    )
+    .with_sweep(SweepSpec::range(1, points))
+}
+
 fn sweep_suite(points: u64) -> Suite {
+    Suite::new("alloc", vec![pc_sweep("pc", points)])
+}
+
+/// The same workload three times under other names: the second sweep
+/// repeats the first one's points, and the third one half of them.
+fn repeated_suite(points: u64) -> Suite {
     Suite::new(
-        "alloc",
-        vec![Scenario::new(
-            "pc",
-            WorkloadSpec::preset(PresetSpec::named("producer-consumer")),
-        )
-        .with_sweep(SweepSpec::range(1, points))],
+        "alloc-repeated",
+        vec![
+            pc_sweep("pc", points),
+            pc_sweep("pc-again", points),
+            pc_sweep("pc-half", points / 2),
+        ],
     )
 }
 
@@ -73,30 +89,37 @@ fn expansion_allocations_do_not_scale_with_point_count() {
     // is built outside the measured regions.
     let engine = Engine::new(1);
     let settings = RunSettings::default();
-    let small = sweep_suite(100);
-    let large = sweep_suite(1000);
+    let inputs = [
+        (sweep_suite as fn(u64) -> Suite, 100, 1000),
+        (repeated_suite, 250, 2500),
+    ];
+    for (suite, small_points, large_points) in inputs {
+        let small = suite(100);
+        let large = suite(1000);
 
-    // Warm up once so lazily initialised process state is not charged to
-    // the first measured expansion.
-    black_box(engine.expand_suite(&small, &settings).unwrap());
-    black_box(engine.expand_suite(&large, &settings).unwrap());
+        // Warm up once so lazily initialised process state is not charged
+        // to the first measured expansion.
+        black_box(engine.expand_suite(&small, &settings).unwrap());
+        black_box(engine.expand_suite(&large, &settings).unwrap());
 
-    let before = allocations();
-    let summary = black_box(engine.expand_suite(&small, &settings).unwrap());
-    let small_allocations = allocations() - before;
-    assert_eq!(summary.points, 100);
+        let before = allocations();
+        let summary = black_box(engine.expand_suite(&small, &settings).unwrap());
+        let small_allocations = allocations() - before;
+        assert_eq!(summary.points, small_points, "{}", small.name);
 
-    let before = allocations();
-    let summary = black_box(engine.expand_suite(&large, &settings).unwrap());
-    let large_allocations = allocations() - before;
-    assert_eq!(summary.points, 1000);
+        let before = allocations();
+        let summary = black_box(engine.expand_suite(&large, &settings).unwrap());
+        let large_allocations = allocations() - before;
+        assert_eq!(summary.points, large_points, "{}", large.name);
 
-    assert_eq!(
-        small_allocations, large_allocations,
-        "ten times the sweep points must not change the allocation count: \
-         work items are allocation-free copy-on-write views, so expansion \
-         allocates per scenario, never per point"
-    );
+        assert_eq!(
+            small_allocations, large_allocations,
+            "{}: ten times the sweep points must not change the allocation \
+             count: work items are allocation-free copy-on-write views, so \
+             expansion allocates per scenario, never per point",
+            small.name
+        );
+    }
 
     // Sanity: the counter is actually live.
     let before = allocations();

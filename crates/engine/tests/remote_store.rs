@@ -2,13 +2,16 @@
 //! as a store peer for local runs via the `store_get`/`store_put` protocol
 //! requests, with read-through fills and write-behind population.
 
-use bbs_engine::serve::FaultPlan;
+use bbs_engine::serve::{read_reply, send_request, FaultPlan};
+use bbs_engine::store::entry_address;
 use bbs_engine::store::remote::REPLY_DEADLINE;
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{
-    generate_suite, BreakerConfig, Engine, GenParams, RemoteBackend, RunSettings, ServeConfig,
-    Server, SolveCache, SolveStore, Suite, SuiteOutcome, SuiteReport,
+    generate_suite, BreakerConfig, CanonicalKey, Engine, GenParams, RemoteBackend, Request,
+    RunSettings, ServeConfig, Server, SolveCache, SolveStore, Suite, SuiteOutcome, SuiteReport,
 };
+use bbs_taskgraph::presets::{producer_consumer, PaperParameters};
+use budget_buffer::{compute_mapping, with_capacity_cap, SolveOptions};
 use std::fs;
 use std::io;
 use std::net::TcpListener;
@@ -140,6 +143,51 @@ fn write_behind_populates_the_peer_and_read_through_refills_cold_dirs() {
 
     server.shutdown();
     server.wait();
+}
+
+#[test]
+fn a_store_put_in_another_layout_is_stored_canonically_and_served() {
+    let directory = TempDir::new("canonical-put");
+    let configuration = with_capacity_cap(&producer_consumer(PaperParameters::default(), None), 4);
+    let options = SolveOptions::default().prefer_budget_minimisation();
+    let key = CanonicalKey::from_parts(&configuration, &options, "joint");
+    let result = compute_mapping(&configuration, &options);
+    let address = entry_address(&key);
+
+    // The canonical body of one solve, as a local store writes it.
+    let local = SolveStore::open(directory.path().join("local")).unwrap();
+    local.save(&key, &result);
+    let body = local.peer_get(&address).unwrap().expect("saved");
+    // The same entry with whitespace between its tokens: valid JSON, but
+    // not the layout lookups accept.
+    let padded = body
+        .replacen("{\"schema\":", "{ \"schema\" : ", 1)
+        .replacen(",\"configuration\":", " ,\n  \"configuration\": ", 1)
+        .replacen(",\"feasible\":", ", \"feasible\" :\t", 1)
+        + "  \n";
+    assert_ne!(padded, body);
+
+    let peer_dir = directory.path().join("peer");
+    let server = start_peer(&peer_dir);
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    send_request(&mut stream, &Request::store_put(padded)).unwrap();
+    let reply = read_reply(&mut stream).unwrap().expect("a reply");
+    assert_eq!(reply.kind, "store_ok", "{:?}", reply.message);
+    drop(stream);
+    server.shutdown();
+    server.wait();
+
+    // The peer stored the canonical bytes, so a later lookup is a disk hit.
+    let peer = SolveStore::open_existing(&peer_dir).unwrap();
+    assert_eq!(
+        peer.peer_get(&address).unwrap().as_deref(),
+        Some(body.as_str())
+    );
+    let loaded = peer.load(&key, &configuration).expect("a disk hit");
+    assert_eq!(loaded, result);
+    let stats = peer.stats();
+    assert_eq!((stats.disk_hits, stats.rejected), (1, 0));
+    assert_eq!(peer.summary().unwrap().entries, 1);
 }
 
 #[test]

@@ -286,7 +286,13 @@ impl Configuration {
 /// [`Configuration::canonical_fingerprint`], exported so callers hashing a
 /// canonical JSON they already hold do not have to serialise twice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a 64-bit FNV-1a hash over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ‖ b)`, so a hash of a long prefix
+/// that is already known never has to be recomputed.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -454,5 +460,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

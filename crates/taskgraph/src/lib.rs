@@ -49,7 +49,7 @@ pub use builder::{
     find_buffer, find_task, find_task_graph, ConfigurationBuilder, TaskGraphBuilder,
 };
 pub use canonical::{canonical_digest_of, CanonicalDigest, CanonicalHasher};
-pub use configuration::{fnv1a, Configuration};
+pub use configuration::{fnv1a, fnv1a_extend, Configuration};
 pub use error::ModelError;
 pub use graph::TaskGraph;
 pub use ids::{BufferId, BufferRef, MemoryId, ProcessorId, TaskGraphId, TaskId, TaskRef};
